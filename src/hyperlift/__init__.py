@@ -17,6 +17,7 @@ The package has three layers:
 
 from .core import (
     DensityParams,
+    FormatError,
     Graph,
     HsbmParams,
     Hypergraph,
@@ -60,6 +61,7 @@ __all__ = [
     "appearance_exponent",
     "ComponentTooLargeError",
     "DensityParams",
+    "FormatError",
     "Graph",
     "HsbmParams",
     "Hypergraph",

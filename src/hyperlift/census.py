@@ -216,7 +216,8 @@ def canonical_form(
             search(branched)
 
     search([0] * n)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("canonical_form: the refinement search reached no leaf")
     return best
 
 
@@ -469,7 +470,8 @@ def exact_expected_count(pattern: PatternHypergraph, n: int, p: Fraction) -> Fra
         return Fraction(0)
     aut = automorphism_count(pattern)
     total = math.comb(n, pattern.v) * math.factorial(pattern.v)
-    assert total % aut == 0
+    if total % aut:
+        raise RuntimeError(f"automorphism count {aut} does not divide {total} placements")
     return Fraction(total // aut) * Fraction(p) ** pattern.e
 
 
@@ -639,7 +641,8 @@ def build_ambiguous_gadget(d: int) -> tuple:
     n = base_z + (d - 1) * (d - 2)
     proj1 = project_edges(preimage1.edges)
     proj2 = project_edges(preimage2.edges)
-    assert proj1 == proj2
+    if proj1 != proj2:
+        raise RuntimeError(f"ambiguous gadget for d={d}: the two preimages project differently")
     return preimage1, preimage2, Graph(n, proj1)
 
 

@@ -10,6 +10,9 @@ Subcommands:
     sweep        run a seeded grid from a config file, write CSV
     hsbm         similarity-matrix -> support -> MAP pipeline summary
 
+Malformed input (a bad file, config or parameter) and a MAP abort on a giant
+component print one line to stderr and exit 1.
+
 Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5.
 
 The sweep config grammar is one `key = value` pair per line, `#` comments,
@@ -42,6 +45,7 @@ from .census import (
 )
 from .core import (
     DensityParams,
+    FormatError,
     HsbmParams,
     generate_random_hypergraph,
     graph_from_text,
@@ -54,7 +58,7 @@ from .core import (
 )
 from .harness import RESULT_COLUMNS, SweepSpec, hsbm_pipeline, run_sweep, write_sweep_csv
 from .preimage import min_preimage
-from .reconstruct import ALGORITHM_NAMES, run_algorithm
+from .reconstruct import ALGORITHM_NAMES, ComponentTooLargeError, run_algorithm
 from .search import SearchConfig, dfs_search
 
 
@@ -65,6 +69,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _load(path, parse):
+    try:
+        return parse(read_text(path))
+    except FormatError as err:
+        raise FormatError(f"{path}: {err}") from None
+
+
 def _cmd_gen(args) -> int:
     params = DensityParams(args.d, Fraction(args.delta), args.n, Fraction(args.c))
     h = generate_random_hypergraph(params, args.seed, p_override=args.p_override)
@@ -73,13 +84,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    h = hypergraph_from_text(read_text(args.input))
+    h = _load(args.input, hypergraph_from_text)
     _emit(args, graph_to_text(project(h)))
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    g = graph_from_text(read_text(args.input))
+    g = _load(args.input, graph_from_text)
     res = run_algorithm(args.algo, g, args.d)
     stats = {
         "algorithm": res.algorithm,
@@ -99,7 +110,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_preimage(args) -> int:
-    g = graph_from_text(read_text(args.input))
+    g = _load(args.input, graph_from_text)
     report = min_preimage(g, args.d, vertex_bound=args.vertex_bound, cap=args.cap)
     _emit(args, json.dumps(report.to_dict(), indent=2))
     return 0
@@ -161,6 +172,10 @@ def parse_sweep_config(text: str) -> SweepSpec:
             raise ValueError(f"bad config line: {raw!r}")
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
+    missing = {"d", "n", "delta", "seeds"} - values.keys()
+    if missing:
+        raise ValueError(f"config is missing {', '.join(sorted(missing))}")
+
     def split(v: str) -> list:
         return [x.strip() for x in v.split(",") if x.strip()]
     return SweepSpec(
@@ -275,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ComponentTooLargeError) as err:
+        sys.stderr.write(f"hyperlift {args.command}: {err}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -403,6 +403,34 @@ def densify_reduction(
 # ---------------------------------------------------------------------------
 
 
+class FormatError(ValueError):
+    """Malformed .hg / .el / .sim text; the message names the line."""
+
+
+def _int_rows(text: str, header_width: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(line number, integers) for each non-blank line, header checked."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            rows.append((lineno, tuple(map(int, fields))))
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer field in {line.strip()!r}") from None
+    if not rows:
+        raise FormatError("line 1: empty input, expected a header line")
+    lineno, header = rows[0]
+    if len(header) != header_width:
+        raise FormatError(f"line {lineno}: header needs {header_width} integers, got {len(header)}")
+    return rows
+
+
+def _check_width(lineno: int, values: tuple[int, ...], width: int) -> None:
+    if len(values) != width:
+        raise FormatError(f"line {lineno}: expected {width} integers, got {len(values)}")
+
+
 def hypergraph_to_text(h: Hypergraph) -> str:
     lines = [f"{h.d} {h.n}"]
     lines.extend(" ".join(map(str, e)) for e in h.edges)
@@ -410,10 +438,11 @@ def hypergraph_to_text(h: Hypergraph) -> str:
 
 
 def hypergraph_from_text(text: str) -> Hypergraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    d, n = map(int, lines[0].split())
-    edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-    return Hypergraph(n, d, edges)
+    rows = _int_rows(text, 2)
+    d, n = rows[0][1]
+    for lineno, e in rows[1:]:
+        _check_width(lineno, e, d)
+    return Hypergraph(n, d, [e for _, e in rows[1:]])
 
 
 def graph_to_text(g: Graph) -> str:
@@ -423,10 +452,11 @@ def graph_to_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = int(lines[0])
-    edges = [tuple(map(int, ln.split())) for ln in lines[1:]]
-    return Graph(n, edges)
+    rows = _int_rows(text, 1)
+    (n,) = rows[0][1]
+    for lineno, e in rows[1:]:
+        _check_width(lineno, e, 2)
+    return Graph(n, [e for _, e in rows[1:]])
 
 
 def similarity_to_text(w: SimilarityMatrix) -> str:
@@ -439,11 +469,14 @@ def similarity_to_text(w: SimilarityMatrix) -> str:
 
 
 def similarity_from_text(text: str) -> SimilarityMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = int(lines[0])
+    rows = _int_rows(text, 1)
+    (n,) = rows[0][1]
     counts = [[0] * n for _ in range(n)]
-    for ln in lines[1:]:
-        i, j, c = map(int, ln.split())
+    for lineno, row in rows[1:]:
+        _check_width(lineno, row, 3)
+        i, j, c = row
+        if not (0 <= i < n and 0 <= j < n):
+            raise FormatError(f"line {lineno}: pair ({i},{j}) out of range for n={n}")
         counts[i][j] = c
         counts[j][i] = c
     return SimilarityMatrix(n, counts)

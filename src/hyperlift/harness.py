@@ -328,7 +328,8 @@ def count_pattern_copies(pattern: PatternHypergraph, host: Hypergraph) -> int:
 
     backtrack(0)
     aut = automorphism_count(pattern)
-    assert embeddings % aut == 0
+    if embeddings % aut:
+        raise RuntimeError(f"automorphism count {aut} does not divide {embeddings} embeddings")
     return embeddings // aut
 
 

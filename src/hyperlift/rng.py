@@ -11,6 +11,13 @@ space for hyperedge generation is partitioned into fixed blocks of
 ``substream(seed, GEN_TAG, b)``, so blocks can be generated in any order
 (or in parallel) with results identical to sequential generation.
 
+Sampling costs one integer hash per empty block.  The first draw of a full
+block's stream decides whether the block keeps any rank, so that draw is
+computed with ``mix64`` and SplitMix64 inlined and compared with an integer
+cut computed once per call; a block whose draw clears the cut is skipped
+without building its stream.  Every other block runs its full draw
+sequence, so the ranks are the same as walking every block's stream.
+
 Floating-point draws are ``(x >> 11) * 2**-53`` from 64-bit outputs, i.e.
 uniform on [0, 1) with 53 bits, identical on any IEEE-754 platform.
 """
@@ -28,13 +35,18 @@ TRIAL_TAG = 0x747269  # per-trial / per-replicate derivation
 
 BLOCK_SIZE = 1 << 16
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_EMPTY_MARGIN = 1 << 24  # draws between the empty-block threshold and the cut
+
 
 def _splitmix64(state: int) -> tuple[int, int]:
     """Advance a SplitMix64 state, returning (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GAMMA) & _MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return state, z ^ (z >> 31)
 
 
@@ -85,12 +97,98 @@ def substream(seed: int, *tags: int) -> Stream:
     return Stream(mix64(seed, *tags))
 
 
+def _live_blocks(seed: int, total: int, log1mp: float | None):
+    """Indices, in order, of the rank blocks that may keep a rank.
+
+    A full block is empty exactly when the first gap drawn from its stream
+    reaches past it, and that gap grows with the draw's 53-bit integer
+    ``x = u64 >> 11``.  So full blocks whose first output is at least
+    ``_empty_cut`` are skipped after one inlined ``mix64`` and one
+    SplitMix64 step, without building their stream.  The last partial block
+    and every full block below the cut are yielded, and the caller walks
+    them with the unchanged draw sequence.
+    """
+    nfull, rest = divmod(total, BLOCK_SIZE)
+    cut = None if log1mp is None or nfull == 0 else _empty_cut(log1mp)
+    if cut is None:
+        yield from range(nfull + (rest > 0))
+        return
+    # fold is mix64's state after absorbing seed and GEN_TAG; mix64(seed,
+    # GEN_TAG, b) is one SplitMix64 output from state (fold ^ b) + gamma, and
+    # the block stream's first output is one more step from there.
+    mask, gamma, m1, m2 = _MASK64, _GAMMA, _MIX1, _MIX2
+    fold = 0x243F6A8885A308D3
+    for v in (seed, GEN_TAG):
+        fold = ((fold ^ (v & mask)) + gamma) & mask
+    gamma2 = (2 * gamma) & mask
+    for b in range(nfull):
+        z = ((fold ^ b) + gamma2) & mask
+        z = ((z ^ (z >> 30)) * m1) & mask
+        z = ((z ^ (z >> 27)) * m2) & mask
+        z = ((z ^ (z >> 31)) + gamma) & mask
+        z = ((z ^ (z >> 30)) * m1) & mask
+        z = ((z ^ (z >> 27)) * m2) & mask
+        if z ^ (z >> 31) < cut:
+            yield b
+    if rest:
+        yield nfull
+
+
+def _empty_cut(log1mp: float) -> int | None:
+    """The least 64-bit first output at which a full block is surely empty.
+
+    Bisects the 53-bit draws for the least x whose gap reaches BLOCK_SIZE,
+    then adds a margin of 2**24 draws, far above any libm rounding near the
+    threshold, so that every skipped block is one the full expression would
+    find empty.  Returns None when no draw below 2**53 clears the margin.
+    """
+    lo, hi = 0, 1 << 53  # lo is not empty; hi is, or is the 2**53 sentinel
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.log1p(-mid * 2.0**-53) / log1mp >= BLOCK_SIZE:
+            hi = mid
+        else:
+            lo = mid
+    x = hi + _EMPTY_MARGIN
+    return x << 11 if x < 1 << 53 else None
+
+
+def _walk(seed: int, total: int, log1mp: float | None, keep=None) -> list[int]:
+    """Ranks in [0, total) that the geometric skips land on, block by block.
+
+    Block b is walked with ``substream(seed, GEN_TAG, b)``; ``log1mp is
+    None`` means p = 1, where every rank is a candidate.  With ``keep``, one
+    more draw u is taken per candidate and the rank is kept iff
+    ``keep(rank, u)``.  A skip is capped at BLOCK_SIZE before ``int``: the cap
+    only bites when the skip leaves the block anyway, and it keeps a
+    subnormal p, whose ratio overflows to inf, from raising.
+    """
+    log1p = math.log1p
+    out: list[int] = []
+    for b in _live_blocks(seed, total, log1mp):
+        start = b * BLOCK_SIZE
+        stop = min(start + BLOCK_SIZE, total)
+        rng = substream(seed, GEN_TAG, b)
+        pos = start
+        while True:
+            if log1mp is not None:
+                pos += int(min(log1p(-rng.random()) / log1mp, BLOCK_SIZE))
+            if pos >= stop:
+                break
+            if keep is None or keep(pos, rng.random()):
+                out.append(pos)
+            pos += 1
+    return out
+
+
 def bernoulli_ranks(seed: int, total: int, p: float) -> list[int]:
     """Ranks r in [0, total) kept by independent Bernoulli(p) trials.
 
     Uses geometric skip-sampling within each rank block, so the cost is
-    O(#kept + #blocks) rather than O(total).  Equivalent in distribution to
-    flipping one coin per rank, and deterministic per (seed, total, p).
+    O(#kept + #blocks) rather than O(total).  An empty block costs one
+    integer hash of its index; every other block runs its full draw
+    sequence.  Equivalent in distribution to flipping one coin per rank, and
+    deterministic per (seed, total, p).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
@@ -98,20 +196,7 @@ def bernoulli_ranks(seed: int, total: int, p: float) -> list[int]:
         return []
     if p == 1.0:
         return list(range(total))
-    log1mp = math.log1p(-p)
-    out: list[int] = []
-    for start in range(0, total, BLOCK_SIZE):
-        stop = min(start + BLOCK_SIZE, total)
-        rng = substream(seed, GEN_TAG, start // BLOCK_SIZE)
-        pos = start
-        while True:
-            gap = int(math.log1p(-rng.random()) / log1mp)
-            pos += gap
-            if pos >= stop:
-                break
-            out.append(pos)
-            pos += 1
-    return out
+    return _walk(seed, total, math.log1p(-p))
 
 
 def thinned_ranks(seed: int, total: int, p_max: float, keep) -> list[int]:
@@ -127,21 +212,4 @@ def thinned_ranks(seed: int, total: int, p_max: float, keep) -> list[int]:
             return []
         raise ValueError(f"probability out of range: {p_max}")
     log1mp = math.log1p(-p_max) if p_max < 1.0 else None
-    out: list[int] = []
-    for start in range(0, total, BLOCK_SIZE):
-        stop = min(start + BLOCK_SIZE, total)
-        rng = substream(seed, GEN_TAG, start // BLOCK_SIZE)
-        pos = start
-        while True:
-            if log1mp is None:
-                gap = 0
-            else:
-                gap = int(math.log1p(-rng.random()) / log1mp)
-            pos += gap
-            if pos >= stop:
-                break
-            u = rng.random()
-            if keep(pos, u):
-                out.append(pos)
-            pos += 1
-    return out
+    return _walk(seed, total, log1mp, keep)

@@ -2,7 +2,8 @@
 
 Deliberately dumb: subset enumeration and bitmask ORs only, no shared code
 with the branch-and-bound / flow paths they verify.  Also the Pasch-trade
-witness and the effective density exponent behind acceptance criterion 9.
+witness and the effective density exponent behind acceptance criterion 9,
+and the block-by-block rank samplers that the fast ones must reproduce.
 """
 
 import math
@@ -10,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from hyperlift.core import Graph, Hypergraph
+from hyperlift.rng import BLOCK_SIZE, GEN_TAG, substream
 
 
 def brute_max_density(edges):
@@ -142,3 +144,54 @@ def hsbm_effective_delta(params) -> float:
     mono = 2 * math.comb(n // 2, d) / math.comb(n, d)
     p_bar = mono * params.q1 + (1 - mono) * params.q2
     return math.log(p_bar * n ** (d - 1)) / math.log(n)
+
+
+def reference_bernoulli_ranks(seed: int, total: int, p: float) -> list[int]:
+    """Bernoulli(p) ranks walking every block's stream, empty blocks too."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability out of range: {p}")
+    if p == 0.0 or total == 0:
+        return []
+    if p == 1.0:
+        return list(range(total))
+    log1mp = math.log1p(-p)
+    out: list[int] = []
+    for start in range(0, total, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, total)
+        rng = substream(seed, GEN_TAG, start // BLOCK_SIZE)
+        pos = start
+        while True:
+            gap = int(math.log1p(-rng.random()) / log1mp)
+            pos += gap
+            if pos >= stop:
+                break
+            out.append(pos)
+            pos += 1
+    return out
+
+
+def reference_thinned_ranks(seed: int, total: int, p_max: float, keep) -> list[int]:
+    """Thinned ranks walking every block's stream, empty blocks too."""
+    if not 0.0 < p_max <= 1.0:
+        if p_max == 0.0:
+            return []
+        raise ValueError(f"probability out of range: {p_max}")
+    log1mp = math.log1p(-p_max) if p_max < 1.0 else None
+    out: list[int] = []
+    for start in range(0, total, BLOCK_SIZE):
+        stop = min(start + BLOCK_SIZE, total)
+        rng = substream(seed, GEN_TAG, start // BLOCK_SIZE)
+        pos = start
+        while True:
+            if log1mp is None:
+                gap = 0
+            else:
+                gap = int(math.log1p(-rng.random()) / log1mp)
+            pos += gap
+            if pos >= stop:
+                break
+            u = rng.random()
+            if keep(pos, u):
+                out.append(pos)
+            pos += 1
+    return out

@@ -220,6 +220,18 @@ def test_ambiguous_gadget_structure():
         build_ambiguous_gadget(2)
 
 
+def test_broken_internal_invariants_raise_even_under_python_O(monkeypatch):
+    import hyperlift.census as census
+
+    single = PatternHypergraph([(0, 1, 2)])
+    monkeypatch.setattr(census, "automorphism_count", lambda pattern: 4)  # true value 6
+    with pytest.raises(RuntimeError, match="does not divide"):
+        exact_expected_count(single, 3, Fraction(1, 2))
+    monkeypatch.setattr(census, "project_edges", lambda edges: tuple(edges))
+    with pytest.raises(RuntimeError, match="project differently"):
+        build_ambiguous_gadget(3)
+
+
 def test_map_failure_gadget_structure():
     hb3 = build_map_failure_gadget(3)
     assert hb3.v == 6 and hb3.e == 4

@@ -34,6 +34,20 @@ def test_gen_p_override_and_stdout(capsys):
     assert len(h) == 10  # C(5,3)
 
 
+def test_gen_subnormal_p_override_writes_no_hyperedge(capsys):
+    assert main(["gen", "--d", "3", "--n", "10", "--delta", "0", "--p-override", "5e-324"]) == 0
+    assert len(hypergraph_from_text(capsys.readouterr().out)) == 0
+
+
+@pytest.mark.parametrize("text, line", [("", "line 1"), ("4\n0 1\n0 1 2\n", "line 3")])
+def test_malformed_edge_list_exits_1_with_one_stderr_line(tmp_path, capsys, text, line):
+    el = tmp_path / "g.el"
+    el.write_text(text)
+    assert main(["reconstruct", "--algo", "cc", "--d", "3", str(el)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(el) in err and line in err
+
+
 def test_preimage_reports_gadget_ambiguity(tmp_path, capsys):
     _, _, proj = build_ambiguous_gadget(3)
     el = tmp_path / "g.el"
@@ -84,9 +98,15 @@ def test_sweep_config_and_run(tmp_path, capsys):
     assert (tmp_path / "sweep.csv.timing").exists()
 
 
-def test_sweep_config_rejects_garbage():
+def test_sweep_config_rejects_garbage(tmp_path, capsys):
     with pytest.raises(ValueError):
         parse_sweep_config("nonsense without equals")
+    with pytest.raises(ValueError, match="missing delta, seeds"):
+        parse_sweep_config("d = 3\nn = 10\n")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("d = 3\n")
+    assert main(["sweep", str(cfg)]) == 1
+    assert "missing" in capsys.readouterr().err
 
 
 def test_hsbm_command(capsys):

@@ -1,13 +1,18 @@
 """Core model: generation, projection, cliques, similarity, file formats."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from oracles import reference_bernoulli_ranks, reference_thinned_ranks
+
+from hyperlift import rng
 from hyperlift.core import (
     DensityParams,
+    FormatError,
     Graph,
     HsbmParams,
     Hypergraph,
@@ -28,7 +33,7 @@ from hyperlift.core import (
     support_graph,
     unrank_combination,
 )
-from hyperlift.rng import BLOCK_SIZE, Stream, bernoulli_ranks, mix64
+from hyperlift.rng import BLOCK_SIZE, GEN_TAG, Stream, bernoulli_ranks, mix64, thinned_ranks
 
 
 def test_unrank_matches_lexicographic_order():
@@ -66,6 +71,85 @@ def test_generation_block_prefix_property():
     long = [r for r in bernoulli_ranks(7, 3 * BLOCK_SIZE, p) if r < BLOCK_SIZE]
     short = bernoulli_ranks(7, BLOCK_SIZE, p)
     assert long == short
+
+
+def test_rank_samplers_match_the_block_by_block_reference():
+    draw = Stream(20261018)
+    near_multiples = [k * BLOCK_SIZE + off for k in (1, 2, 3) for off in (-1, 0, 1)]
+    for p in (1e-7, 1e-4, 0.01, 0.3, 0.9, 1 - 1e-12):
+        totals = [1, 1000] + (near_multiples if p < 0.3 else near_multiples[:3])
+        if p <= 1e-4:
+            totals.append(2000 * BLOCK_SIZE + 17)  # many blocks, mostly empty
+        for total in totals:
+            for seed in (draw.u64(), draw.u64()):
+                expected = reference_bernoulli_ranks(seed, total, p)
+                assert bernoulli_ranks(seed, total, p) == expected, (seed, total, p)
+    for seed in (-1, 2**64 + 3):  # seeds are folded modulo 2**64
+        total = 2000 * BLOCK_SIZE
+        assert bernoulli_ranks(seed, total, 1e-6) == reference_bernoulli_ranks(seed, total, 1e-6)
+
+
+def test_thinned_ranks_match_the_reference_draw_for_draw():
+    draw = Stream(7)
+    for p_max, total in (
+        (1e-6, 2000 * BLOCK_SIZE + 1),
+        (1e-4, 3 * BLOCK_SIZE - 1),
+        (0.3, BLOCK_SIZE + 1),
+        (1.0, BLOCK_SIZE + 1),
+    ):
+        seed = draw.u64()
+        seen, seen_ref = [], []
+
+        def recording(log):
+            return lambda rank, u: log.append((rank, u)) or u < 0.5
+
+        out = thinned_ranks(seed, total, p_max, recording(seen))
+        assert out == reference_thinned_ranks(seed, total, p_max, recording(seen_ref))
+        assert seen == seen_ref and seen
+
+
+def test_skipped_blocks_are_those_whose_first_draw_clears_the_cut():
+    log1mp = math.log1p(-1e-6)
+    cut = rng._empty_cut(log1mp)
+    total = 500 * BLOCK_SIZE + 3
+    for seed in (0, 5, -9, 2**70 + 1):
+        live = list(rng._live_blocks(seed, total, log1mp))
+        first = [Stream(mix64(seed, GEN_TAG, b)).u64() for b in range(500)]
+        assert live == [b for b in range(500) if first[b] < cut] + [500]
+
+
+@pytest.mark.parametrize("p", [1e-9, 1e-7, DensityParams(3, Fraction(1, 5), 5000).p, 1e-5, 1e-4])
+def test_empty_block_cut_agrees_with_the_full_expression(p):
+    log1mp = math.log1p(-p)
+    cut = rng._empty_cut(log1mp)
+    assert cut is not None and cut % 2048 == 0
+    skip_from = cut >> 11  # a block is skipped iff its first draw x >= skip_from
+
+    def empty(x):  # the walker's own test on a full block's first draw
+        return int(math.log1p(-x * 2.0**-53) / log1mp) >= BLOCK_SIZE
+
+    threshold = skip_from - rng._EMPTY_MARGIN
+    for x in range(threshold - 2**16, threshold + 2**16 + 1):
+        assert empty(x) == (x >= threshold), x
+    for x in list(range(skip_from, skip_from + 2**12)) + [2**53 - 1]:
+        assert empty(x), x
+    assert rng._empty_cut(math.log1p(-1e-3)) is None  # every block may keep a rank
+
+
+def test_rank_sampler_outputs_are_pinned_at_n5000():
+    p = DensityParams(3, Fraction(1, 5), 5000).p
+    total = math.comb(5000, 3)
+    for seed, prefix in ((1, "2ef66708b4895650"), (2, "3f45e66907ed6a57"), (3, "b162f2c379edf168")):
+        ranks = bernoulli_ranks(seed, total, p)
+        digest = hashlib.sha256(",".join(map(str, ranks)).encode()).hexdigest()
+        assert len(ranks) == 4646 and digest.startswith(prefix), seed
+
+
+def test_subnormal_probability_keeps_no_rank():
+    # log1p(-u) / log1p(-p) overflows to inf for subnormal p
+    assert bernoulli_ranks(1, 10, 5e-324) == []
+    assert bernoulli_ranks(1, 2 * BLOCK_SIZE + 1, 5e-324) == []
+    assert thinned_ranks(1, 10, 5e-324, lambda rank, u: True) == []
 
 
 def test_generation_boundaries():
@@ -271,6 +355,26 @@ def test_file_roundtrips_are_bit_exact():
     wtext = similarity_to_text(w)
     assert similarity_from_text(wtext) == w
     assert similarity_to_text(similarity_from_text(wtext)) == wtext
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (graph_from_text, "", "line 1"),
+        (graph_from_text, "\n  \n", "line 1"),
+        (graph_from_text, "4\n0 1\n\n0 1 2\n", "line 4"),
+        (graph_from_text, "4 4\n0 1\n", "line 1"),
+        (graph_from_text, "4\n0 x\n", "line 2"),
+        (hypergraph_from_text, "", "line 1"),
+        (hypergraph_from_text, "3 6\n0 1 2\n3 4\n", "line 3"),
+        (similarity_from_text, "3\n0 1\n", "line 2"),
+        (similarity_from_text, "3\n0 1 1\n0 3 1\n", "line 3"),
+        (similarity_from_text, "3\n-1 1 1\n", "line 2"),
+    ],
+)
+def test_malformed_text_raises_format_error_naming_the_line(parse, text, line):
+    with pytest.raises(FormatError, match=line):
+        parse(text)
 
 
 def test_stream_randrange_and_shuffle_are_deterministic():

@@ -113,6 +113,16 @@ def test_count_pattern_copies_on_known_host():
     assert count_pattern_copies(disjoint, host) == 1  # only {012} || {345}
 
 
+def test_count_pattern_copies_rejects_a_wrong_automorphism_count(monkeypatch):
+    import hyperlift.harness as harness
+    from hyperlift.core import Hypergraph
+
+    host = Hypergraph(3, 3, [(0, 1, 2)])  # 6 embeddings of one hyperedge
+    monkeypatch.setattr(harness, "automorphism_count", lambda pattern: 4)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        count_pattern_copies(PatternHypergraph([(0, 1, 2)]), host)
+
+
 def test_planted_gadget_trial_is_a_fair_forced_coin():
     hits = 0
     for t in range(40):
