@@ -7,7 +7,8 @@ is banned.  The pieces:
 - canonical labeling of colored hypergraphs by iterative color refinement
   plus individualize-and-refine backtracking (exact at pattern sizes this
   package cares about, <= ~20 vertices);
-- automorphism counting by cell-respecting backtracking;
+- automorphism counting by cell-respecting backtracking, and a strong
+  generating set of the automorphism group by individualize-and-refine;
 - max sub-hypergraph density m(K) = max e'/v' over nonempty hyperedge
   subsets, computed exactly by Dinkelbach iteration over a
   project-selection min cut;
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import Graph, project_edges
@@ -138,8 +139,9 @@ def _refine(
 def stable_colors(edges: Sequence[Sequence[int]]) -> list:
     """The stable refinement coloring of a pattern's vertices (0..v-1).
 
-    Isomorphism-invariant: automorphic vertices always share a color.  Used
-    as a cheap fingerprint source; not a canonical form by itself.
+    Isomorphism-invariant: automorphic vertices always share a color.  Not
+    a canonical form by itself; it orders the base of
+    automorphism_generators.
     """
     edges = [tuple(sorted(e)) for e in edges]
     n = max((u for e in edges for u in e), default=-1) + 1
@@ -289,17 +291,83 @@ def _cell_sizes(colors: Sequence[int]) -> list:
     return list(sizes.values())
 
 
-def brute_force_isomorphic(a: PatternHypergraph, b: PatternHypergraph) -> bool:
-    """Oracle-grade isomorphism test by permutation search (tiny v only)."""
-    if a.v != b.v or sorted(map(len, a.edges)) != sorted(map(len, b.edges)):
-        return False
-    if a.v > 9:
-        raise PatternTooLargeError("brute-force isomorphism is for v <= 9")
-    target = set(b.edges)
-    for perm in permutations(range(a.v)):
-        if all(tuple(sorted(perm[u] for u in e)) in target for e in a.edges):
-            return True
-    return False
+def automorphism_generators(edges: Sequence[Sequence[int]]) -> list:
+    """A strong generating set of Aut(K) for edges over vertices 0..v-1.
+
+    Each generator is an image list g (vertex u maps to g[u]).  The base is
+    the vertices sorted by (stable color, label); prefix i is the refined
+    coloring with base points b_0..b_{i-1} individualized in turn.  From the
+    deepest level up, every cellmate w of b_i in prefix i that is not yet in
+    b_i's orbit gets one automorphism fixing b_0..b_{i-1} and sending
+    b_i to w, if one exists; the generators found at levels >= i then
+    generate the stabilizer of b_0..b_{i-1}, so all of them generate Aut(K).
+    """
+    edges = [tuple(sorted(e)) for e in edges]
+    n = max((u for e in edges for u in e), default=-1) + 1
+    incident: list = [[] for _ in range(n)]
+    for ei, e in enumerate(edges):
+        for u in e:
+            incident[u].append(ei)
+    edge_colors = [0] * len(edges)
+    edge_set = set(edges)
+
+    def individualize(colors: list, v: int) -> list:
+        branched = [2 * c for c in colors]
+        branched[v] -= 1
+        return _refine(n, edges, edge_colors, incident, branched)
+
+    def isomorphism(left: list, right: list) -> Optional[list]:
+        # a map sending every vertex of color c in left to one of color c in
+        # right and every edge to an edge, found by individualize-and-refine
+        if sorted(left) != sorted(right):
+            return None
+        cells: dict = {}
+        for v, c in enumerate(left):
+            cells.setdefault(c, []).append(v)
+        target = next((cell for cell in cells.values() if len(cell) > 1), None)
+        if target is None:
+            at = {c: w for w, c in enumerate(right)}
+            image = [at[c] for c in left]
+            if all(tuple(sorted(image[u] for u in e)) in edge_set for e in edges):
+                return image
+            return None
+        v = target[0]
+        branched = individualize(left, v)
+        for w in range(n):
+            if right[w] == left[v]:
+                image = isomorphism(branched, individualize(right, w))
+                if image is not None:
+                    return image
+        return None
+
+    stable = stable_colors(edges)
+    base = sorted(range(n), key=lambda v: (stable[v], v))
+    prefixes = [stable]
+    while len(set(prefixes[-1])) < n:
+        prefixes.append(individualize(prefixes[-1], base[len(prefixes) - 1]))
+    generators: list = []
+    for i in reversed(range(len(prefixes) - 1)):  # the last prefix is discrete
+        b, colors = base[i], prefixes[i]
+        orbit = _orbit(b, generators)
+        for w in range(n):
+            if w in orbit or colors[w] != colors[b]:
+                continue
+            image = isomorphism(prefixes[i + 1], individualize(colors, w))
+            if image is not None:
+                generators.append(image)
+                orbit = _orbit(b, generators)
+    return generators
+
+
+def _orbit(point: int, generators: Sequence[Sequence[int]]) -> set:
+    orbit = {point}
+    frontier = [point]
+    for u in frontier:
+        for g in generators:
+            if g[u] not in orbit:
+                orbit.add(g[u])
+                frontier.append(g[u])
+    return orbit
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ Subcommands:
     sweep        run a seeded grid from a config file, write CSV
     hsbm         similarity-matrix -> support -> MAP pipeline summary
 
-Malformed input (a bad file, config or parameter) and a MAP abort on a giant
-component print one line to stderr and exit 1.
+Malformed input (a bad file, config or parameter), a file that cannot be
+read or written, and a MAP abort on a giant component print one line to
+stderr and exit 1.
 
 Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5.
 
 The sweep config grammar is one `key = value` pair per line, `#` comments,
-lists comma-separated:
+lists comma-separated; d, n, delta and seeds are required, and a key not
+shown here or set twice is an error:
 
     d = 3
     n = 100, 200
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .census import (
@@ -162,44 +165,57 @@ def _cmd_search(args) -> int:
     return 0 if report.exhausted else 2
 
 
+_SWEEP_KEYS = ("d", "n", "delta", "seeds", "base_seed", "algorithms")
+
+
 def parse_sweep_config(text: str) -> SweepSpec:
-    values: dict = {}
-    for raw in text.splitlines():
+    """A SweepSpec from the config grammar; FormatError names the bad line."""
+    values: dict = {}  # key -> (line number, value text)
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line: {raw!r}")
+            raise FormatError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _SWEEP_KEYS:
+            raise FormatError(
+                f"line {lineno}: unknown key {key!r}; keys are {', '.join(_SWEEP_KEYS)}"
+            )
+        if key in values:
+            raise FormatError(f"line {lineno}: {key} is already set on line {values[key][0]}")
+        values[key] = (lineno, value.strip())
     missing = {"d", "n", "delta", "seeds"} - values.keys()
     if missing:
-        raise ValueError(f"config is missing {', '.join(sorted(missing))}")
+        raise FormatError(f"config is missing {', '.join(sorted(missing))}")
 
-    def split(v: str) -> list:
-        return [x.strip() for x in v.split(",") if x.strip()]
+    def field(key: str, parse, default=None):
+        if key not in values:
+            return default
+        lineno, value = values[key]
+        try:
+            return parse(value)
+        except (ValueError, ZeroDivisionError) as err:
+            raise FormatError(f"line {lineno}: bad {key} value {value!r}: {err}") from None
+
+    def many(parse):
+        return lambda v: tuple(parse(x.strip()) for x in v.split(",") if x.strip())
+
     return SweepSpec(
-        d=int(values["d"]),
-        n_list=tuple(int(x) for x in split(values["n"])),
-        delta_list=tuple(Fraction(x) for x in split(values["delta"])),
-        num_seeds=int(values["seeds"]),
-        base_seed=int(values.get("base_seed", "0")),
-        algorithms=tuple(split(values.get("algorithms", "cc, map, greedy"))),
+        d=field("d", int),
+        n_list=field("n", many(int)),
+        delta_list=field("delta", many(Fraction)),
+        num_seeds=field("seeds", int),
+        base_seed=field("base_seed", int, 0),
+        algorithms=field("algorithms", many(str), ("cc", "map", "greedy")),
     )
 
 
 def _cmd_sweep(args) -> int:
-    spec = parse_sweep_config(read_text(args.config))
+    spec = _load(args.config, parse_sweep_config)
     if args.threads > 1:
-        spec = SweepSpec(
-            d=spec.d,
-            n_list=spec.n_list,
-            delta_list=spec.delta_list,
-            num_seeds=spec.num_seeds,
-            base_seed=spec.base_seed,
-            algorithms=spec.algorithms,
-            threads=args.threads,
-        )
+        spec = replace(spec, threads=args.threads)
     if args.format == "json":
         # JSON mirror of the CSV schema (timing stays out of the records)
         rows = [
@@ -294,6 +310,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ComponentTooLargeError) as err:
         sys.stderr.write(f"hyperlift {args.command}: {err}\n")
+        return 1
+    except OSError as err:
+        where = f"{err.filename}: " if err.filename is not None else ""
+        sys.stderr.write(f"hyperlift {args.command}: {where}{err.strerror or err}\n")
         return 1
 
 

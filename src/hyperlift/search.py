@@ -24,7 +24,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .census import canonical_form, graph_canonical_form, stable_colors
+# stable_colors is not called here; perfbench/layers.py traces
+# search.stable_colors by name, so the name stays importable
+from .census import (
+    automorphism_generators,
+    canonical_form,
+    graph_canonical_form,
+    stable_colors,
+)
 from .core import Graph, clique_hypergraph, hypergraph_to_text, Hypergraph, project_edges
 from .preimage import min_preimage
 
@@ -154,8 +161,13 @@ def candidate_neighbors(
     under the strict rule (the 2-neighbor definition) the k chosen vertices
     must contain a pair lying inside some clique hyperedge of
     Cli(Proj(pattern)); the loose rule only requires k >= 2.  Candidates
-    already present as cliques are excluded.  Deduplication is by canonical
-    form of the pattern with h marked.
+    already present as cliques are excluded.
+
+    The fresh labels lie in no pattern edge, so (pattern, h) and
+    (pattern, h') are isomorphic with h marked exactly when their k-sets
+    lie in one orbit of Aut(pattern); both filters above are invariant
+    under Aut(pattern).  The result is the first k-set of each orbit in
+    combinations order, orbits closed under automorphism_generators.
     """
     edges = [tuple(sorted(e)) for e in pattern]
     support = sorted({u for e in edges for u in e})
@@ -167,13 +179,9 @@ def candidate_neighbors(
     cli_pairs = set()
     for c in cli:
         cli_pairs.update(combinations(c, 2))
-    colors = stable_colors(edges)
-    base_colors = [0] * len(edges)
+    generators = automorphism_generators(edges)
+    seen: set = set()
     out: list = []
-    # full canonicalization only within equal-fingerprint buckets: the
-    # fingerprint is isomorphism-invariant, so distinct fingerprints are
-    # distinct classes and singleton buckets need no canonical form
-    buckets: dict = {}
     for k in range(2, d + 1):
         for chosen in combinations(range(v), k):
             if strict:
@@ -181,34 +189,17 @@ def candidate_neighbors(
                     continue
             if k == d and all(p in proj for p in combinations(chosen, 2)):
                 continue  # already a clique of the projection
-            fingerprint = (
-                k,
-                tuple(sorted(colors[u] for u in chosen)),
-                tuple(
-                    sorted(
-                        (p in proj, p in cli_pairs, colors[p[0]], colors[p[1]])
-                        if colors[p[0]] <= colors[p[1]]
-                        else (p in proj, p in cli_pairs, colors[p[1]], colors[p[0]])
-                        for p in combinations(chosen, 2)
-                    )
-                ),
-            )
-            h = tuple(chosen) + tuple(range(v, v + d - k))
-            bucket = buckets.setdefault(fingerprint, [])
-            if bucket:
-                key = canonical_form(edges + [h], base_colors + [1])
-                if len(bucket) == 1 and bucket[0][1] is None:
-                    first_h = bucket[0][0]
-                    bucket[0] = (
-                        first_h,
-                        canonical_form(edges + [first_h], base_colors + [1]),
-                    )
-                if any(key == known for _, known in bucket):
-                    continue
-                bucket.append((h, key))
-            else:
-                bucket.append((h, None))
-            out.append(h)
+            if chosen in seen:
+                continue
+            orbit = [chosen]
+            seen.add(chosen)
+            for s in orbit:
+                for g in generators:
+                    image = tuple(sorted(g[u] for u in s))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            out.append(chosen + tuple(range(v, v + d - k)))
     return out
 
 

@@ -3,14 +3,17 @@
 Deliberately dumb: subset enumeration and bitmask ORs only, no shared code
 with the branch-and-bound / flow paths they verify.  Also the Pasch-trade
 witness and the effective density exponent behind acceptance criterion 9,
-and the block-by-block rank samplers that the fast ones must reproduce.
+the block-by-block rank samplers that the fast ones must reproduce, and
+the canonical-form candidate dedup that the orbit dedup must reproduce.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Sequence
 
-from hyperlift.core import Graph, Hypergraph
+from hyperlift.census import PatternTooLargeError, canonical_form, stable_colors
+from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project_edges
 from hyperlift.rng import BLOCK_SIZE, GEN_TAG, substream
 
 
@@ -28,6 +31,19 @@ def brute_max_density(edges):
     return best
 
 
+def brute_force_isomorphic(a, b) -> bool:
+    """Isomorphism of two PatternHypergraphs by permutation search (tiny v only)."""
+    if a.v != b.v or sorted(map(len, a.edges)) != sorted(map(len, b.edges)):
+        return False
+    if a.v > 9:
+        raise PatternTooLargeError("brute-force isomorphism is for v <= 9")
+    target = set(b.edges)
+    for perm in permutations(range(a.v)):
+        if all(tuple(sorted(perm[u] for u in e)) in target for e in a.edges):
+            return True
+    return False
+
+
 def all_preimages_bitmask(g: Graph, d: int, candidates=None):
     """Every subset of the d-cliques of g whose projection equals g.
 
@@ -36,8 +52,6 @@ def all_preimages_bitmask(g: Graph, d: int, candidates=None):
     hyperedges.
     """
     if candidates is None:
-        from hyperlift.core import clique_hypergraph
-
         candidates = clique_hypergraph(g, d).edges
     assert len(candidates) <= 16, "oracle is exponential in |Cli|"
     index = {e: i for i, e in enumerate(g.edges)}
@@ -194,4 +208,72 @@ def reference_thinned_ranks(seed: int, total: int, p_max: float, keep) -> list[i
             if keep(pos, u):
                 out.append(pos)
             pos += 1
+    return out
+
+
+def reference_candidate_neighbors(
+    pattern: Sequence[tuple], d: int, strict: bool = True
+) -> list:
+    """Candidate hyperedges h that could join the pattern's clique structure,
+    up to symmetry of (pattern, h).
+
+    h takes k in [2, d] vertices from the pattern and d - k fresh labels;
+    under the strict rule (the 2-neighbor definition) the k chosen vertices
+    must contain a pair lying inside some clique hyperedge of
+    Cli(Proj(pattern)); the loose rule only requires k >= 2.  Candidates
+    already present as cliques are excluded.  Deduplication is by canonical
+    form of the pattern with h marked.
+    """
+    edges = [tuple(sorted(e)) for e in pattern]
+    support = sorted({u for e in edges for u in e})
+    v = len(support)
+    if support != list(range(v)):
+        raise ValueError("pattern labels must be dense 0..v-1")
+    proj = project_edges(edges)
+    cli = clique_hypergraph(Graph(v, proj), d).edges
+    cli_pairs = set()
+    for c in cli:
+        cli_pairs.update(combinations(c, 2))
+    colors = stable_colors(edges)
+    base_colors = [0] * len(edges)
+    out: list = []
+    # full canonicalization only within equal-fingerprint buckets: the
+    # fingerprint is isomorphism-invariant, so distinct fingerprints are
+    # distinct classes and singleton buckets need no canonical form
+    buckets: dict = {}
+    for k in range(2, d + 1):
+        for chosen in combinations(range(v), k):
+            if strict:
+                if not any(p in cli_pairs for p in combinations(chosen, 2)):
+                    continue
+            if k == d and all(p in proj for p in combinations(chosen, 2)):
+                continue  # already a clique of the projection
+            fingerprint = (
+                k,
+                tuple(sorted(colors[u] for u in chosen)),
+                tuple(
+                    sorted(
+                        (p in proj, p in cli_pairs, colors[p[0]], colors[p[1]])
+                        if colors[p[0]] <= colors[p[1]]
+                        else (p in proj, p in cli_pairs, colors[p[1]], colors[p[0]])
+                        for p in combinations(chosen, 2)
+                    )
+                ),
+            )
+            h = tuple(chosen) + tuple(range(v, v + d - k))
+            bucket = buckets.setdefault(fingerprint, [])
+            if bucket:
+                key = canonical_form(edges + [h], base_colors + [1])
+                if len(bucket) == 1 and bucket[0][1] is None:
+                    first_h = bucket[0][0]
+                    bucket[0] = (
+                        first_h,
+                        canonical_form(edges + [first_h], base_colors + [1]),
+                    )
+                if any(key == known for _, known in bucket):
+                    continue
+                bucket.append((h, key))
+            else:
+                bucket.append((h, None))
+            out.append(h)
     return out

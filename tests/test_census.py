@@ -6,14 +6,14 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import brute_max_density
+from oracles import brute_force_isomorphic, brute_max_density
 
 from hyperlift.census import (
     cover_bound_min,
     PatternHypergraph,
     PatternTooLargeError,
     automorphism_count,
-    brute_force_isomorphic,
+    automorphism_generators,
     build_ambiguous_gadget,
     build_map_failure_gadget,
     build_spurious_clique_gadget,
@@ -53,16 +53,20 @@ def test_canonical_form_invariant_under_relabeling():
         assert pat.relabeled(perm).canonical_form == pat.canonical_form
 
 
-def test_canonical_form_separates_small_patterns_exhaustively():
-    # all d=3 patterns with e <= 3 over a 7-vertex pool: canonical forms
-    # agree exactly with brute-force isomorphism
+def _small_d3_patterns() -> list:
+    """Every d=3 pattern with e <= 3 over a 7-vertex pool, one per edge set."""
     triples = list(combinations(range(7), 3))
     seen = {}
     for e in range(1, 4):
         for chosen in combinations(triples, e):
             pat = PatternHypergraph.from_edges(chosen)
             seen.setdefault(pat.edges, pat)
-    patterns = list(seen.values())
+    return list(seen.values())
+
+
+def test_canonical_form_separates_small_patterns_exhaustively():
+    # canonical forms agree exactly with brute-force isomorphism
+    patterns = _small_d3_patterns()
     by_canon = {}
     for pat in patterns:
         by_canon.setdefault(pat.canonical_form, []).append(pat)
@@ -108,6 +112,25 @@ def test_automorphism_count_against_orbit_size():
             for p in permutations(range(pat.v))
         }
         assert automorphism_count(pat) * len(images) == math.factorial(pat.v)
+
+
+def test_automorphism_generators_generate_the_automorphism_group():
+    for pat in _small_d3_patterns():
+        generators = automorphism_generators(pat.edges)
+        edge_set = set(pat.edges)
+        for g in generators:
+            assert sorted(g) == list(range(pat.v))
+            assert {tuple(sorted(g[u] for u in e)) for e in pat.edges} == edge_set
+        identity = tuple(range(pat.v))
+        group = {identity}
+        frontier = [identity]
+        for element in frontier:
+            for g in generators:
+                composed = tuple(g[u] for u in element)
+                if composed not in group:
+                    group.add(composed)
+                    frontier.append(composed)
+        assert len(group) == automorphism_count(pat), pat.edges
 
 
 def test_max_density_examples_and_oracle():

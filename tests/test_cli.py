@@ -1,6 +1,7 @@
 """End-to-end CLI checks on temp files."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -107,6 +108,47 @@ def test_sweep_config_rejects_garbage(tmp_path, capsys):
     cfg.write_text("d = 3\n")
     assert main(["sweep", str(cfg)]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+_SWEEP_OK = "d = 3\nn = 16\ndelta = 1/5\nseeds = 2\n"
+
+
+@pytest.mark.parametrize(
+    "text, fragments",
+    [
+        ("d = 3\nn = x\ndelta = 1/5\nseeds = 2\n", ["line 2", "n", "'x'"]),
+        ("d = 3\nn = 16, 2.5\ndelta = 1/5\nseeds = 2\n", ["line 2", "n", "'16, 2.5'"]),
+        ("d = 3\nn = 16\ndelta = 1/0\nseeds = 2\n", ["line 3", "delta"]),
+        ("# header\n\nd = 3\nnonsense\n", ["line 4", "key = value"]),
+        (_SWEEP_OK + "foo = 2\n", ["line 5", "unknown key 'foo'"]),
+        (_SWEEP_OK + "base_sed = 7\n", ["line 5", "unknown key 'base_sed'"]),
+        (_SWEEP_OK + "n = 20\n", ["line 5", "n is already set on line 2"]),
+    ],
+)
+def test_sweep_config_errors_name_the_line(tmp_path, capsys, text, fragments):
+    with pytest.raises(ValueError) as info:
+        parse_sweep_config(text)
+    for fragment in fragments:
+        assert fragment in str(info.value)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    assert main(["sweep", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err and fragments[0] in err
+
+
+def test_sweep_config_defaults():
+    spec = parse_sweep_config(_SWEEP_OK)
+    assert (spec.base_seed, spec.algorithms) == (0, ("cc", "map", "greedy"))
+    assert spec.n_list == (16,) and spec.delta_list == (Fraction(1, 5),)
+
+
+@pytest.mark.parametrize("command", [["project"], ["reconstruct", "--algo", "cc", "--d", "3"], ["sweep"]])
+def test_missing_input_file_exits_1_with_one_stderr_line(tmp_path, capsys, command):
+    missing = tmp_path / "missing.hg"
+    assert main(command + [str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(missing) in err and "No such file" in err
 
 
 def test_hsbm_command(capsys):

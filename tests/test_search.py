@@ -1,10 +1,17 @@
-"""Growth enumeration and the pruned ambiguity search (small runs only;
-the full certification runs live in the acceptance suite)."""
+"""Growth enumeration and the pruned ambiguity search.  The three pilot
+certificates run once per module: their counters and the d=3 report are
+pinned, and the patterns they expand feed the candidate-dedup oracle (the
+acceptance suite checks their verdicts)."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
+from oracles import reference_candidate_neighbors
+
+from hyperlift import search
 from hyperlift.components import decompose
 from hyperlift.core import Graph, clique_hypergraph, project_edges
 from hyperlift.search import (
@@ -14,6 +21,35 @@ from hyperlift.search import (
     grow,
     pattern_exponent,
 )
+
+# the pilot certificates: (d, delta, max_depth) -> (nodes_visited,
+# nodes_deduped, nodes_pruned_by_exponent), as recorded before the orbit
+# dedup replaced canonical forms in candidate_neighbors
+CERTIFICATES = {
+    (3, Fraction(2, 5), None): (1748, 1437, 72885),
+    (4, Fraction(1, 2), 12): (563, 320, 153586),
+    (5, Fraction(1, 2), 14): (24, 34, 1166229),
+}
+D3_REPORT_SHA256 = "100a1d96661f74780f2e860f89deedf85cb510b511968531eb6c180f87d12048"
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    """Each certificate's report and the patterns its search expanded."""
+    expanded: list = []
+
+    def recording(pattern, d, strict=True):
+        expanded.append(pattern)
+        return candidate_neighbors(pattern, d, strict=strict)
+
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "candidate_neighbors", recording)
+        for d, delta, depth in CERTIFICATES:
+            expanded.clear()
+            report = dfs_search(SearchConfig(d, delta, max_depth=depth))
+            runs[d] = (report, list(expanded))
+    return runs
 
 
 def test_candidate_neighbors_single_hyperedge_collapses_to_one_class():
@@ -138,9 +174,35 @@ def test_pattern_exponent_root_values():
                 assert pattern_exponent([e1, e2], d, delta) == 2 - k + 2 * delta
 
 
-def test_search_d5_at_one_half_certifies_no_ambiguity():
+def test_search_d5_at_one_half_certifies_no_ambiguity(certificates):
     # the d=5 companion of the d=4 acceptance run: exhaustive, no classes
-    report = dfs_search(SearchConfig(5, Fraction(1, 2), max_depth=14))
+    report, _ = certificates[5]
     assert report.exhausted
     assert report.ambiguous_found == []
     assert report.nodes_visited >= 3  # roots k=2,3,4 at least
+
+
+def test_certificate_counters_and_d3_report_are_pinned(certificates):
+    for (d, _, _), counters in CERTIFICATES.items():
+        report, _ = certificates[d]
+        assert report.exhausted
+        assert (
+            report.nodes_visited,
+            report.nodes_deduped,
+            report.nodes_pruned_by_exponent,
+        ) == counters, d
+    payload = json.dumps(certificates[3][0].to_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == D3_REPORT_SHA256
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("strict", [True, False])
+def test_orbit_dedup_matches_canonical_form_dedup(certificates, d, strict):
+    # same candidates in the same order as dedup by marked canonical forms,
+    # on every pattern the certificate expanded
+    _, expanded = certificates[d]
+    assert expanded
+    for pattern in expanded:
+        assert candidate_neighbors(pattern, d, strict) == (
+            reference_candidate_neighbors(pattern, d, strict)
+        ), pattern
