@@ -18,7 +18,9 @@ Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5.
 
 The sweep config grammar is one `key = value` pair per line, `#` comments,
 lists comma-separated; d, n, delta and seeds are required, and a key not
-shown here or set twice is an error:
+shown here or set twice is an error, as is a value no sweep can run
+(d < 2, an empty list, some n < d, some delta outside [0, 1], seeds < 1, an
+unknown algorithm):
 
     d = 3
     n = 100, 200
@@ -202,13 +204,39 @@ def parse_sweep_config(text: str) -> SweepSpec:
     def many(parse):
         return lambda v: tuple(parse(x.strip()) for x in v.split(",") if x.strip())
 
+    def check(key: str, ok, why: str) -> None:
+        if not ok:
+            lineno, value = values[key]
+            raise FormatError(f"line {lineno}: bad {key} value {value!r}: {why}")
+
+    # the constraints DensityParams (c = 1) and SweepSpec put on every cell,
+    # checked here so that a bad value names its line before any output opens
+    d = field("d", int)
+    check("d", d >= 2, "d must be >= 2")
+    n_list = field("n", many(int))
+    check("n", n_list and min(n_list) >= d, f"need a nonempty list of n >= d={d}")
+    delta_list = field("delta", many(Fraction))
+    check(
+        "delta",
+        delta_list and 0 <= min(delta_list) and max(delta_list) <= 1,
+        "need a nonempty list of delta in [0, 1]",
+    )
+    num_seeds = field("seeds", int)
+    check("seeds", num_seeds >= 1, "need at least 1 seed")
+    algorithms = field("algorithms", many(str), ("cc", "map", "greedy"))
+    if "algorithms" in values:
+        check(
+            "algorithms",
+            algorithms and set(algorithms) <= ALGORITHM_NAMES,
+            f"need a nonempty list from {', '.join(sorted(ALGORITHM_NAMES))}",
+        )
     return SweepSpec(
-        d=field("d", int),
-        n_list=field("n", many(int)),
-        delta_list=field("delta", many(Fraction)),
-        num_seeds=field("seeds", int),
+        d=d,
+        n_list=n_list,
+        delta_list=delta_list,
+        num_seeds=num_seeds,
         base_seed=field("base_seed", int, 0),
-        algorithms=field("algorithms", many(str), ("cc", "map", "greedy")),
+        algorithms=algorithms,
     )
 
 

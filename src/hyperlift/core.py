@@ -79,9 +79,13 @@ class Hypergraph:
 
 
 class Graph:
-    """A simple undirected graph with O(1) edge membership and adjacency sets."""
+    """A simple undirected graph with O(1) edge membership and adjacency sets.
 
-    __slots__ = ("n", "edges", "edge_set", "adj")
+    Immutable once built; ``_cliques`` memoizes :func:`clique_hypergraph`
+    by d and takes no part in equality or hashing.
+    """
+
+    __slots__ = ("n", "edges", "edge_set", "adj", "_cliques")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
@@ -99,6 +103,7 @@ class Graph:
         self.edges = tuple(canon)
         self.edge_set = frozenset(canon)
         self.adj = tuple(frozenset(s) for s in adj)
+        self._cliques: dict = {}
 
     def has_edge(self, a: int, b: int) -> bool:
         return ((a, b) if a < b else (b, a)) in self.edge_set
@@ -333,10 +338,14 @@ def clique_hypergraph(g: Graph, d: int) -> Hypergraph:
     """All d-subsets of vertices that are cliques of g, in lexicographic order.
 
     Enumerated by recursive extension inside common neighborhoods, so the
-    cost is output- and degree-sensitive rather than O(C(n, d)).
+    cost is output- and degree-sensitive rather than O(C(n, d)).  The result
+    is memoized on g per d, so every algorithm run on the same graph shares
+    one enumeration.
     """
     if d < 2:
         raise ValueError(f"d={d} must be >= 2")
+    if d in g._cliques:
+        return g._cliques[d]
     higher = [sorted(v for v in g.adj[u] if v > u) for u in range(g.n)]
     out: list[tuple] = []
     prefix: list[int] = []
@@ -358,7 +367,8 @@ def clique_hypergraph(g: Graph, d: int) -> Hypergraph:
         prefix.append(u)
         extend(higher[u])
         prefix.pop()
-    return Hypergraph(g.n, d, out)
+    g._cliques[d] = Hypergraph(g.n, d, out)
+    return g._cliques[d]
 
 
 def similarity_matrix(h: Hypergraph) -> SimilarityMatrix:

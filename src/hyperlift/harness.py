@@ -343,6 +343,8 @@ def mc_subgraph_count(
 ) -> tuple:
     """Monte Carlo estimate (mean, standard error) of the pattern count in
     H(n, d, p) over independent seeded trials."""
+    if trials < 1:
+        raise ValueError(f"trials={trials} must be >= 1")
     if not pattern.is_uniform(d):
         raise ValueError(f"pattern is not {d}-uniform")
     params = DensityParams(d, Fraction(0), n)

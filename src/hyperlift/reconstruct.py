@@ -5,13 +5,15 @@
 - map_reconstruct computes the clique hypergraph, splits it into
   2-connected components, solves an exact minimum preimage on each
   component, and unions the canonical (lexicographically least) minima.
-  It never consults the density p.
+  A one-candidate component is its own unique minimum and skips the
+  solver.  It never consults the density p.
 - greedy_reconstruct starts from the clique hypergraph and repeatedly
   deletes hyperedges all of whose pairs are covered at least twice,
   scanning in ascending lexicographic order until a fixed point.
 
-All three return a ReconstructionResult whose is_preimage flag records
-whether the output actually projects back onto the input graph.
+All three share the clique hypergraph memoized on the input graph, and
+return a ReconstructionResult whose is_preimage flag records whether the
+output actually projects back onto the input graph.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .components import decompose
-from .core import Graph, Hypergraph, clique_hypergraph, project
+# project is not called here; perfbench/layers.py traces reconstruct.project
+# by name, so the name stays importable
+from .core import Graph, Hypergraph, clique_hypergraph, project, project_edges
 from .preimage import solve_cover
 
 
@@ -51,7 +55,7 @@ def _finish(algorithm: str, g: Graph, output: Hypergraph, t0: float, **kw) -> Re
     return ReconstructionResult(
         algorithm=algorithm,
         output=output,
-        is_preimage=(project(output) == g),
+        is_preimage=(output.n == g.n and project_edges(output.edges) == g.edge_set),
         elapsed=time.perf_counter() - t0,
         **kw,
     )
@@ -69,9 +73,11 @@ def map_reconstruct(
     """Exact MAP: minimum preimage, decomposed over 2-connected components.
 
     On a non-unique component minimum the canonical lexicographically-least
-    cover is chosen and the component counted in ambiguous_components.
-    Components larger than component_limit raise ComponentTooLargeError
-    rather than searching without bound.
+    cover is chosen and the component counted in ambiguous_components.  A
+    component with a single candidate takes it without calling the solver:
+    it is the unique minimum cover of its own pairs.  Components larger
+    than component_limit raise ComponentTooLargeError rather than searching
+    without bound.
     """
     t0 = time.perf_counter()
     cli = clique_hypergraph(g, d)
@@ -85,6 +91,10 @@ def map_reconstruct(
                 f"component with {len(comp)} candidate hyperedges exceeds "
                 f"abort threshold {component_limit}"
             )
+        sizes.append(len(comp))
+        if len(comp) == 1:
+            chosen.append(cli.edges[comp[0]])
+            continue
         candidates = [cli.edges[i] for i in comp]
         universe = set()
         for c in candidates:
@@ -93,7 +103,6 @@ def map_reconstruct(
         # components are built from their own candidates, so always feasible
         chosen.extend(covers[0])
         ambiguous += bool(amb)
-        sizes.append(len(comp))
     output = Hypergraph(g.n, d, chosen)
     return _finish(
         "map", g, output, t0, component_sizes=sizes, ambiguous_components=ambiguous

@@ -3,17 +3,22 @@
 Deliberately dumb: subset enumeration and bitmask ORs only, no shared code
 with the branch-and-bound / flow paths they verify.  Also the Pasch-trade
 witness and the effective density exponent behind acceptance criterion 9,
-the block-by-block rank samplers that the fast ones must reproduce, and
-the canonical-form candidate dedup that the orbit dedup must reproduce.
+the block-by-block rank samplers that the fast ones must reproduce, the
+canonical-form candidate dedup that the orbit dedup must reproduce, and
+the solve-every-component MAP that the singleton rule must reproduce.
 """
 
 import math
+import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Sequence
 
 from hyperlift.census import PatternTooLargeError, canonical_form, stable_colors
-from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project_edges
+from hyperlift.components import decompose
+from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project, project_edges
+from hyperlift.preimage import solve_cover
+from hyperlift.reconstruct import ComponentTooLargeError, ReconstructionResult
 from hyperlift.rng import BLOCK_SIZE, GEN_TAG, substream
 
 
@@ -277,3 +282,44 @@ def reference_candidate_neighbors(
                 bucket.append((h, None))
             out.append(h)
     return out
+
+
+def reference_map_reconstruct(
+    g: Graph, d: int, component_limit: int = 40, cover_cap: int = 16
+) -> ReconstructionResult:
+    """MAP solving every component, singletons included, with is_preimage
+    decided by building project(output).
+
+    The cliques are enumerated on a fresh copy of g, so the result shares
+    no memoized enumeration with the code under test.
+    """
+    t0 = time.perf_counter()
+    cli = clique_hypergraph(Graph(g.n, g.edges), d)
+    partition = decompose(cli)
+    chosen: list = []
+    ambiguous = 0
+    sizes = []
+    for comp in partition.components:
+        if len(comp) > component_limit:
+            raise ComponentTooLargeError(
+                f"component with {len(comp)} candidate hyperedges exceeds "
+                f"abort threshold {component_limit}"
+            )
+        candidates = [cli.edges[i] for i in comp]
+        universe = set()
+        for c in candidates:
+            universe.update(combinations(c, 2))
+        r, covers, amb = solve_cover(universe, candidates, cap=cover_cap)
+        # components are built from their own candidates, so always feasible
+        chosen.extend(covers[0])
+        ambiguous += bool(amb)
+        sizes.append(len(comp))
+    output = Hypergraph(g.n, d, chosen)
+    return ReconstructionResult(
+        algorithm="map",
+        output=output,
+        is_preimage=(project(output) == g),
+        component_sizes=sizes,
+        ambiguous_components=ambiguous,
+        elapsed=time.perf_counter() - t0,
+    )

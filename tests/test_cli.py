@@ -7,6 +7,7 @@ import pytest
 
 from hyperlift.cli import main, parse_sweep_config
 from hyperlift.core import (
+    FormatError,
     graph_to_text,
     hypergraph_from_text,
     project,
@@ -135,6 +136,34 @@ def test_sweep_config_errors_name_the_line(tmp_path, capsys, text, fragments):
     assert main(["sweep", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(cfg) in err and fragments[0] in err
+
+
+@pytest.mark.parametrize(
+    "text, fragments",
+    [
+        (_SWEEP_OK + "algorithms = foo\n", ["line 5", "algorithms", "'foo'"]),
+        (_SWEEP_OK + "algorithms = map, bogus\n", ["line 5", "algorithms", "'map, bogus'"]),
+        (_SWEEP_OK + "algorithms =\n", ["line 5", "algorithms", "nonempty"]),
+        ("d = 3\nn =\ndelta = 1/5\nseeds = 2\n", ["line 2", "n", "nonempty"]),
+        ("d = 3\nn = 16\ndelta = 1/5\nseeds = 0\n", ["line 4", "seeds", "'0'"]),
+        ("d = 3\nn = 16, 2\ndelta = 1/5\nseeds = 2\n", ["line 2", "n", "n >= d=3"]),
+        ("d = 3\nn = 16\ndelta = 1/5, 3/2\nseeds = 2\n", ["line 3", "delta", "[0, 1]"]),
+        ("d = 3\nn = 16\ndelta = -1/5\nseeds = 2\n", ["line 3", "delta", "[0, 1]"]),
+        ("d = 1\nn = 16\ndelta = 1/5\nseeds = 2\n", ["line 1", "d", "'1'"]),
+    ],
+)
+def test_sweep_config_rejects_cells_no_sweep_can_run(tmp_path, capsys, text, fragments):
+    with pytest.raises(FormatError) as info:
+        parse_sweep_config(text)
+    for fragment in fragments:
+        assert fragment in str(info.value)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o.csv"
+    assert main(["--out", str(out), "sweep", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err and fragments[0] in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 
 def test_sweep_config_defaults():

@@ -223,6 +223,22 @@ def test_clique_hypergraph_matches_brute_force():
         assert fast == brute
 
 
+def test_clique_hypergraph_memo_equals_a_fresh_enumeration():
+    h = generate_random_hypergraph(DensityParams(4, Fraction(3, 5), 24), 3)
+    g = project(h)
+    first3 = clique_hypergraph(g, 3)
+    first4 = clique_hypergraph(g, 4)
+    assert len(first3) > len(first4) > 0
+    assert clique_hypergraph(g, 3) is first3 and clique_hypergraph(g, 4) is first4
+    assert first3 == clique_hypergraph(Graph(g.n, g.edges), 3)
+    assert first4 == clique_hypergraph(Graph(g.n, g.edges), 4)
+    with pytest.raises(ValueError):
+        clique_hypergraph(g, 1)
+    fresh = Graph(g.n, g.edges)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert g != Graph(g.n, g.edges[1:])
+
+
 def test_cli_superset_roundtrip():
     params = DensityParams(3, Fraction(2, 5), 15)
     for seed in range(20):

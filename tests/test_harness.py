@@ -1,5 +1,8 @@
 """Sweeps, seed derivation, Monte Carlo oracles, planted gadgets, HSBM."""
 
+import csv
+import hashlib
+import io
 import math
 from fractions import Fraction
 
@@ -8,6 +11,7 @@ import pytest
 from hyperlift.census import PatternHypergraph, exact_expected_count
 from hyperlift.core import DensityParams, HsbmParams, generate_hsbm, project
 from hyperlift.harness import (
+    RESULT_COLUMNS,
     SweepSpec,
     count_pattern_copies,
     derive_seed,
@@ -67,6 +71,29 @@ def test_sweep_csv_is_byte_identical_across_runs(tmp_path):
     assert "elapsed" not in header  # timing is segregated
 
 
+def test_sweep_csv_bytes_are_pinned():
+    # 312 records; holds singleton-only, multi-candidate and ambiguous MAP
+    # components and 42 MAP aborts.  The digest was recorded before the
+    # clique memo, the singleton rule and the pair-set is_preimage check.
+    grid = [
+        (3, (60, 200, 400), (Fraction(1, 5), Fraction(2, 5), Fraction(9, 20))),
+        (4, (120,), (Fraction(1, 2), Fraction(3, 5))),
+        (5, (60,), (Fraction(1, 2), Fraction(2, 3))),
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(RESULT_COLUMNS)
+    for d, ns, deltas in grid:
+        spec = SweepSpec(d=d, n_list=ns, delta_list=deltas, num_seeds=8, base_seed=7)
+        writer.writerows(record.result_row() for record in run_sweep(spec))
+    text = buf.getvalue()
+    assert text.count("\n") == 313 and text.count("component_too_large") == 42
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "ee42c2af34a2acbe2e71cf9e4705958ddd5516bfab8b29a49285fb99c16294b5"
+    )
+
+
 def test_sweep_parallel_matches_sequential(tmp_path):
     spec = SweepSpec(
         d=3,
@@ -98,6 +125,12 @@ def test_mc_subgraph_count_examples():
     exact = float(exact_expected_count(diamond, 10, Fraction(1, 5)))
     mean, se = mc_subgraph_count(diamond, 3, 10, 0.2, 1500, seed=17)
     assert abs(mean - exact) <= 3 * se
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_mc_subgraph_count_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials"):
+        mc_subgraph_count(PatternHypergraph([(0, 1, 2)]), 3, 12, 0.1, trials, seed=13)
 
 
 def test_count_pattern_copies_on_known_host():

@@ -1,10 +1,11 @@
 """Reconstruction algorithms: clique cover, MAP, greedy."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from oracles import all_preimages_bitmask
+from oracles import all_preimages_bitmask, reference_map_reconstruct
 
 from hyperlift.census import build_ambiguous_gadget, build_spurious_clique_gadget
 from hyperlift.core import (
@@ -16,7 +17,9 @@ from hyperlift.core import (
     project,
 )
 from hyperlift.reconstruct import (
+    ALGORITHMS,
     ComponentTooLargeError,
+    _finish,
     clique_cover,
     greedy_reconstruct,
     map_reconstruct,
@@ -146,3 +149,71 @@ def test_run_algorithm_dispatch():
     assert run_algorithm("cc", g, 3).algorithm == "cc"
     with pytest.raises(ValueError):
         run_algorithm("bogus", g, 3)
+
+
+def _map_or_abort(fn, g, d, **kwargs):
+    try:
+        res = fn(g, d, **kwargs)
+    except ComponentTooLargeError as err:
+        return str(err)
+    return (res.output, res.is_preimage, res.component_sizes, res.ambiguous_components)
+
+
+def test_map_matches_the_solve_every_component_reference():
+    # (3, 60, 2/5) seeds 0..19 hold singleton and multi-candidate components,
+    # two ambiguous ones (seeds 13 and 16) and eight aborts at the default limit
+    cases = [(3, DensityParams(3, Fraction(2, 5), 60), s) for s in range(20)]
+    cases += [(4, DensityParams(4, Fraction(3, 5), 40), s) for s in range(6)]
+    seen = {"singleton": 0, "multi": 0, "ambiguous": 0, "abort": 0}
+    for d, params, seed in cases:
+        g = project(generate_random_hypergraph(params, seed))
+        for limit in (40, 1, 0):
+            new = _map_or_abort(map_reconstruct, g, d, component_limit=limit)
+            old = _map_or_abort(reference_map_reconstruct, g, d, component_limit=limit)
+            assert new == old, (d, seed, limit)
+            if isinstance(new, str):
+                seen["abort"] += 1
+            else:
+                seen["singleton"] += new[2].count(1)
+                seen["multi"] += sum(size > 1 for size in new[2])
+                seen["ambiguous"] += new[3]
+    _, _, proj = build_ambiguous_gadget(3)
+    assert _map_or_abort(map_reconstruct, proj, 3) == _map_or_abort(
+        reference_map_reconstruct, proj, 3
+    )
+    assert min(seen.values()) >= 2, seen
+
+
+def test_is_preimage_is_projection_equality():
+    params = DensityParams(3, Fraction(2, 5), 30)
+    for seed in range(10):
+        h = generate_random_hypergraph(params, seed)
+        g = project(h)
+        for name, fn in ALGORITHMS.items():
+            res = fn(g, 3)
+            assert res.is_preimage == (project(res.output) == g), name
+        cli = clique_hypergraph(g, 3)
+        outside = next(
+            t
+            for t in combinations(range(g.n), 3)
+            if any(p not in g.edge_set for p in combinations(t, 2))
+        )
+        # a hyperedge owning a pair that no other hyperedge covers
+        lone = next(
+            e
+            for e in h.edges
+            if any(
+                sum(p in combinations(f, 2) for f in h.edges) == 1
+                for p in combinations(e, 2)
+            )
+        )
+        variants = [
+            (h, True),
+            (cli, True),  # extra cliques whose pairs are all in g
+            (Hypergraph(h.n, 3, [e for e in h.edges if e != lone]), False),
+            (Hypergraph(h.n, 3, h.edges + (outside,)), False),  # pairs not in g
+            (Hypergraph(h.n + 1, 3, h.edges), False),  # another vertex count
+        ]
+        for output, expect in variants:
+            assert _finish("map", g, output, 0.0).is_preimage == expect
+            assert (project(output) == g) == expect
