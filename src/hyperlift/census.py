@@ -16,7 +16,8 @@ is banned.  The pieces:
   count under p = n**(-d+1+delta), and the exact expectation
   C(n, v) * v! / aut(K) * p**e;
 - the cover optimizations g_k(delta) and g_0(delta) controlling spurious
-  cliques, solved by exact branch and bound;
+  cliques, solved by the weighted branch and bound shared with the
+  preimage engine (`preimage.min_cost_cover`);
 - the ambiguous gadget (two equal-size minimum preimages), the
   minimum-preimage failure gadget, and the spurious-clique gadget;
 - the feasibility threshold table.
@@ -25,12 +26,12 @@ is banned.  The pieces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import Graph, project_edges
+from .preimage import cover_masks, min_cost_cover
 
 
 class PatternTooLargeError(ValueError):
@@ -554,69 +555,19 @@ def _min_cost_cover(
     """Minimize sum(|S| - 1 - delta) over candidate collections covering the
     universe of pairs; returns (cost, lexicographically least optimal cover).
 
-    Exact branch and bound on the least uncovered pair, with the standard
-    forbid-earlier-candidates discipline so each collection is visited once.
+    The costs are scaled to integers by delta's denominator and solved by
+    the shared weighted branch and bound, preimage.min_cost_cover.
     """
     delta = Fraction(delta)
-    universe = sorted(universe)
     candidates = sorted(candidates)
-    if not universe:
-        return Fraction(0), ()
-    index = {e: i for i, e in enumerate(universe)}
-    masks = []
-    costs = []
-    for s in candidates:
-        m = 0
-        for pair in combinations(s, 2):
-            bit = index.get(pair)
-            if bit is not None:
-                m |= 1 << bit
-        masks.append(m)
-        costs.append(len(s) - 1 - delta)
-    full = (1 << len(universe)) - 1
-    by_edge: list = [[] for _ in range(len(universe))]
-    for ci, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            by_edge[low.bit_length() - 1].append(ci)
-            mm ^= low
-    unit = min(
-        (costs[ci] / masks[ci].bit_count() for ci in range(len(candidates))),
-        default=Fraction(0),
-    )
-    best_cost: Optional[Fraction] = None
-    best_witness: Optional[tuple] = None
-
-    def dfs(uncovered: int, chosen: list, cost: Fraction, banned: frozenset) -> None:
-        nonlocal best_cost, best_witness
-        if best_cost is not None and cost + unit * uncovered.bit_count() > best_cost:
-            return
-        if uncovered == 0:
-            witness = tuple(sorted(candidates[i] for i in chosen))
-            if (
-                best_cost is None
-                or cost < best_cost
-                or (cost == best_cost and witness < best_witness)
-            ):
-                best_cost, best_witness = cost, witness
-            return
-        edge = (uncovered & -uncovered).bit_length() - 1
-        options = [ci for ci in by_edge[edge] if ci not in banned]
-        for pos, ci in enumerate(options):
-            chosen.append(ci)
-            dfs(
-                uncovered & ~masks[ci],
-                chosen,
-                cost + costs[ci],
-                banned | frozenset(options[:pos]),
-            )
-            chosen.pop()
-
-    dfs(full, [], Fraction(0), frozenset())
-    if best_cost is None:
+    masks, full = cover_masks(sorted(universe), candidates)
+    scale = delta.denominator
+    costs = [scale * (len(s) - 1) - delta.numerator for s in candidates]
+    best = min_cost_cover(full, masks, costs)
+    if best is None:
         raise ValueError("universe cannot be covered by the candidates")
-    return best_cost, best_witness
+    cost, chosen = best
+    return Fraction(cost, scale), tuple(candidates[i] for i in chosen)
 
 
 def g_k(d: int, k: int, delta: Fraction) -> Fraction:
@@ -755,44 +706,24 @@ def build_spurious_clique_gadget(d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
-    """Exact rational bounds on the exact-recovery density threshold."""
-
-    def bounds(self, d: int) -> tuple:
-        if d == 3:
-            return Fraction(2, 5), Fraction(2, 5)
-        if d == 4:
-            return Fraction(1, 2), Fraction(4, 7)
-        if d == 5:
-            return Fraction(1, 2), Fraction(2, 3)
-        if d >= 6:
-            return (
-                Fraction(d - 3, d),
-                Fraction(d * d - d - 2, d * d - d + 2),
-            )
+def threshold_table(d: int) -> dict:
+    """Exact rational bounds (lower, upper) on the exact-recovery density
+    threshold for d, beside the 2-connectivity, ambiguity-gadget and
+    clique-cover densities, as an ordered dict of Fractions."""
+    if d == 3:
+        lower, upper = Fraction(2, 5), Fraction(2, 5)
+    elif d == 4:
+        lower, upper = Fraction(1, 2), Fraction(4, 7)
+    elif d == 5:
+        lower, upper = Fraction(1, 2), Fraction(2, 3)
+    elif d >= 6:
+        lower, upper = Fraction(d - 3, d), Fraction(d * d - d - 2, d * d - d + 2)
+    else:
         raise ValueError(f"need d >= 3, got d={d}")
-
-    def two_connectivity(self, d: int) -> Fraction:
-        return Fraction(d - 1, d + 1)
-
-    def ambiguity_gadget(self, d: int) -> Fraction:
-        return Fraction(2 * d - 4, 2 * d - 1)
-
-    def clique_cover(self, d: int) -> Fraction:
-        return Fraction(d - 3, d)
-
-    def to_dict(self, d: int) -> dict:
-        lower, upper = self.bounds(d)
-        return {
-            "d": d,
-            "lower": str(lower),
-            "upper": str(upper),
-            "two_connectivity": str(self.two_connectivity(d)),
-            "ambiguity_gadget": str(self.ambiguity_gadget(d)),
-            "clique_cover": str(self.clique_cover(d)),
-        }
-
-
-def threshold_table() -> ThresholdTable:
-    return ThresholdTable()
+    return {
+        "lower": lower,
+        "upper": upper,
+        "two_connectivity": Fraction(d - 1, d + 1),
+        "ambiguity_gadget": Fraction(2 * d - 4, 2 * d - 1),
+        "clique_cover": Fraction(d - 3, d),
+    }

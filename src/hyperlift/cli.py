@@ -127,7 +127,7 @@ def _cmd_census(args) -> int:
     hb = build_map_failure_gadget(d)
     g0_value, g0_witness = g_0(d, delta) if 3 <= d <= 7 else (None, None)
     payload = {
-        "thresholds": threshold_table().to_dict(d),
+        "thresholds": {"d": d, **{k: str(v) for k, v in threshold_table(d).items()}},
         "ambiguous_gadget_preimage": {
             "v": preimage1.v,
             "e": preimage1.e,

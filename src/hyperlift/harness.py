@@ -74,9 +74,15 @@ class SweepSpec:
     def __post_init__(self):
         if not self.n_list or not self.delta_list or self.num_seeds < 1:
             raise ValueError("sweep grid must be nonempty")
+        if not self.algorithms:
+            raise ValueError("sweep needs at least one algorithm")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
+        # every cell's parameters are checked before any output is opened
+        for n in self.n_list:
+            for delta in self.delta_list:
+                DensityParams(self.d, Fraction(delta), n)
 
     def cells(self) -> Iterator[tuple]:
         for n in self.n_list:

@@ -2,10 +2,17 @@
 
 A preimage (clique cover) of a graph G is a set of d-cliques of G whose
 pairwise projections cover every edge of G exactly; a minimum preimage has
-the fewest hyperedges.  This module is the exact set-cover engine behind the
-MAP reconstruction rule and the ambiguity search: it finds the minimum size
-r by branch and bound, then enumerates minimum covers in lexicographic
-order, exhaustively enough to decide whether a second minimum exists.
+the fewest hyperedges.  This module is the exact set-cover engine behind
+the MAP reconstruction rule, the ambiguity search and the census cover
+optimizations.  Every cover problem there goes through three primitives
+over bitmasks of a pair universe:
+
+- cover_masks builds the masks;
+- covers_within enumerates every candidate set covering the universe
+  within a cost budget (minimum covers by deepening
+  the budget, all preimages up to a size, the growth step of the search);
+- min_cost_cover is a weighted branch and bound for the cheapest cover
+  (g_k and g_0).
 
 It is meant for component-scale inputs (tens of candidate hyperedges), not
 whole projected graphs.
@@ -14,31 +21,11 @@ whole projected graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import Graph, Hypergraph, clique_hypergraph
-
-
-@dataclass(frozen=True)
-class CoverInstance:
-    """A set-cover view of a preimage problem.
-
-    universe: the target graph's edges; candidates: d-cliques, each covering
-    its C(d, 2) projected pairs.  The graph has a preimage iff every
-    universe edge lies in at least one candidate.
-    """
-
-    universe: tuple
-    candidates: tuple
-
-    @property
-    def feasible(self) -> bool:
-        covered = set()
-        for c in self.candidates:
-            for i in range(len(c)):
-                for j in range(i + 1, len(c)):
-                    covered.add((c[i], c[j]))
-        return all(e in covered for e in self.universe)
 
 
 @dataclass(frozen=True)
@@ -54,7 +41,6 @@ class PreimageReport:
     min_size: Optional[int]
     min_covers: tuple
     ambiguous: bool
-    total_preimage_count: Optional[int] = None
 
     def to_dict(self) -> dict:
         return {
@@ -62,193 +48,189 @@ class PreimageReport:
             "min_size": self.min_size,
             "min_covers": [[list(e) for e in cover] for cover in self.min_covers],
             "ambiguous": self.ambiguous,
-            "total_preimage_count": self.total_preimage_count,
         }
 
 
-def _bitmasks(universe: Sequence, candidates: Sequence) -> tuple:
-    """Per-candidate coverage bitmasks over the universe edge list."""
+def cover_masks(universe: Sequence, candidates: Sequence) -> tuple:
+    """Per-candidate bitmasks of the universe pairs each sorted candidate
+    covers, and the mask of the whole universe: (masks, full)."""
     index = {e: i for i, e in enumerate(universe)}
     masks = []
     for c in candidates:
         m = 0
-        for i in range(len(c)):
-            for j in range(i + 1, len(c)):
-                bit = index.get((c[i], c[j]))
-                if bit is not None:
-                    m |= 1 << bit
+        for pair in combinations(c, 2):
+            bit = index.get(pair)
+            if bit is not None:
+                m |= 1 << bit
         masks.append(m)
     return masks, (1 << len(universe)) - 1
 
 
-def _min_cover_size(full: int, masks: Sequence[int]) -> Optional[int]:
-    """Exact minimum cover size by branch and bound.
-
-    Branches on the lexicographically least uncovered edge over the
-    candidates containing it; admissible bound ceil(#uncovered / max_cover).
-    Returns None if the universe cannot be covered.
-    """
-    if full == 0:
-        return 0
-    union = 0
-    for m in masks:
-        union |= m
-    if union & full != full:
-        return None
-    nbits = full.bit_length()
-    by_edge: list = [[] for _ in range(nbits)]
-    for ci, m in enumerate(masks):
-        mm = m & full
-        while mm:
-            low = mm & -mm
-            by_edge[low.bit_length() - 1].append(ci)
-            mm ^= low
-    max_cover = max(m.bit_count() for m in masks)
-    best = len(masks) + 1
-
-    def dfs(uncovered: int, depth: int) -> None:
-        nonlocal best
-        if uncovered == 0:
-            best = min(best, depth)
-            return
-        if depth + -(-uncovered.bit_count() // max_cover) >= best:
-            return
-        edge = (uncovered & -uncovered).bit_length() - 1
-        for ci in by_edge[edge]:
-            dfs(uncovered & ~masks[ci], depth + 1)
-
-    dfs(full, 0)
-    return best
+def _pair_rate(masks: Sequence[int], costs: Sequence[int]) -> Fraction:
+    """The least cost per covered pair over the candidates; with nonnegative
+    costs, covering u more pairs costs at least u times this."""
+    return min(
+        (Fraction(c, m.bit_count()) for m, c in zip(masks, costs) if m),
+        default=Fraction(0),
+    )
 
 
-def _enumerate_exact_covers(
-    full: int, masks: Sequence[int], size: int, stop_after: Optional[int] = None
-) -> list:
-    """All covers of exactly ``size`` candidates, emitted in lexicographic
-    order on sorted index tuples (include-before-exclude DFS).
+def covers_within(
+    full: int,
+    masks: Sequence[int],
+    costs: Sequence[int],
+    budget: int,
+    stop_after: Optional[int] = None,
+    rate: Optional[Fraction] = None,
+) -> tuple:
+    """Every candidate subset covering ``full`` at total cost <= budget.
 
-    Stops early once ``stop_after`` covers are found; with stop_after=None
-    the enumeration is exhaustive.
+    One include-before-exclude DFS over candidate indices: covers come out
+    as sorted index tuples, each index taken before it is left out, which
+    is lexicographic order among covers of one size; it stops once
+    ``stop_after`` covers are found.  An include step is cut when the budget
+    left is below ``rate`` (default: the cheapest cost per pair) times the
+    pairs still uncovered; a branch that can no longer reach every pair is
+    dropped without counting.  Returns (covers, cut), cut being the number
+    of cut steps, the root included.
     """
     m = len(masks)
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] | masks[i]
-    max_cover = max((mk.bit_count() for mk in masks), default=1) or 1
-    out: list = []
+    if rate is None:
+        rate = _pair_rate(masks, costs)
+    num, den = rate.numerator, rate.denominator
+    covers: list = []
     chosen: list = []
+    cut = 0
 
-    def dfs(i: int, covered: int) -> bool:
+    def dfs(i: int, covered: int, left: int) -> bool:
+        nonlocal cut
+        while i < m:
+            if covered | suffix[i] != full:
+                return False
+            grown = covered | masks[i]
+            rest = left - costs[i]
+            if rest * den < num * (full ^ grown).bit_count():
+                cut += 1
+            else:
+                chosen.append(i)
+                if dfs(i + 1, grown, rest):
+                    return True
+                chosen.pop()
+            i += 1
         if covered == full:
-            out.append(tuple(chosen))
-            return stop_after is not None and len(out) >= stop_after
-        if i == m or len(chosen) == size:
-            return False
-        if covered | suffix[i] != full:
-            return False
-        need = (full & ~covered).bit_count()
-        if len(chosen) + -(-need // max_cover) > size:
-            return False
-        chosen.append(i)
-        if dfs(i + 1, covered | masks[i]):
-            return True
-        chosen.pop()
-        return dfs(i + 1, covered)
+            covers.append(tuple(chosen))
+            return len(covers) == stop_after
+        return False
 
-    dfs(0, 0)
-    return out
+    if budget * den < num * full.bit_count():
+        return covers, 1
+    dfs(0, 0, budget)
+    return covers, cut
 
 
-def _enumerate_all_covers(
-    full: int, masks: Sequence[int], size_limit: int
-) -> list:
-    """All candidate subsets of size <= size_limit whose union covers full."""
-    m = len(masks)
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    out: list = []
+def min_cost_cover(
+    full: int, masks: Sequence[int], costs: Sequence[int]
+) -> Optional[tuple]:
+    """Least total cost of a candidate set covering ``full``.
+
+    Branch and bound on the least uncovered pair over the candidates
+    containing it; each option bans the options before it, so every
+    collection is visited once, and a branch is cut only when its cost
+    plus the cheapest cost per pair times the uncovered pairs exceeds the
+    best found, so every optimal cover the branching reaches is compared.
+    Costs must be nonnegative.  Returns (cost, lexicographically least
+    sorted index tuple among those optima), or None if infeasible.
+    """
+    by_pair: list = [[] for _ in range(full.bit_length())]
+    for ci, m in enumerate(masks):
+        while m:
+            low = m & -m
+            by_pair[low.bit_length() - 1].append(ci)
+            m ^= low
+    rate = _pair_rate(masks, costs)
+    num, den = rate.numerator, rate.denominator
+    best: Optional[tuple] = None
     chosen: list = []
 
-    def dfs(i: int, covered: int) -> None:
-        if covered | suffix[i] != full:
+    def dfs(uncovered: int, cost: int, banned: int) -> None:
+        nonlocal best
+        if best is not None and (
+            (cost - best[0]) * den + num * uncovered.bit_count() > 0
+        ):
             return
-        if i == m:
-            if covered == full:
-                out.append(tuple(chosen))
+        if uncovered == 0:
+            found = (cost, tuple(sorted(chosen)))
+            if best is None or found < best:
+                best = found
             return
-        if len(chosen) < size_limit:
-            chosen.append(i)
-            dfs(i + 1, covered | masks[i])
+        for ci in by_pair[(uncovered & -uncovered).bit_length() - 1]:
+            if banned >> ci & 1:
+                continue
+            chosen.append(ci)
+            dfs(uncovered & ~masks[ci], cost + costs[ci], banned)
             chosen.pop()
-        dfs(i + 1, covered)
+            banned |= 1 << ci
 
-    dfs(0, 0)
-    return out
+    dfs(full, 0, 0)
+    return best
 
 
 def solve_cover(
     universe: Sequence, candidates: Sequence, cap: int = 16
 ) -> tuple:
-    """Exact cover core shared by min_preimage and the MAP component solver.
+    """Exact minimum covers of a pair universe by candidate hyperedges.
 
     Returns (min_size, covers, ambiguous) where covers are tuples of
     candidate hyperedges (lex-least first, at most cap of them), or
     (None, (), False) if infeasible.  ambiguous means a second distinct
-    minimum cover exists; deciding it never relies on the cap.
+    minimum cover exists; deciding it never relies on the cap.  The size
+    deepens from ceil(|universe| / largest candidate cover) until
+    covers_within finds a cover, so the last pass yields the minima.
     """
     universe = sorted(universe)
     candidates = sorted(candidates)
-    masks, full = _bitmasks(universe, candidates)
-    r = _min_cover_size(full, masks)
-    if r is None:
+    masks, full = cover_masks(universe, candidates)
+    union = 0
+    for m in masks:
+        union |= m
+    if union != full:
         return None, (), False
-    index_covers = _enumerate_exact_covers(full, masks, r, stop_after=max(2, cap))
+    ones = [1] * len(masks)
+    r = -(-len(universe) // (max((m.bit_count() for m in masks), default=0) or 1))
+    while True:
+        index_covers, _ = covers_within(full, masks, ones, r, stop_after=max(2, cap))
+        if index_covers:
+            break
+        r += 1
     covers = tuple(tuple(candidates[i] for i in ic) for ic in index_covers[:cap])
     return r, covers, len(index_covers) >= 2
 
 
 def min_preimage(
-    g: Graph,
-    d: int,
-    vertex_bound: int = 64,
-    cap: int = 16,
-    count_all: bool = False,
+    g: Graph, d: int, vertex_bound: int = 64, cap: int = 16
 ) -> PreimageReport:
-    """Exact minimum preimages of g among its d-cliques.
+    """Exact minimum preimages of g among its d-cliques (solve_cover).
 
     Infeasible (some edge of g lies in no d-clique) is reported, not raised:
-    the CLI accepts arbitrary graphs.  ``count_all`` additionally counts all
-    preimages of any size by brute force; only sensible for tiny inputs.
+    the CLI accepts arbitrary graphs.
     """
     if g.n > vertex_bound:
         raise ValueError(
             f"graph has {g.n} vertices; exact engine is capped at {vertex_bound} "
             "(raise vertex_bound explicitly if you mean it)"
         )
-    candidates = clique_hypergraph(g, d).edges
-    masks, full = _bitmasks(g.edges, candidates)
-    r = _min_cover_size(full, masks)
-    if r is None:
-        return PreimageReport(False, None, (), False)
-    index_covers = _enumerate_exact_covers(full, masks, r, stop_after=max(2, cap))
-    covers = tuple(tuple(candidates[i] for i in ic) for ic in index_covers[:cap])
-    total = None
-    if count_all:
-        total = len(_enumerate_all_covers(full, masks, len(candidates)))
-    return PreimageReport(True, r, covers, len(index_covers) >= 2, total)
+    r, covers, ambiguous = solve_cover(g.edges, clique_hypergraph(g, d).edges, cap)
+    return PreimageReport(r is not None, r, covers, ambiguous)
 
 
 def enumerate_preimages(g: Graph, d: int, size_limit: int) -> list:
     """All preimages of g with at most size_limit hyperedges, sorted."""
     candidates = clique_hypergraph(g, d).edges
-    masks, full = _bitmasks(g.edges, candidates)
-    union = 0
-    for m in masks:
-        union |= m
-    if union != full:
-        return []
-    subsets = _enumerate_all_covers(full, masks, size_limit)
+    masks, full = cover_masks(g.edges, candidates)
+    subsets, _ = covers_within(full, masks, [1] * len(masks), size_limit)
     hypergraphs = [
         Hypergraph(g.n, d, [candidates[i] for i in ic]) for ic in subsets
     ]

@@ -33,7 +33,7 @@ from .census import (
     stable_colors,
 )
 from .core import Graph, clique_hypergraph, hypergraph_to_text, Hypergraph, project_edges
-from .preimage import min_preimage
+from .preimage import covers_within, cover_masks, min_preimage
 
 Pattern = tuple  # tuple of sorted d-tuples over dense vertex labels
 
@@ -217,11 +217,15 @@ def grow(
     Proj(h) \\ Proj(pattern), emit pattern + {h_i} where h_i meets h exactly
     in S_i and takes fresh labels elsewhere.  Results are normalized
     (densely relabeled); duplicates up to isomorphism are left to the
-    caller.
+    caller.  The collections come from the shared cover enumerator,
+    preimage.covers_within.
 
-    When delta and min_child_exponent are given, collections whose every
-    completion falls below that exponent are skipped; the number of such
-    skipped branches is returned alongside.  Returns (children, pruned).
+    When delta and min_child_exponent are given, each member S costs
+    |S| - 1 - delta of exponent, scaled to integers by delta's denominator,
+    against a budget of the parent exponent plus the fresh vertices of h
+    minus min_child_exponent; a branch is skipped once its members overrun
+    the budget, and the number of skipped branches is returned alongside.
+    Returns (children, pruned).
     """
     edges = [tuple(sorted(e)) for e in pattern]
     support = {u for e in edges for u in e}
@@ -233,68 +237,28 @@ def grow(
         for s in combinations(h, size):
             if any(p not in proj for p in combinations(s, 2)):
                 family.append(s)
-    bit = {p: i for i, p in enumerate(universe)}
-    masks = []
-    for s in family:
-        m = 0
-        for p in combinations(s, 2):
-            if p in bit:
-                m |= 1 << bit[p]
-        masks.append(m)
-    full = (1 << len(universe)) - 1
-    suffix = [0] * (len(family) + 1)
-    for i in range(len(family) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    fresh_bonus = len(set(h) - support)  # the most new vertices h itself brings
-    # exponent pruning in integers scaled by delta's denominator
-    per_member = None
-    floor_scaled = 0
+    masks, full = cover_masks(universe, family)
+    costs, budget = [0] * len(family), 0
     if delta is not None:
         delta = Fraction(delta)
-        scale = delta.denominator
-        a = delta.numerator
-        parent_exp = pattern_exponent(edges, d, delta)
-        per_member = [a + scale * (1 - len(s)) for s in family]
-        floor_scaled = math.ceil(Fraction(min_child_exponent) * scale)
+        scale, a = delta.denominator, delta.numerator
+        costs = [scale * (len(s) - 1) - a for s in family]
+        fresh_bonus = len(set(h) - support)  # the most new vertices h itself brings
+        start = int((pattern_exponent(edges, d, delta) + fresh_bonus) * scale)
+        budget = start - math.ceil(Fraction(min_child_exponent) * scale)
+    # a zero per-pair rate: only the members already chosen count
+    covers, pruned = covers_within(full, masks, costs, budget, rate=Fraction(0))
     children: list = []
-    pruned = 0
-    chosen: list = []
-
-    def emit() -> None:
+    for cover in covers:
+        if not cover:
+            continue
         nxt = max(max(h) + 1, max(support) + 1)
         new_edges = list(edges)
-        for i in chosen:
+        for i in cover:
             s = family[i]
-            extra = tuple(range(nxt, nxt + d - len(s)))
+            new_edges.append(tuple(sorted(s + tuple(range(nxt, nxt + d - len(s))))))
             nxt += d - len(s)
-            new_edges.append(tuple(sorted(s + extra)))
         children.append(_normalize(new_edges))
-
-    def dfs(i: int, covered: int, bound_scaled: int) -> None:
-        nonlocal pruned
-        if per_member is not None and bound_scaled < floor_scaled:
-            pruned += 1
-            return
-        if i == len(family):
-            if covered == full and chosen:
-                emit()
-            return
-        if covered | suffix[i] != full:
-            return
-        chosen.append(i)
-        dfs(
-            i + 1,
-            covered | masks[i],
-            bound_scaled + per_member[i] if per_member is not None else bound_scaled,
-        )
-        chosen.pop()
-        dfs(i + 1, covered, bound_scaled)
-
-    if per_member is not None:
-        start = int((parent_exp + fresh_bonus) * scale)
-    else:
-        start = 0
-    dfs(0, 0, start)
     return children, pruned
 
 

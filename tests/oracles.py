@@ -4,15 +4,17 @@ Deliberately dumb: subset enumeration and bitmask ORs only, no shared code
 with the branch-and-bound / flow paths they verify.  Also the Pasch-trade
 witness and the effective density exponent behind acceptance criterion 9,
 the block-by-block rank samplers that the fast ones must reproduce, the
-canonical-form candidate dedup that the orbit dedup must reproduce, and
-the solve-every-component MAP that the singleton rule must reproduce.
+canonical-form candidate dedup that the orbit dedup must reproduce, the
+solve-every-component MAP that the singleton rule must reproduce, and the
+growth step's own collection DFS that the shared cover enumerator must
+reproduce.
 """
 
 import math
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import Optional, Sequence
 
 from hyperlift.census import PatternTooLargeError, canonical_form, stable_colors
 from hyperlift.components import decompose
@@ -20,6 +22,7 @@ from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project, projec
 from hyperlift.preimage import solve_cover
 from hyperlift.reconstruct import ComponentTooLargeError, ReconstructionResult
 from hyperlift.rng import BLOCK_SIZE, GEN_TAG, substream
+from hyperlift.search import _normalize, pattern_exponent
 
 
 def brute_max_density(edges):
@@ -323,3 +326,101 @@ def reference_map_reconstruct(
         ambiguous_components=ambiguous,
         elapsed=time.perf_counter() - t0,
     )
+
+
+def reference_grow(
+    pattern: Sequence[tuple],
+    h: Sequence[int],
+    d: int,
+    delta: Optional[Fraction] = None,
+    min_child_exponent: Optional[Fraction] = None,
+) -> tuple:
+    """search.grow with its own collection DFS: the bitmask walk that the
+    shared cover enumerator must reproduce, children and pruned count alike.
+
+    All ways to make candidate h a clique of the grown pattern's projection.
+
+    For every collection I of subsets S of h with |S| >= 2 and Proj(S) not
+    inside Proj(pattern), whose pairwise projections cover
+    Proj(h) \\ Proj(pattern), emit pattern + {h_i} where h_i meets h exactly
+    in S_i and takes fresh labels elsewhere.  Results are normalized
+    (densely relabeled); duplicates up to isomorphism are left to the
+    caller.
+
+    When delta and min_child_exponent are given, collections whose every
+    completion falls below that exponent are skipped; the number of such
+    skipped branches is returned alongside.  Returns (children, pruned).
+    """
+    edges = [tuple(sorted(e)) for e in pattern]
+    support = {u for e in edges for u in e}
+    h = tuple(sorted(h))
+    proj = project_edges(edges)
+    universe = [p for p in combinations(h, 2) if p not in proj]
+    family = []
+    for size in range(2, d + 1):
+        for s in combinations(h, size):
+            if any(p not in proj for p in combinations(s, 2)):
+                family.append(s)
+    bit = {p: i for i, p in enumerate(universe)}
+    masks = []
+    for s in family:
+        m = 0
+        for p in combinations(s, 2):
+            if p in bit:
+                m |= 1 << bit[p]
+        masks.append(m)
+    full = (1 << len(universe)) - 1
+    suffix = [0] * (len(family) + 1)
+    for i in range(len(family) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    fresh_bonus = len(set(h) - support)  # the most new vertices h itself brings
+    # exponent pruning in integers scaled by delta's denominator
+    per_member = None
+    floor_scaled = 0
+    if delta is not None:
+        delta = Fraction(delta)
+        scale = delta.denominator
+        a = delta.numerator
+        parent_exp = pattern_exponent(edges, d, delta)
+        per_member = [a + scale * (1 - len(s)) for s in family]
+        floor_scaled = math.ceil(Fraction(min_child_exponent) * scale)
+    children: list = []
+    pruned = 0
+    chosen: list = []
+
+    def emit() -> None:
+        nxt = max(max(h) + 1, max(support) + 1)
+        new_edges = list(edges)
+        for i in chosen:
+            s = family[i]
+            extra = tuple(range(nxt, nxt + d - len(s)))
+            nxt += d - len(s)
+            new_edges.append(tuple(sorted(s + extra)))
+        children.append(_normalize(new_edges))
+
+    def dfs(i: int, covered: int, bound_scaled: int) -> None:
+        nonlocal pruned
+        if per_member is not None and bound_scaled < floor_scaled:
+            pruned += 1
+            return
+        if i == len(family):
+            if covered == full and chosen:
+                emit()
+            return
+        if covered | suffix[i] != full:
+            return
+        chosen.append(i)
+        dfs(
+            i + 1,
+            covered | masks[i],
+            bound_scaled + per_member[i] if per_member is not None else bound_scaled,
+        )
+        chosen.pop()
+        dfs(i + 1, covered, bound_scaled)
+
+    if per_member is not None:
+        start = int((parent_exp + fresh_bonus) * scale)
+    else:
+        start = 0
+    dfs(0, 0, start)
+    return children, pruned

@@ -1,5 +1,6 @@
 """Exact pattern combinatorics: canonical forms, aut, densities, g tables."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -227,6 +228,21 @@ def test_g0_examples():
         g_0(2, Fraction(0))
 
 
+# sha256 of repr([(d, delta, g_0(d, delta), [g_k(d, k, delta) for k in 2..d])])
+# over d = 3..6 and delta = i/20, i = 0..20 (delta = 1 makes pairs cost 0)
+G_TABLE_SHA256 = "6086a2e207f3fa34842d0a875f46e3a3d3fc99e09f3d99d477869ec2070a515e"
+
+
+def test_g_tables_are_pinned():
+    rows = []
+    for d in range(3, 7):
+        for i in range(21):
+            delta = Fraction(i, 20)
+            gk = [g_k(d, k, delta) for k in range(2, d + 1)]
+            rows.append((d, delta, g_0(d, delta), gk))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == G_TABLE_SHA256
+
+
 def test_ambiguous_gadget_structure():
     p1, p2, proj = build_ambiguous_gadget(3)
     assert p1.v == 8 and p1.e == 5 and p2.e == 5
@@ -278,19 +294,22 @@ def test_spurious_clique_gadget_structure():
 
 
 def test_threshold_table_values():
-    table = threshold_table()
-    assert table.bounds(3) == (Fraction(2, 5), Fraction(2, 5))
-    assert table.bounds(4) == (Fraction(1, 2), Fraction(4, 7))
-    assert table.bounds(5) == (Fraction(1, 2), Fraction(2, 3))
-    assert table.bounds(10) == (Fraction(7, 10), Fraction(88, 92))
-    assert table.two_connectivity(3) == Fraction(1, 2)
-    assert table.ambiguity_gadget(3) == Fraction(2, 5)
-    assert table.clique_cover(4) == Fraction(1, 4)
+    def bounds(d):
+        row = threshold_table(d)
+        return row["lower"], row["upper"]
+
+    assert bounds(3) == (Fraction(2, 5), Fraction(2, 5))
+    assert bounds(4) == (Fraction(1, 2), Fraction(4, 7))
+    assert bounds(5) == (Fraction(1, 2), Fraction(2, 3))
+    assert bounds(10) == (Fraction(7, 10), Fraction(88, 92))
+    assert threshold_table(3)["two_connectivity"] == Fraction(1, 2)
+    assert threshold_table(3)["ambiguity_gadget"] == Fraction(2, 5)
+    assert threshold_table(4)["clique_cover"] == Fraction(1, 4)
     for d in range(3, 12):
-        lower, upper = table.bounds(d)
+        lower, upper = bounds(d)
         assert lower <= upper
     with pytest.raises(ValueError):
-        table.bounds(2)
+        threshold_table(2)
 
 
 def test_graph_canonical_form_matches_pattern_isomorphism():

@@ -208,3 +208,24 @@ def test_sweep_spec_validation():
             base_seed=0,
             algorithms=("bogus",),
         )
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"algorithms": ()},
+        {"n_list": (2,)},  # n below d
+        {"delta_list": (Fraction(6, 5),)},
+        {"delta_list": (Fraction(-1, 5),)},
+        {"d": 1},
+    ],
+)
+def test_sweep_spec_rejects_bad_cells_before_any_output(tmp_path, changes):
+    fields = dict(
+        d=3, n_list=(10,), delta_list=(Fraction(1, 5),), num_seeds=1, base_seed=0
+    )
+    fields.update(changes)
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError):
+        write_sweep_csv(SweepSpec(**fields), out, tmp_path / "out.timing")
+    assert list(tmp_path.iterdir()) == []

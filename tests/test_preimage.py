@@ -1,7 +1,7 @@
 """Exact minimum-preimage engine: examples, soundness, decomposition oracle."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -17,7 +17,13 @@ from hyperlift.core import (
     generate_random_hypergraph,
     project,
 )
-from hyperlift.preimage import enumerate_preimages, min_preimage
+from hyperlift.preimage import (
+    covers_within,
+    enumerate_preimages,
+    min_cost_cover,
+    min_preimage,
+)
+from hyperlift.rng import Stream
 
 
 def test_single_clique_is_unique_minimum():
@@ -75,9 +81,10 @@ def test_enumerate_preimages_examples():
 def test_total_preimage_count_brute_mode():
     h = Hypergraph(5, 3, [(0, 1, 2), (1, 2, 3)])
     g = project(h)
-    rep = min_preimage(g, 3, count_all=True)
+    everything = enumerate_preimages(g, 3, len(clique_hypergraph(g, 3)))
     oracle = all_preimages_bitmask(g, 3)
-    assert rep.total_preimage_count == len(oracle)
+    assert len(everything) == len(oracle)
+    assert {frozenset(p.edges) for p in everything} == oracle
 
 
 def test_soundness_and_minimality_against_oracle():
@@ -157,13 +164,101 @@ def test_first_cover_is_lexicographically_least_minimum():
     assert checked >= 25
 
 
-def test_cover_instance_feasibility_matches_engine():
-    from hyperlift.preimage import CoverInstance
+def _random_instances(count: int, seed: int):
+    """Small (full, masks, costs) cover instances: some infeasible, some
+    with an empty universe, zero masks or zero costs."""
+    rng = Stream(seed)
+    for _ in range(count):
+        pairs = rng.randrange(6)
+        full = (1 << pairs) - 1
+        masks = [rng.randrange(full + 1) for _ in range(rng.randrange(9))]
+        costs = [rng.randrange(4) for _ in masks]
+        yield full, masks, costs
 
-    _, _, proj = build_ambiguous_gadget(3)
-    inst = CoverInstance(proj.edges, clique_hypergraph(proj, 3).edges)
-    assert inst.feasible == min_preimage(proj, 3).feasible is True
-    lonely = Graph(4, [(0, 1)])
-    inst2 = CoverInstance(lonely.edges, clique_hypergraph(lonely, 3).edges)
-    assert inst2.feasible is False
-    assert min_preimage(lonely, 3).feasible is False
+
+def _exhaustive_covers(full, masks, costs, budget):
+    """Every covering subset within budget, as index tuples, in the order
+    of include-before-exclude (each index picked before it is left out)."""
+    out = []
+    for picks in product((1, 0), repeat=len(masks)):
+        chosen = tuple(i for i, p in enumerate(picks) if p)
+        covered = 0
+        for i in chosen:
+            covered |= masks[i]
+        if covered == full and sum(costs[i] for i in chosen) <= budget:
+            out.append(chosen)
+    return out
+
+
+def _reached(full, masks, chosen):
+    """Whether the least-uncovered-pair branching with the forbid-earlier
+    rule reaches exactly this set: taking, for the least uncovered pair,
+    the first member covering it must use up every member."""
+    left, covered = list(chosen), 0
+    while covered != full:
+        low = (full & ~covered) & -(full & ~covered)
+        first = next((i for i in left if masks[i] & low), None)
+        if first is None:
+            return False
+        left.remove(first)
+        covered |= masks[first]
+    return not left
+
+
+def test_covers_within_matches_exhaustive_subsets():
+    checked = 0
+    for full, masks, costs in _random_instances(400, 11):
+        for budget in (-1, 0, 2, 5, 30):
+            expected = _exhaustive_covers(full, masks, costs, budget)
+            covers, cut = covers_within(full, masks, costs, budget)
+            assert covers == expected, (full, masks, costs, budget)
+            assert cut >= 0
+            # the per-pair rate only prunes, and stop_after takes a prefix
+            assert covers_within(full, masks, costs, budget, rate=Fraction(0))[0] == (
+                expected
+            )
+            for stop in (1, 2):
+                assert covers_within(full, masks, costs, budget, stop_after=stop)[0] == (
+                    expected[:stop]
+                )
+            checked += bool(expected)
+    assert checked > 300
+
+
+def test_covers_within_edge_cases():
+    # empty universe: every subset within budget covers it, () last
+    assert covers_within(0, [0, 0], [1, 0], 0)[0] == [(1,), ()]
+    assert covers_within(0, [], [], 0) == ([()], 0)
+    # infeasible: a pair no candidate covers
+    assert covers_within(0b11, [0b01, 0b01], [1, 1], 9)[0] == []
+    # a budget below the cheapest per-pair cost is cut at the root
+    assert covers_within(0b11, [0b11], [4], 3) == ([], 1)
+    # zero-cost candidates can always be added
+    assert covers_within(0b1, [0b1, 0b1], [0, 0], 0)[0] == [(0, 1), (0,), (1,)]
+
+
+def test_min_cost_cover_matches_exhaustive_subsets():
+    checked = 0
+    for full, masks, costs in _random_instances(400, 12):
+        best = min_cost_cover(full, masks, costs)
+        covers = _exhaustive_covers(full, masks, costs, sum(costs))
+        if not covers:
+            assert best is None
+            continue
+        low = min(sum(costs[i] for i in c) for c in covers)
+        optima = [c for c in covers if sum(costs[i] for i in c) == low]
+        reached = [c for c in optima if _reached(full, masks, c)]
+        assert best == (low, min(reached)), (full, masks, costs)
+        if all(costs):
+            # with positive costs every optimum is minimal, hence reached
+            assert best == (low, min(optima))
+        checked += 1
+    assert checked > 200
+
+
+def test_min_cost_cover_edge_cases():
+    assert min_cost_cover(0, [], []) == (0, ())
+    assert min_cost_cover(0, [0], [0]) == (0, ())
+    assert min_cost_cover(0b11, [0b01], [1]) is None
+    assert min_cost_cover(0b11, [0b11, 0b01, 0b10], [3, 1, 1]) == (2, (1, 2))
+    assert min_cost_cover(0b11, [0b11, 0b01, 0b10], [2, 1, 1]) == (2, (0,))

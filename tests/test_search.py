@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_candidate_neighbors
+from oracles import reference_candidate_neighbors, reference_grow
 
 from hyperlift import search
 from hyperlift.components import decompose
@@ -206,3 +206,21 @@ def test_orbit_dedup_matches_canonical_form_dedup(certificates, d, strict):
         assert candidate_neighbors(pattern, d, strict) == (
             reference_candidate_neighbors(pattern, d, strict)
         ), pattern
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_grow_matches_reference_collection_dfs(certificates, d):
+    # the same children in the same order and the same pruned count as the
+    # growth step's own bitmask DFS, for every candidate of every pattern
+    # the certificate expanded, with the search's exponent floor and without
+    report, expanded = certificates[d]
+    delta = report.config.delta
+    for pattern in expanded:
+        for h in candidate_neighbors(pattern, d):
+            assert grow(pattern, h, d, delta, Fraction(0)) == reference_grow(
+                pattern, h, d, delta, Fraction(0)
+            ), (pattern, h)
+    if d == 3:  # unpruned, d=5 candidates have too many collections to list
+        for pattern in expanded[:5]:
+            for h in candidate_neighbors(pattern, d):
+                assert grow(pattern, h, d) == reference_grow(pattern, h, d), h
