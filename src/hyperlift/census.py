@@ -7,8 +7,9 @@ is banned.  The pieces:
 - canonical labeling of colored hypergraphs by iterative color refinement
   plus individualize-and-refine backtracking (exact at pattern sizes this
   package cares about, <= ~20 vertices);
-- automorphism counting by cell-respecting backtracking, and a strong
-  generating set of the automorphism group by individualize-and-refine;
+- a strong generating set of the automorphism group by
+  individualize-and-refine, and |Aut(K)| as the product of its basic
+  orbit lengths;
 - max sub-hypergraph density m(K) = max e'/v' over nonempty hyperedge
   subsets, computed exactly by Dinkelbach iteration over a
   project-selection min cut;
@@ -50,7 +51,7 @@ class PatternHypergraph:
     to isomorphism.
     """
 
-    __slots__ = ("edges", "v", "_canon")
+    __slots__ = ("edges", "v", "_canon", "_aut")
 
     def __init__(self, edges: Iterable[Sequence[int]]):
         canon = sorted({tuple(sorted(e)) for e in edges})
@@ -65,6 +66,7 @@ class PatternHypergraph:
         self.edges = tuple(canon)
         self.v = len(support)
         self._canon: Optional[bytes] = None
+        self._aut: Optional[int] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Sequence[int]]) -> "PatternHypergraph":
@@ -107,6 +109,15 @@ class PatternHypergraph:
 # ---------------------------------------------------------------------------
 
 
+def _incidence(n: int, edges: Sequence[tuple]) -> list:
+    """incident[u]: the indices of the edges that contain vertex u."""
+    incident: list = [[] for _ in range(n)]
+    for ei, e in enumerate(edges):
+        for u in e:
+            incident[u].append(ei)
+    return incident
+
+
 def _refine(
     n: int,
     edges: Sequence[tuple],
@@ -146,11 +157,7 @@ def stable_colors(edges: Sequence[Sequence[int]]) -> list:
     """
     edges = [tuple(sorted(e)) for e in edges]
     n = max((u for e in edges for u in e), default=-1) + 1
-    incident: list = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
-        for u in e:
-            incident[u].append(ei)
-    return _refine(n, edges, [0] * len(edges), incident, [0] * n)
+    return _refine(n, edges, [0] * len(edges), _incidence(n, edges), [0] * n)
 
 
 def canonical_form(
@@ -172,10 +179,7 @@ def canonical_form(
     n = len(vertices)
     if n == 0:
         return b"empty"
-    incident: list = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
-        for u in e:
-            incident[u].append(ei)
+    incident = _incidence(n, edges)
     best: Optional[bytes] = None
 
     def encode(colors: Sequence[int]) -> bytes:
@@ -233,63 +237,12 @@ def graph_canonical_form(g: Graph) -> bytes:
 
 
 def automorphism_count(pattern: PatternHypergraph) -> int:
-    """|Aut(K)|, by backtracking over the color-refined partition.
-
-    Candidate images of each vertex are its refinement cellmates; partial
-    maps are pruned as soon as a fully-mapped hyperedge leaves the edge set.
+    """|Aut(K)|: the product of the basic orbit lengths of the strong
+    generating set automorphism_generators builds, memoized on the pattern.
     """
-    n = pattern.v
-    edges = pattern.edges
-    incident: list = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
-        for u in e:
-            incident[u].append(ei)
-    colors = _refine(n, edges, [0] * len(edges), incident, [0] * n)
-    if math.prod(
-        math.factorial(c) for c in _cell_sizes(colors)
-    ) > 20_000_000:
-        raise PatternTooLargeError(
-            "automorphism search space too large after refinement"
-        )
-    order = sorted(range(n), key=lambda v: (colors[v], v))
-    position = {v: i for i, v in enumerate(order)}
-    # edges checkable once their last vertex (in assignment order) is mapped
-    ready: list = [[] for _ in range(n)]
-    for e in edges:
-        last = max(e, key=lambda u: position[u])
-        ready[position[last]].append(e)
-    edge_set = set(edges)
-    image = [-1] * n
-    used = [False] * n
-    count = 0
-
-    def backtrack(i: int) -> None:
-        nonlocal count
-        if i == n:
-            count += 1
-            return
-        v = order[i]
-        for w in range(n):
-            if used[w] or colors[w] != colors[v]:
-                continue
-            image[v] = w
-            used[w] = True
-            if all(
-                tuple(sorted(image[u] for u in e)) in edge_set for e in ready[i]
-            ):
-                backtrack(i + 1)
-            used[w] = False
-            image[v] = -1
-
-    backtrack(0)
-    return count
-
-
-def _cell_sizes(colors: Sequence[int]) -> list:
-    sizes: dict = {}
-    for c in colors:
-        sizes[c] = sizes.get(c, 0) + 1
-    return list(sizes.values())
+    if pattern._aut is None:
+        pattern._aut = _automorphism_group(pattern.edges)[1]
+    return pattern._aut
 
 
 def automorphism_generators(edges: Sequence[Sequence[int]]) -> list:
@@ -303,12 +256,19 @@ def automorphism_generators(edges: Sequence[Sequence[int]]) -> list:
     b_i to w, if one exists; the generators found at levels >= i then
     generate the stabilizer of b_0..b_{i-1}, so all of them generate Aut(K).
     """
+    return _automorphism_group(edges)[0]
+
+
+def _automorphism_group(edges: Sequence[Sequence[int]]) -> tuple:
+    """(automorphism_generators(edges), |Aut(K)|).
+
+    When level i is done, b_i's orbit under the generators found so far is
+    its orbit under the stabilizer of b_0..b_{i-1}, so |Aut(K)| is the
+    product of these basic orbit lengths.
+    """
     edges = [tuple(sorted(e)) for e in edges]
     n = max((u for e in edges for u in e), default=-1) + 1
-    incident: list = [[] for _ in range(n)]
-    for ei, e in enumerate(edges):
-        for u in e:
-            incident[u].append(ei)
+    incident = _incidence(n, edges)
     edge_colors = [0] * len(edges)
     edge_set = set(edges)
 
@@ -341,12 +301,13 @@ def automorphism_generators(edges: Sequence[Sequence[int]]) -> list:
                     return image
         return None
 
-    stable = stable_colors(edges)
+    stable = _refine(n, edges, edge_colors, incident, [0] * n)
     base = sorted(range(n), key=lambda v: (stable[v], v))
     prefixes = [stable]
     while len(set(prefixes[-1])) < n:
         prefixes.append(individualize(prefixes[-1], base[len(prefixes) - 1]))
     generators: list = []
+    order = 1
     for i in reversed(range(len(prefixes) - 1)):  # the last prefix is discrete
         b, colors = base[i], prefixes[i]
         orbit = _orbit(b, generators)
@@ -357,7 +318,8 @@ def automorphism_generators(edges: Sequence[Sequence[int]]) -> list:
             if image is not None:
                 generators.append(image)
                 orbit = _orbit(b, generators)
-    return generators
+        order *= len(orbit)
+    return generators, order
 
 
 def _orbit(point: int, generators: Sequence[Sequence[int]]) -> set:

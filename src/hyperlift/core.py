@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .rng import SIGMA_TAG, bernoulli_ranks, substream, thinned_ranks
 
@@ -189,27 +189,37 @@ class HsbmParams:
 
 
 class SimilarityMatrix:
-    """Symmetric pair co-occurrence counts with zero diagonal."""
+    """Symmetric pair co-occurrence counts with zero diagonal, stored sparsely.
+
+    Built from a map {(i, j): count} in which either orientation of a pair
+    may appear; ``counts`` keeps each pair with i < j and count >= 1, and
+    every other entry reads 0.
+    """
 
     __slots__ = ("n", "counts")
 
-    def __init__(self, n: int, counts: Sequence[Sequence[int]]):
-        if len(counts) != n or any(len(row) != n for row in counts):
-            raise ValueError("counts must be n x n")
-        for i in range(n):
-            if counts[i][i] != 0:
-                raise ValueError(f"diagonal entry at {i} must be 0")
-            for j in range(i + 1, n):
-                if counts[i][j] != counts[j][i]:
-                    raise ValueError(f"asymmetric at ({i},{j})")
-                if counts[i][j] < 0:
-                    raise ValueError(f"negative count at ({i},{j})")
+    def __init__(self, n: int, counts: Mapping[tuple, int]):
+        if n < 0:
+            raise ValueError(f"vertex count n={n} must be >= 0")
+        sparse: dict = {}
+        for (i, j), c in counts.items():
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"pair ({i},{j}) out of range for n={n}")
+            if i == j:
+                if c != 0:
+                    raise ValueError(f"diagonal entry at {i} must be 0")
+                continue
+            a, b = (i, j) if i < j else (j, i)
+            if c < 0:
+                raise ValueError(f"negative count at ({a},{b})")
+            if sparse.setdefault((a, b), c) != c:
+                raise ValueError(f"asymmetric at ({a},{b})")
         self.n = n
-        self.counts = tuple(tuple(row) for row in counts)
+        self.counts = {pair: c for pair, c in sparse.items() if c}
 
     def __getitem__(self, ij) -> int:
         i, j = ij
-        return self.counts[i][j]
+        return self.counts.get((i, j) if i < j else (j, i), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -373,20 +383,16 @@ def clique_hypergraph(g: Graph, d: int) -> Hypergraph:
 
 def similarity_matrix(h: Hypergraph) -> SimilarityMatrix:
     """W[i][j] = number of hyperedges containing both i and j."""
-    counts = [[0] * h.n for _ in range(h.n)]
+    counts: dict = {}
     for e in h.edges:
-        for a, b in combinations(e, 2):
-            counts[a][b] += 1
-            counts[b][a] += 1
+        for pair in combinations(e, 2):
+            counts[pair] = counts.get(pair, 0) + 1
     return SimilarityMatrix(h.n, counts)
 
 
 def support_graph(w: SimilarityMatrix) -> Graph:
     """Edge (i, j) present iff W[i][j] >= 1."""
-    edges = [
-        (i, j) for i in range(w.n) for j in range(i + 1, w.n) if w.counts[i][j] >= 1
-    ]
-    return Graph(w.n, edges)
+    return Graph(w.n, w.counts)
 
 
 def densify_reduction(
@@ -471,24 +477,20 @@ def graph_from_text(text: str) -> Graph:
 
 def similarity_to_text(w: SimilarityMatrix) -> str:
     lines = [str(w.n)]
-    for i in range(w.n):
-        for j in range(i + 1, w.n):
-            if w.counts[i][j]:
-                lines.append(f"{i} {j} {w.counts[i][j]}")
+    lines.extend(f"{i} {j} {c}" for (i, j), c in sorted(w.counts.items()))
     return "\n".join(lines) + "\n"
 
 
 def similarity_from_text(text: str) -> SimilarityMatrix:
     rows = _int_rows(text, 1)
     (n,) = rows[0][1]
-    counts = [[0] * n for _ in range(n)]
+    counts: dict = {}
     for lineno, row in rows[1:]:
         _check_width(lineno, row, 3)
         i, j, c = row
         if not (0 <= i < n and 0 <= j < n):
             raise FormatError(f"line {lineno}: pair ({i},{j}) out of range for n={n}")
-        counts[i][j] = c
-        counts[j][i] = c
+        counts[(i, j) if i <= j else (j, i)] = c  # a later line overrides
     return SimilarityMatrix(n, counts)
 
 

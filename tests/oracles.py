@@ -5,9 +5,10 @@ with the branch-and-bound / flow paths they verify.  Also the Pasch-trade
 witness and the effective density exponent behind acceptance criterion 9,
 the block-by-block rank samplers that the fast ones must reproduce, the
 canonical-form candidate dedup that the orbit dedup must reproduce, the
-solve-every-component MAP that the singleton rule must reproduce, and the
+solve-every-component MAP that the singleton rule must reproduce, the
 growth step's own collection DFS that the shared cover enumerator must
-reproduce.
+reproduce, and the backtracking automorphism count that the stabilizer
+chain's orbit-length product must reproduce.
 """
 
 import math
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
-from hyperlift.census import PatternTooLargeError, canonical_form, stable_colors
+from hyperlift.census import PatternTooLargeError, _refine, canonical_form, stable_colors
 from hyperlift.components import decompose
 from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project, project_edges
 from hyperlift.preimage import solve_cover
@@ -424,3 +425,78 @@ def reference_grow(
         start = 0
     dfs(0, 0, start)
     return children, pruned
+
+
+def reference_automorphism_count(pattern) -> int:
+    """|Aut(K)|, by backtracking over the color-refined partition.
+
+    Candidate images of each vertex are its refinement cellmates; partial
+    maps are pruned as soon as a fully-mapped hyperedge leaves the edge set.
+    """
+    n = pattern.v
+    edges = pattern.edges
+    incident: list = [[] for _ in range(n)]
+    for ei, e in enumerate(edges):
+        for u in e:
+            incident[u].append(ei)
+    colors = _refine(n, edges, [0] * len(edges), incident, [0] * n)
+    if math.prod(
+        math.factorial(c) for c in _cell_sizes(colors)
+    ) > 20_000_000:
+        raise PatternTooLargeError(
+            "automorphism search space too large after refinement"
+        )
+    order = sorted(range(n), key=lambda v: (colors[v], v))
+    position = {v: i for i, v in enumerate(order)}
+    # edges checkable once their last vertex (in assignment order) is mapped
+    ready: list = [[] for _ in range(n)]
+    for e in edges:
+        last = max(e, key=lambda u: position[u])
+        ready[position[last]].append(e)
+    edge_set = set(edges)
+    image = [-1] * n
+    used = [False] * n
+    count = 0
+
+    def backtrack(i: int) -> None:
+        nonlocal count
+        if i == n:
+            count += 1
+            return
+        v = order[i]
+        for w in range(n):
+            if used[w] or colors[w] != colors[v]:
+                continue
+            image[v] = w
+            used[w] = True
+            if all(
+                tuple(sorted(image[u] for u in e)) in edge_set for e in ready[i]
+            ):
+                backtrack(i + 1)
+            used[w] = False
+            image[v] = -1
+
+    backtrack(0)
+    return count
+
+
+def _cell_sizes(colors: Sequence[int]) -> list:
+    sizes: dict = {}
+    for c in colors:
+        sizes[c] = sizes.get(c, 0) + 1
+    return list(sizes.values())
+
+
+def generated_group_order(generators: Sequence[Sequence[int]], v: int) -> int:
+    """The order of the permutation group the generators generate on
+    0..v-1, by closing the identity under them breadth first."""
+    identity = tuple(range(v))
+    group = {identity}
+    frontier = [identity]
+    for element in frontier:
+        for g in generators:
+            composed = tuple(g[u] for u in element)
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    return len(group)

@@ -7,12 +7,16 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oracles import brute_force_isomorphic, brute_max_density
+from oracles import (
+    brute_force_isomorphic,
+    brute_max_density,
+    generated_group_order,
+    reference_automorphism_count,
+)
 
 from hyperlift.census import (
     cover_bound_min,
     PatternHypergraph,
-    PatternTooLargeError,
     automorphism_count,
     automorphism_generators,
     build_ambiguous_gadget,
@@ -65,6 +69,17 @@ def _small_d3_patterns() -> list:
     return list(seen.values())
 
 
+def _d4_pendant_pool() -> list:
+    """Small random d=4 patterns full of interchangeable pendant vertices."""
+    pool = []
+    for seed in range(200):
+        params = DensityParams(4, Fraction(1, 3), 9)
+        h = generate_random_hypergraph(params, seed, p_override=0.06)
+        if 1 <= len(h) <= 5:
+            pool.append(PatternHypergraph.from_edges(h.edges))
+    return pool
+
+
 def test_canonical_form_separates_small_patterns_exhaustively():
     # canonical forms agree exactly with brute-force isomorphism
     patterns = _small_d3_patterns()
@@ -98,6 +113,26 @@ def test_automorphism_examples():
     assert automorphism_count(PatternHypergraph([(0, 1, 2)])) == 6
     assert automorphism_count(PatternHypergraph([(0, 1, 2), (0, 1, 3)])) == 4
     assert automorphism_count(PatternHypergraph([(0, 1, 2), (3, 4, 5)])) == 72
+    f = math.factorial
+    for d in range(3, 7):
+        ambiguous = build_ambiguous_gadget(d)[0]
+        assert automorphism_count(ambiguous) == f(d - 1) * f(d - 2) ** (2 * (d - 1))
+        map_failure = build_map_failure_gadget(d)
+        assert automorphism_count(map_failure) == f(d) * f(d - 2) ** math.comb(d, 2)
+
+
+def test_automorphism_count_matches_backtracking_reference():
+    for pat in _small_d3_patterns() + _d4_pendant_pool():
+        assert automorphism_count(pat) == reference_automorphism_count(pat), pat.edges
+
+
+def test_automorphism_count_is_memoized_on_the_pattern(monkeypatch):
+    import hyperlift.census as census
+
+    pat = PatternHypergraph([(0, 1, 2), (0, 1, 3)])
+    assert automorphism_count(pat) == 4
+    monkeypatch.setattr(census, "_automorphism_group", None)
+    assert automorphism_count(pat) == 4
 
 
 def test_automorphism_count_against_orbit_size():
@@ -122,16 +157,7 @@ def test_automorphism_generators_generate_the_automorphism_group():
         for g in generators:
             assert sorted(g) == list(range(pat.v))
             assert {tuple(sorted(g[u] for u in e)) for e in pat.edges} == edge_set
-        identity = tuple(range(pat.v))
-        group = {identity}
-        frontier = [identity]
-        for element in frontier:
-            for g in generators:
-                composed = tuple(g[u] for u in element)
-                if composed not in group:
-                    group.add(composed)
-                    frontier.append(composed)
-        assert len(group) == automorphism_count(pat), pat.edges
+        assert generated_group_order(generators, pat.v) == automorphism_count(pat)
 
 
 def test_max_density_examples_and_oracle():
@@ -320,11 +346,11 @@ def test_graph_canonical_form_matches_pattern_isomorphism():
     assert graph_canonical_form(proj) == graph_canonical_form(relabeled)
 
 
-def test_automorphism_guard_for_oversized_cells():
-    # a large edgeless-refinement pattern trips the guard rather than hanging
+def test_automorphism_count_of_a_14_vertex_hyperedge_is_14_factorial():
+    # one refinement cell of 14 vertices: the old backtracking count refused
+    # it (14! candidate maps, over its cap); the orbit-length product is immediate
     big = PatternHypergraph([tuple(range(14))])
-    with pytest.raises(PatternTooLargeError):
-        automorphism_count(big)
+    assert automorphism_count(big) == math.factorial(14) == 87_178_291_200
 
 
 def test_appearance_exponent_matches_density_threshold_test():
@@ -355,14 +381,7 @@ def test_appearance_exponent_matches_density_threshold_test():
 def test_canonical_form_cross_validated_on_d4_pendant_patterns():
     # patterns full of interchangeable pendant vertices exercise the
     # incidence-class pruning inside the canonical search
-    from hyperlift.core import generate_random_hypergraph
-
-    pool = []
-    for seed in range(200):
-        params = DensityParams(4, Fraction(1, 3), 9)
-        h = generate_random_hypergraph(params, seed, p_override=0.06)
-        if 1 <= len(h) <= 5:
-            pool.append(PatternHypergraph.from_edges(h.edges))
+    pool = _d4_pendant_pool()
     rng = Stream(424242)
     checked = 0
     for i in range(len(pool)):

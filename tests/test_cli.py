@@ -1,6 +1,7 @@
 """End-to-end CLI checks on temp files."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,13 @@ def test_census_payload(capsys):
     assert payload["map_failure_gadget"]["max_density"] == "2/3"
     assert payload["g0"]["value"] == "9/5"  # three pairs at cost 1 - 2/5 each
     assert payload["gk"]["3"] == "0"
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+def test_census_reports_the_ambiguous_gadget_automorphism_count(capsys, d):
+    assert main(["census", "--d", str(d), "--delta", "1/2"]) == 0
+    aut = json.loads(capsys.readouterr().out)["ambiguous_gadget_preimage"]["aut"]
+    assert aut == math.factorial(d - 1) * math.factorial(d - 2) ** (2 * (d - 1))
 
 
 def test_search_exit_codes(capsys):

@@ -269,10 +269,23 @@ def test_support_graph_examples_and_consistency():
 
 
 def test_similarity_matrix_validation():
+    with pytest.raises(ValueError, match="diagonal"):
+        SimilarityMatrix(2, {(0, 0): 1})
+    with pytest.raises(ValueError, match="asymmetric"):
+        SimilarityMatrix(2, {(0, 1): 1, (1, 0): 2})
+    with pytest.raises(ValueError, match="negative"):
+        SimilarityMatrix(3, {(2, 1): -1})
+    for pair in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            SimilarityMatrix(2, {pair: 1})
     with pytest.raises(ValueError):
-        SimilarityMatrix(2, [[1, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        SimilarityMatrix(2, [[0, 1], [2, 0]])
+        SimilarityMatrix(-1, {})
+    w = SimilarityMatrix(3, {(0, 0): 0, (1, 0): 2, (0, 1): 2, (1, 2): 0})
+    assert w.counts == {(0, 1): 2}
+    assert w[0, 1] == w[1, 0] == 2 and w[1, 2] == w[2, 2] == 0
+    assert w == SimilarityMatrix(3, {(0, 1): 2}) != SimilarityMatrix(4, {(0, 1): 2})
+    # in .sim text a later line for the same pair overrides an earlier one
+    assert similarity_from_text("3\n1 0 2\n0 1 5\n2 2 0\n") == SimilarityMatrix(3, {(0, 1): 5})
 
 
 def test_hsbm_beta_zero_only_monochromatic():

@@ -9,9 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_candidate_neighbors, reference_grow
+from oracles import (
+    generated_group_order,
+    reference_automorphism_count,
+    reference_candidate_neighbors,
+    reference_grow,
+)
 
 from hyperlift import search
+from hyperlift.census import PatternHypergraph, automorphism_count, automorphism_generators
 from hyperlift.components import decompose
 from hyperlift.core import Graph, clique_hypergraph, project_edges
 from hyperlift.search import (
@@ -224,3 +230,16 @@ def test_grow_matches_reference_collection_dfs(certificates, d):
         for pattern in expanded[:5]:
             for h in candidate_neighbors(pattern, d):
                 assert grow(pattern, h, d) == reference_grow(pattern, h, d), h
+
+
+def test_automorphism_count_on_expanded_patterns(certificates):
+    # the backtracking reference on the d=3 patterns (it takes minutes on
+    # some d=4 ones), and the order of the group the generators close to
+    # on every pattern of the three certificates
+    for d, (_, expanded) in certificates.items():
+        for pattern in expanded:
+            pat = PatternHypergraph(pattern)
+            order = automorphism_count(pat)
+            assert generated_group_order(automorphism_generators(pattern), pat.v) == order
+            if d == 3:
+                assert reference_automorphism_count(pat) == order, pattern
