@@ -11,12 +11,14 @@ space for hyperedge generation is partitioned into fixed blocks of
 ``substream(seed, GEN_TAG, b)``, so blocks can be generated in any order
 (or in parallel) with results identical to sequential generation.
 
-Sampling costs one integer hash per empty block.  The first draw of a full
-block's stream decides whether the block keeps any rank, so that draw is
-computed with ``mix64`` and SplitMix64 inlined and compared with an integer
-cut computed once per call; a block whose draw clears the cut is skipped
-without building its stream.  Every other block runs its full draw
-sequence, so the ranks are the same as walking every block's stream.
+The first draw of a full block's stream decides whether the block keeps
+any rank: a block whose first 64-bit output clears an integer cut, computed
+once per call, is empty and is skipped without building its stream.  Those
+first outputs are computed for 4096 blocks at a time, one block per 128-bit
+lane of a single Python int, so an empty block costs a 4096th share of
+about thirty-five big-int operations instead of a hash of its own.  Every
+other block runs its full draw sequence, so the ranks are the same as
+walking every block's stream.
 
 Floating-point draws are ``(x >> 11) * 2**-53`` from 64-bit outputs, i.e.
 uniform on [0, 1) with 53 bits, identical on any IEEE-754 platform.
@@ -24,7 +26,9 @@ uniform on [0, 1) with 53 bits, identical on any IEEE-754 platform.
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import compress
 
 _MASK64 = (1 << 64) - 1
 
@@ -39,6 +43,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _EMPTY_MARGIN = 1 << 24  # draws between the empty-block threshold and the cut
+_CHUNK = 1 << 12  # rank blocks per lane-parallel empty-block test
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -103,10 +108,14 @@ def _live_blocks(seed: int, total: int, log1mp: float | None):
     A full block is empty exactly when the first gap drawn from its stream
     reaches past it, and that gap grows with the draw's 53-bit integer
     ``x = u64 >> 11``.  So full blocks whose first output is at least
-    ``_empty_cut`` are skipped after one inlined ``mix64`` and one
-    SplitMix64 step, without building their stream.  The last partial block
-    and every full block below the cut are yielded, and the caller walks
-    them with the unchanged draw sequence.
+    ``_empty_cut`` are skipped without building their stream.  The first
+    outputs of up to ``_CHUNK`` consecutive full blocks are computed at once,
+    one block per 128-bit lane of one int: ``mix64(seed, GEN_TAG, b)`` and
+    one SplitMix64 step, each lane masked to 64 bits before every multiply.
+    Lane value z then becomes ``2**64 + cut - 1 - z``, whose bit 64 is set
+    exactly when z < cut, and those bits pick the live blocks.  The last
+    partial block and every full block below the cut are yielded, and the
+    caller walks them with the unchanged draw sequence.
     """
     nfull, rest = divmod(total, BLOCK_SIZE)
     cut = None if log1mp is None or nfull == 0 else _empty_cut(log1mp)
@@ -116,22 +125,51 @@ def _live_blocks(seed: int, total: int, log1mp: float | None):
     # fold is mix64's state after absorbing seed and GEN_TAG; mix64(seed,
     # GEN_TAG, b) is one SplitMix64 output from state (fold ^ b) + gamma, and
     # the block stream's first output is one more step from there.
-    mask, gamma, m1, m2 = _MASK64, _GAMMA, _MIX1, _MIX2
     fold = 0x243F6A8885A308D3
     for v in (seed, GEN_TAG):
-        fold = ((fold ^ (v & mask)) + gamma) & mask
-    gamma2 = (2 * gamma) & mask
-    for b in range(nfull):
-        z = ((fold ^ b) + gamma2) & mask
-        z = ((z ^ (z >> 30)) * m1) & mask
-        z = ((z ^ (z >> 27)) * m2) & mask
-        z = ((z ^ (z >> 31)) + gamma) & mask
-        z = ((z ^ (z >> 30)) * m1) & mask
-        z = ((z ^ (z >> 27)) * m2) & mask
-        if z ^ (z >> 31) < cut:
-            yield b
+        fold = ((fold ^ (v & _MASK64)) + _GAMMA) & _MASK64
+    width = 0
+    for lo in range(0, nfull, _CHUNK):
+        n = min(_CHUNK, nfull - lo)
+        if n != width:  # the first chunk, and a shorter last one
+            width, keep = n, (1 << 128 * n) - 1
+            ones, steps = (c & keep for c in _lane_constants())
+            low, salt, gamma, gamma2, top = (
+                c * ones
+                for c in (_MASK64, fold, _GAMMA, 2 * _GAMMA & _MASK64, (1 << 64) + cut - 1)
+            )
+        z = ((lo * ones + steps) ^ salt) + gamma2 & low
+        z = _mix_lanes(_mix_lanes(z, low) + gamma & low, low)
+        live = (top - z).to_bytes(16 * n, "little")[8::16]
+        yield from compress(range(lo, lo + n), live)
     if rest:
         yield nfull
+
+
+@functools.cache
+def _lane_constants() -> tuple[int, int]:
+    """(ONES, STEPS) for _CHUNK lanes of 128 bits: 1 and i in lane i.
+
+    A lane is twice a 64-bit word wide, so a 64x64-bit product never leaves
+    it.  Built with explicit byte order, so the lanes are the same on any
+    platform, and on first use, so that an import that never samples a full
+    block does not pay for them.
+    """
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * _CHUNK, "little")
+    steps = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_CHUNK)), "little")
+    return ones, steps
+
+
+def _mix_lanes(z: int, low: int) -> int:
+    """The SplitMix64 output finalizer applied to every 64-bit lane of z.
+
+    Each lane of z holds at most 64 bits and ``low`` is 2**64 - 1 in every
+    lane; the bits that a right shift carries in from the next lane are
+    masked off before each multiply and at the end.
+    """
+    z = ((z ^ (z >> 30)) & low) * _MIX1 & low
+    z = ((z ^ (z >> 27)) & low) * _MIX2 & low
+    return (z ^ (z >> 31)) & low
 
 
 def _empty_cut(log1mp: float) -> int | None:
@@ -185,10 +223,10 @@ def bernoulli_ranks(seed: int, total: int, p: float) -> list[int]:
     """Ranks r in [0, total) kept by independent Bernoulli(p) trials.
 
     Uses geometric skip-sampling within each rank block, so the cost is
-    O(#kept + #blocks) rather than O(total).  An empty block costs one
-    integer hash of its index; every other block runs its full draw
-    sequence.  Equivalent in distribution to flipping one coin per rank, and
-    deterministic per (seed, total, p).
+    O(#kept + #blocks) rather than O(total).  Empty blocks are found 4096
+    at a time by one lane-parallel hash of their indices; every other block
+    runs its full draw sequence.  Equivalent in distribution to flipping one
+    coin per rank, and deterministic per (seed, total, p).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")

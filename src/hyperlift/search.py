@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 # stable_colors is not called here; perfbench/layers.py traces
 # search.stable_colors by name, so the name stays importable
 from .census import (
+    PatternTooLargeError,
     automorphism_generators,
     canonical_form,
     graph_canonical_form,
@@ -225,6 +226,8 @@ def grow(
     against a budget of the parent exponent plus the fresh vertices of h
     minus min_child_exponent; a branch is skipped once its members overrun
     the budget, and the number of skipped branches is returned alongside.
+    Without delta every covering collection is listed, so a family of more
+    than 16 subsets raises PatternTooLargeError instead.
     Returns (children, pruned).
     """
     edges = [tuple(sorted(e)) for e in pattern]
@@ -237,6 +240,8 @@ def grow(
         for s in combinations(h, size):
             if any(p not in proj for p in combinations(s, 2)):
                 family.append(s)
+    if delta is None and len(family) > 16:
+        raise PatternTooLargeError("unpruned grow lists every covering collection; <= 16 subsets")
     masks, full = cover_masks(universe, family)
     costs, budget = [0] * len(family), 0
     if delta is not None:

@@ -76,17 +76,17 @@ def test_generation_block_prefix_property():
 def test_rank_samplers_match_the_block_by_block_reference():
     draw = Stream(20261018)
     near_multiples = [k * BLOCK_SIZE + off for k in (1, 2, 3) for off in (-1, 0, 1)]
+    many = (2 * rng._CHUNK + 300) * BLOCK_SIZE  # past two lane-chunk boundaries
     for p in (1e-7, 1e-4, 0.01, 0.3, 0.9, 1 - 1e-12):
         totals = [1, 1000] + (near_multiples if p < 0.3 else near_multiples[:3])
         if p <= 1e-4:
-            totals.append(2000 * BLOCK_SIZE + 17)  # many blocks, mostly empty
+            totals.append(many + 17)  # many blocks, mostly empty
         for total in totals:
             for seed in (draw.u64(), draw.u64()):
                 expected = reference_bernoulli_ranks(seed, total, p)
                 assert bernoulli_ranks(seed, total, p) == expected, (seed, total, p)
     for seed in (-1, 2**64 + 3):  # seeds are folded modulo 2**64
-        total = 2000 * BLOCK_SIZE
-        assert bernoulli_ranks(seed, total, 1e-6) == reference_bernoulli_ranks(seed, total, 1e-6)
+        assert bernoulli_ranks(seed, many, 1e-6) == reference_bernoulli_ranks(seed, many, 1e-6)
 
 
 def test_thinned_ranks_match_the_reference_draw_for_draw():
@@ -109,13 +109,18 @@ def test_thinned_ranks_match_the_reference_draw_for_draw():
 
 
 def test_skipped_blocks_are_those_whose_first_draw_clears_the_cut():
-    log1mp = math.log1p(-1e-6)
-    cut = rng._empty_cut(log1mp)
-    total = 500 * BLOCK_SIZE + 3
+    # block counts around the lane-chunk boundaries; at p=1e-5 about half
+    # the blocks are live, so both outcomes of the lane compare occur
+    chunk = rng._CHUNK
+    counts = (500, chunk - 1, chunk, chunk + 1, 3 * chunk + 5)
     for seed in (0, 5, -9, 2**70 + 1):
-        live = list(rng._live_blocks(seed, total, log1mp))
-        first = [Stream(mix64(seed, GEN_TAG, b)).u64() for b in range(500)]
-        assert live == [b for b in range(500) if first[b] < cut] + [500]
+        first = [Stream(mix64(seed, GEN_TAG, b)).u64() for b in range(max(counts))]
+        for p in (1e-6, 1e-5):
+            log1mp = math.log1p(-p)
+            cut = rng._empty_cut(log1mp)
+            for nfull in counts:
+                live = list(rng._live_blocks(seed, nfull * BLOCK_SIZE + 3, log1mp))
+                assert live == [b for b in range(nfull) if first[b] < cut] + [nfull]
 
 
 @pytest.mark.parametrize("p", [1e-9, 1e-7, DensityParams(3, Fraction(1, 5), 5000).p, 1e-5, 1e-4])

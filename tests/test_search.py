@@ -5,6 +5,7 @@ acceptance suite checks their verdicts)."""
 
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,12 @@ from oracles import (
 )
 
 from hyperlift import search
-from hyperlift.census import PatternHypergraph, automorphism_count, automorphism_generators
+from hyperlift.census import (
+    PatternHypergraph,
+    PatternTooLargeError,
+    automorphism_count,
+    automorphism_generators,
+)
 from hyperlift.components import decompose
 from hyperlift.core import Graph, clique_hypergraph, project_edges
 from hyperlift.search import (
@@ -119,6 +125,17 @@ def test_grow_exponent_decrease_is_at_least_the_gap():
         for child in kids:
             child_exp = pattern_exponent(child, d, delta)
             assert child_exp <= parent - (threshold - delta)
+
+
+def test_unpruned_grow_refuses_a_family_too_large_to_list():
+    # nine of the ten pairs of h are new: 25 subsets, up to 2**25 collections
+    pattern, h = ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)), (0, 1, 8, 9, 10)
+    start = time.perf_counter()
+    with pytest.raises(PatternTooLargeError):
+        grow(pattern, h, 5)
+    assert time.perf_counter() - start < 1.0
+    kids, _ = grow(pattern, h, 5, Fraction(1, 2), Fraction(0))  # pruned: bounded
+    assert ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (0, 1, 8, 9, 10)) in kids
 
 
 def test_search_config_depth_default_and_validation():
