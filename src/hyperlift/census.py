@@ -4,12 +4,11 @@ Everything here is exact: densities, optimization values and thresholds are
 Fractions, isomorphism is decided by a canonical form, and floating point
 is banned.  The pieces:
 
-- canonical labeling of colored hypergraphs by iterative color refinement
-  plus individualize-and-refine backtracking (exact at pattern sizes this
-  package cares about, <= ~20 vertices);
-- a strong generating set of the automorphism group by
-  individualize-and-refine, and |Aut(K)| as the product of its basic
-  orbit lengths;
+- one individualize-and-refine search tree over iterative color
+  refinement, giving the canonical form of a colored hypergraph (its least
+  leaf), a strong generating set of its automorphism group (pruning the
+  tree as it is found) and |Aut(K)| as the product of the basic orbit
+  lengths;
 - max sub-hypergraph density m(K) = max e'/v' over nonempty hyperedge
   subsets, computed exactly by Dinkelbach iteration over a
   project-selection min cut;
@@ -27,6 +26,7 @@ is banned.  The pieces:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -83,8 +83,12 @@ class PatternHypergraph:
     @property
     def canonical_form(self) -> bytes:
         if self._canon is None:
-            self._canon = canonical_form(self.edges)
+            self._search()
         return self._canon
+
+    def _search(self) -> None:
+        # the canonical form and |Aut| come from one search tree
+        self._canon, _, self._aut = _search_tree(self.v, self.edges, [0] * self.e)
 
     def is_uniform(self, d: int) -> bool:
         return all(len(e) == d for e in self.edges)
@@ -105,7 +109,7 @@ class PatternHypergraph:
 
 
 # ---------------------------------------------------------------------------
-# Canonical labeling (colored hyperedges), refinement + backtracking
+# Canonical labeling and automorphisms: one individualize-and-refine tree
 # ---------------------------------------------------------------------------
 
 
@@ -152,12 +156,105 @@ def stable_colors(edges: Sequence[Sequence[int]]) -> list:
     """The stable refinement coloring of a pattern's vertices (0..v-1).
 
     Isomorphism-invariant: automorphic vertices always share a color.  Not
-    a canonical form by itself; it orders the base of
-    automorphism_generators.
+    a canonical form by itself; it is the root of _search_tree's tree.
     """
     edges = [tuple(sorted(e)) for e in edges]
     n = max((u for e in edges for u in e), default=-1) + 1
     return _refine(n, edges, [0] * len(edges), _incidence(n, edges), [0] * n)
+
+
+def _search_tree(n: int, edges: Sequence[tuple], edge_colors: Sequence[int]) -> tuple:
+    """(canonical form, strong generating set, |Aut|) of a colored
+    hypergraph over vertices 0..n-1, from one individualize-and-refine tree.
+
+    A node is a refined coloring, its children individualize each vertex of
+    its first non-singleton cell, and a leaf (discrete) is coded by its
+    relabeled colored edge list; the canonical form is the least code.  The
+    first path individualizes the least vertex of each cell: the base
+    b_0, b_1, ....  Levels are searched deepest first, so at level i every
+    leaf seen so far lies below b_i.  A cellmate w of b_i is skipped when
+    an automorphism found so far maps it to b_i or to a cellmate already
+    searched (its subtree is an image of theirs), and a twin of b_i (same
+    incident edges) is swapped with it outright.  Otherwise the subtree of
+    w is searched, cellmates with identical incident edges pruned to one,
+    until a leaf has the code of the least leaf below b_i: the leaf pair
+    is an automorphism fixing b_0..b_{i-1} and sending b_i to w.  When
+    level i is done the generators generate the stabilizer of
+    b_0..b_{i-1}, so |Aut| is the product of the orbit lengths of the b_i.
+    """
+    incident = _incidence(n, edges)
+    twins = [frozenset(incident[v]) for v in range(n)]
+
+    def child(colors: list, v: int) -> list:
+        branched = [2 * c for c in colors]
+        branched[v] -= 1
+        return _refine(n, edges, edge_colors, incident, branched)
+
+    def first_cell(colors: list) -> Optional[list]:
+        sizes = Counter(colors)
+        c = min((c for c, k in sizes.items() if k > 1), default=None)
+        return None if c is None else [v for v in range(n) if colors[v] == c]
+
+    def encode(leaf: list) -> bytes:  # a discrete coloring ranks 0..n-1
+        return repr(
+            sorted(
+                (edge_colors[ei], tuple(sorted(leaf[u] for u in e)))
+                for ei, e in enumerate(edges)
+            )
+        ).encode()
+
+    path = [_refine(n, edges, edge_colors, incident, [0] * n)]
+    base: list = []
+    while (cell := first_cell(path[-1])) is not None:
+        base.append(cell[0])
+        path.append(child(path[-1], cell[0]))
+    best = (encode(path[-1]), path[-1])
+
+    def explore(colors: list, ref: bytes) -> Optional[list]:
+        # the first leaf coded ref below colors, if any; keeps the least leaf
+        nonlocal best
+        cell = first_cell(colors)
+        if cell is None:
+            code = encode(colors)
+            if code < best[0]:
+                best = (code, colors)
+            return colors if code == ref else None
+        seen: set = set()
+        for v in cell:
+            if twins[v] not in seen:
+                seen.add(twins[v])
+                leaf = explore(child(colors, v), ref)
+                if leaf is not None:
+                    return leaf
+        return None
+
+    generators: list = []
+    order = 1
+    for i in reversed(range(len(base))):
+        b, colors = base[i], path[i]
+        ref, ref_leaf = best
+        searched: list = []
+        covered = _orbit(b, generators)
+        for w in range(n):
+            if colors[w] != colors[b] or w in covered:
+                continue
+            if twins[w] == twins[b]:
+                image = list(range(n))
+                image[b], image[w] = w, b
+            else:
+                leaf = explore(child(colors, w), ref)
+                if leaf is None:
+                    searched.append(w)
+                    covered |= _orbit(w, generators)
+                    continue
+                at = [0] * n
+                for u, c in enumerate(leaf):
+                    at[c] = u
+                image = [at[c] for c in ref_leaf]
+            generators.append(image)
+            covered = set().union(*(_orbit(u, generators) for u in [b] + searched))
+        order *= len(_orbit(b, generators))
+    return best[0], generators, order
 
 
 def canonical_form(
@@ -165,67 +262,17 @@ def canonical_form(
 ) -> bytes:
     """A byte string equal for two colored hypergraphs iff they are isomorphic.
 
-    Exact (individualize-and-refine explores every refinement-compatible
-    labeling); intended for patterns of at most ~20 vertices.
+    The least leaf code of the individualize-and-refine tree (_search_tree);
+    exact, and intended for patterns of at most ~20 vertices.
     """
     edges = [tuple(sorted(e)) for e in edges]
-    if edge_colors is None:
-        edge_colors = [0] * len(edges)
-    else:
-        edge_colors = list(edge_colors)
+    edge_colors = [0] * len(edges) if edge_colors is None else list(edge_colors)
     vertices = sorted({u for e in edges for u in e})
+    if not vertices:
+        return b"empty"
     relabel = {u: i for i, u in enumerate(vertices)}
     edges = [tuple(relabel[u] for u in e) for e in edges]
-    n = len(vertices)
-    if n == 0:
-        return b"empty"
-    incident = _incidence(n, edges)
-    best: Optional[bytes] = None
-
-    def encode(colors: Sequence[int]) -> bytes:
-        pos = [0] * n
-        for i, v in enumerate(sorted(range(n), key=lambda u: colors[u])):
-            pos[v] = i
-        relabeled = sorted(
-            (edge_colors[ei], tuple(sorted(pos[u] for u in e)))
-            for ei, e in enumerate(edges)
-        )
-        return repr(relabeled).encode()
-
-    incidence_key = [frozenset(incident[v]) for v in range(n)]
-
-    def search(colors: list) -> None:
-        nonlocal best
-        colors = _refine(n, edges, edge_colors, incident, colors)
-        cells: dict = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
-            cand = encode(colors)
-            if best is None or cand < best:
-                best = cand
-            return
-        # cellmates with identical incident-edge sets are swapped by an
-        # automorphism, so one representative per incidence class suffices
-        seen_keys = set()
-        for v in target:
-            key = incidence_key[v]
-            if key in seen_keys:
-                continue
-            seen_keys.add(key)
-            branched = [2 * c for c in colors]
-            branched[v] -= 1
-            search(branched)
-
-    search([0] * n)
-    if best is None:
-        raise RuntimeError("canonical_form: the refinement search reached no leaf")
-    return best
+    return _search_tree(len(vertices), edges, edge_colors)[0]
 
 
 def graph_canonical_form(g: Graph) -> bytes:
@@ -238,88 +285,24 @@ def graph_canonical_form(g: Graph) -> bytes:
 
 def automorphism_count(pattern: PatternHypergraph) -> int:
     """|Aut(K)|: the product of the basic orbit lengths of the strong
-    generating set automorphism_generators builds, memoized on the pattern.
+    generating set automorphism_generators builds, memoized on the pattern
+    with its canonical form.
     """
     if pattern._aut is None:
-        pattern._aut = _automorphism_group(pattern.edges)[1]
+        pattern._search()
     return pattern._aut
 
 
 def automorphism_generators(edges: Sequence[Sequence[int]]) -> list:
     """A strong generating set of Aut(K) for edges over vertices 0..v-1.
 
-    Each generator is an image list g (vertex u maps to g[u]).  The base is
-    the vertices sorted by (stable color, label); prefix i is the refined
-    coloring with base points b_0..b_{i-1} individualized in turn.  From the
-    deepest level up, every cellmate w of b_i in prefix i that is not yet in
-    b_i's orbit gets one automorphism fixing b_0..b_{i-1} and sending
-    b_i to w, if one exists; the generators found at levels >= i then
-    generate the stabilizer of b_0..b_{i-1}, so all of them generate Aut(K).
-    """
-    return _automorphism_group(edges)[0]
-
-
-def _automorphism_group(edges: Sequence[Sequence[int]]) -> tuple:
-    """(automorphism_generators(edges), |Aut(K)|).
-
-    When level i is done, b_i's orbit under the generators found so far is
-    its orbit under the stabilizer of b_0..b_{i-1}, so |Aut(K)| is the
-    product of these basic orbit lengths.
+    Each generator is an image list g (vertex u maps to g[u]); the base is
+    the first path of _search_tree, and the generators found at levels >= i
+    generate the stabilizer of b_0..b_{i-1}.
     """
     edges = [tuple(sorted(e)) for e in edges]
     n = max((u for e in edges for u in e), default=-1) + 1
-    incident = _incidence(n, edges)
-    edge_colors = [0] * len(edges)
-    edge_set = set(edges)
-
-    def individualize(colors: list, v: int) -> list:
-        branched = [2 * c for c in colors]
-        branched[v] -= 1
-        return _refine(n, edges, edge_colors, incident, branched)
-
-    def isomorphism(left: list, right: list) -> Optional[list]:
-        # a map sending every vertex of color c in left to one of color c in
-        # right and every edge to an edge, found by individualize-and-refine
-        if sorted(left) != sorted(right):
-            return None
-        cells: dict = {}
-        for v, c in enumerate(left):
-            cells.setdefault(c, []).append(v)
-        target = next((cell for cell in cells.values() if len(cell) > 1), None)
-        if target is None:
-            at = {c: w for w, c in enumerate(right)}
-            image = [at[c] for c in left]
-            if all(tuple(sorted(image[u] for u in e)) in edge_set for e in edges):
-                return image
-            return None
-        v = target[0]
-        branched = individualize(left, v)
-        for w in range(n):
-            if right[w] == left[v]:
-                image = isomorphism(branched, individualize(right, w))
-                if image is not None:
-                    return image
-        return None
-
-    stable = _refine(n, edges, edge_colors, incident, [0] * n)
-    base = sorted(range(n), key=lambda v: (stable[v], v))
-    prefixes = [stable]
-    while len(set(prefixes[-1])) < n:
-        prefixes.append(individualize(prefixes[-1], base[len(prefixes) - 1]))
-    generators: list = []
-    order = 1
-    for i in reversed(range(len(prefixes) - 1)):  # the last prefix is discrete
-        b, colors = base[i], prefixes[i]
-        orbit = _orbit(b, generators)
-        for w in range(n):
-            if w in orbit or colors[w] != colors[b]:
-                continue
-            image = isomorphism(prefixes[i + 1], individualize(colors, w))
-            if image is not None:
-                generators.append(image)
-                orbit = _orbit(b, generators)
-        order *= len(orbit)
-    return generators, order
+    return _search_tree(n, edges, [0] * len(edges))[1]
 
 
 def _orbit(point: int, generators: Sequence[Sequence[int]]) -> set:

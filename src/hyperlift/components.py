@@ -47,15 +47,11 @@ class ComponentPartition:
     component ascending, so the partition is deterministic.
     """
 
-    __slots__ = ("hypergraph", "components", "vertex_sets")
+    __slots__ = ("hypergraph", "components")
 
     def __init__(self, hypergraph: Hypergraph, components: Sequence[Sequence[int]]):
         self.hypergraph = hypergraph
         self.components = tuple(tuple(c) for c in components)
-        self.vertex_sets = tuple(
-            frozenset(v for i in comp for v in hypergraph.edges[i])
-            for comp in self.components
-        )
 
     def sizes(self) -> list:
         return [len(c) for c in self.components]

@@ -74,9 +74,6 @@ class Hypergraph:
             raise ValueError("union requires matching (n, d)")
         return Hypergraph(self.n, self.d, self.edges + other.edges)
 
-    def vertex_support(self) -> set:
-        return {v for e in self.edges for v in e}
-
 
 class Graph:
     """A simple undirected graph with O(1) edge membership and adjacency sets.
@@ -104,9 +101,6 @@ class Graph:
         self.edge_set = frozenset(canon)
         self.adj = tuple(frozenset(s) for s in adj)
         self._cliques: dict = {}
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edge_set
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges

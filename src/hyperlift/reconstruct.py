@@ -68,7 +68,7 @@ def clique_cover(g: Graph, d: int) -> ReconstructionResult:
 
 
 def map_reconstruct(
-    g: Graph, d: int, component_limit: int = 40, cover_cap: int = 16
+    g: Graph, d: int, component_limit: int = 40
 ) -> ReconstructionResult:
     """Exact MAP: minimum preimage, decomposed over 2-connected components.
 
@@ -99,7 +99,7 @@ def map_reconstruct(
         universe = set()
         for c in candidates:
             universe.update(combinations(c, 2))
-        r, covers, amb = solve_cover(universe, candidates, cap=cover_cap)
+        r, covers, amb = solve_cover(universe, candidates, cap=2)
         # components are built from their own candidates, so always feasible
         chosen.extend(covers[0])
         ambiguous += bool(amb)

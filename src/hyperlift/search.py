@@ -74,7 +74,6 @@ class SearchConfig:
     dedup: bool = True
     strict_neighbors: bool = True
     include_single_root: bool = False
-    cover_cap: int = 4
 
     def __post_init__(self):
         if self.d < 3:
@@ -267,11 +266,11 @@ def grow(
     return children, pruned
 
 
-def _check_ambiguous(pattern: Pattern, d: int, cap: int):
+def _check_ambiguous(pattern: Pattern, d: int):
     """Run the preimage engine on Proj(pattern); return a report or None."""
     v = len({u for e in pattern for u in e})
     g = Graph(v, project_edges(pattern))
-    rep = min_preimage(g, d, vertex_bound=max(64, v), cap=max(2, cap))
+    rep = min_preimage(g, d, vertex_bound=max(64, v), cap=2)
     if rep.feasible and rep.ambiguous:
         return g, rep
     return None
@@ -314,7 +313,7 @@ def dfs_search(config: SearchConfig) -> SearchReport:
         report.nodes_visited += 1
         exp = pattern_exponent(pattern, d, delta)
         if exp >= 0:
-            hit = _check_ambiguous(pattern, d, config.cover_cap)
+            hit = _check_ambiguous(pattern, d)
             if hit is not None:
                 g, rep = hit
                 key = graph_canonical_form(g)

@@ -4,6 +4,7 @@ Deliberately dumb: subset enumeration and bitmask ORs only, no shared code
 with the branch-and-bound / flow paths they verify.  Also the Pasch-trade
 witness and the effective density exponent behind acceptance criterion 9,
 the block-by-block rank samplers that the fast ones must reproduce, the
+full-tree canonical form that the one-tree search must reproduce, the
 canonical-form candidate dedup that the orbit dedup must reproduce, the
 solve-every-component MAP that the singleton rule must reproduce, the
 growth step's own collection DFS that the shared cover enumerator must
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
-from hyperlift.census import PatternTooLargeError, _refine, canonical_form, stable_colors
+from hyperlift.census import PatternTooLargeError, _incidence, _refine, stable_colors
 from hyperlift.components import decompose
 from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project, project_edges
 from hyperlift.preimage import solve_cover
@@ -220,6 +221,74 @@ def reference_thinned_ranks(seed: int, total: int, p_max: float, keep) -> list[i
     return out
 
 
+def reference_canonical_form(
+    edges: Sequence[Sequence[int]], edge_colors: Optional[Sequence[int]] = None
+) -> bytes:
+    """The least leaf code over the whole individualize-and-refine tree,
+    cellmates with identical incident edges pruned to one and nothing else
+    pruned: the canonical form the one-tree search must reproduce byte for
+    byte.
+    """
+    edges = [tuple(sorted(e)) for e in edges]
+    if edge_colors is None:
+        edge_colors = [0] * len(edges)
+    else:
+        edge_colors = list(edge_colors)
+    vertices = sorted({u for e in edges for u in e})
+    relabel = {u: i for i, u in enumerate(vertices)}
+    edges = [tuple(relabel[u] for u in e) for e in edges]
+    n = len(vertices)
+    if n == 0:
+        return b"empty"
+    incident = _incidence(n, edges)
+    best: Optional[bytes] = None
+
+    def encode(colors: Sequence[int]) -> bytes:
+        pos = [0] * n
+        for i, v in enumerate(sorted(range(n), key=lambda u: colors[u])):
+            pos[v] = i
+        relabeled = sorted(
+            (edge_colors[ei], tuple(sorted(pos[u] for u in e)))
+            for ei, e in enumerate(edges)
+        )
+        return repr(relabeled).encode()
+
+    incidence_key = [frozenset(incident[v]) for v in range(n)]
+
+    def search(colors: list) -> None:
+        nonlocal best
+        colors = _refine(n, edges, edge_colors, incident, colors)
+        cells: dict = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = None
+        for c in sorted(cells):
+            if len(cells[c]) > 1:
+                target = cells[c]
+                break
+        if target is None:
+            cand = encode(colors)
+            if best is None or cand < best:
+                best = cand
+            return
+        # cellmates with identical incident-edge sets are swapped by an
+        # automorphism, so one representative per incidence class suffices
+        seen_keys = set()
+        for v in target:
+            key = incidence_key[v]
+            if key in seen_keys:
+                continue
+            seen_keys.add(key)
+            branched = [2 * c for c in colors]
+            branched[v] -= 1
+            search(branched)
+
+    search([0] * n)
+    if best is None:
+        raise RuntimeError("reference_canonical_form: the refinement search reached no leaf")
+    return best
+
+
 def reference_candidate_neighbors(
     pattern: Sequence[tuple], d: int, strict: bool = True
 ) -> list:
@@ -272,12 +341,12 @@ def reference_candidate_neighbors(
             h = tuple(chosen) + tuple(range(v, v + d - k))
             bucket = buckets.setdefault(fingerprint, [])
             if bucket:
-                key = canonical_form(edges + [h], base_colors + [1])
+                key = reference_canonical_form(edges + [h], base_colors + [1])
                 if len(bucket) == 1 and bucket[0][1] is None:
                     first_h = bucket[0][0]
                     bucket[0] = (
                         first_h,
-                        canonical_form(edges + [first_h], base_colors + [1]),
+                        reference_canonical_form(edges + [first_h], base_colors + [1]),
                     )
                 if any(key == known for _, known in bucket):
                     continue

@@ -12,6 +12,7 @@ from oracles import (
     brute_max_density,
     generated_group_order,
     reference_automorphism_count,
+    reference_canonical_form,
 )
 
 from hyperlift.census import (
@@ -109,12 +110,32 @@ def test_canonical_form_respects_edge_colors():
     assert marked == marked_other
 
 
+def test_canonical_form_matches_the_full_tree_reference_on_random_inputs():
+    # seeded random hypergraphs with edges of 2..4 vertices, plain and with
+    # random edge colors, each also under a random relabeling
+    rng = Stream(2014)
+    for case in range(400):
+        n = 2 + rng.randrange(10)
+        edges = []
+        for _ in range(1 + rng.randrange(10)):
+            members = list(range(n))
+            rng.shuffle(members)
+            edges.append(tuple(members[: 2 + rng.randrange(min(3, n - 1))]))
+        colors = None if case % 2 == 0 else [rng.randrange(3) for _ in edges]
+        key = reference_canonical_form(edges, colors)
+        assert canonical_form(edges, colors) == key, (edges, colors)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = [tuple(perm[u] for u in e) for e in edges]
+        assert canonical_form(relabeled, colors) == key, (edges, colors, perm)
+
+
 def test_automorphism_examples():
     assert automorphism_count(PatternHypergraph([(0, 1, 2)])) == 6
     assert automorphism_count(PatternHypergraph([(0, 1, 2), (0, 1, 3)])) == 4
     assert automorphism_count(PatternHypergraph([(0, 1, 2), (3, 4, 5)])) == 72
     f = math.factorial
-    for d in range(3, 7):
+    for d in range(3, 11):
         ambiguous = build_ambiguous_gadget(d)[0]
         assert automorphism_count(ambiguous) == f(d - 1) * f(d - 2) ** (2 * (d - 1))
         map_failure = build_map_failure_gadget(d)
@@ -130,9 +151,11 @@ def test_automorphism_count_is_memoized_on_the_pattern(monkeypatch):
     import hyperlift.census as census
 
     pat = PatternHypergraph([(0, 1, 2), (0, 1, 3)])
+    form = canonical_form(pat.edges)
     assert automorphism_count(pat) == 4
-    monkeypatch.setattr(census, "_automorphism_group", None)
+    monkeypatch.setattr(census, "_search_tree", None)
     assert automorphism_count(pat) == 4
+    assert pat.canonical_form == form  # filled in by the same search
 
 
 def test_automorphism_count_against_orbit_size():

@@ -35,7 +35,8 @@ def test_decompose_examples():
     h = Hypergraph(8, 3, [(1, 2, 3), (2, 3, 4), (5, 6, 7)])
     part = decompose(h)
     assert part.components == ((0, 1), (2,))
-    assert part.vertex_sets == (frozenset({1, 2, 3, 4}), frozenset({5, 6, 7}))
+    assert part.component_edges(0) == [(1, 2, 3), (2, 3, 4)]
+    assert part.component_edges(1) == [(5, 6, 7)]
 
     single = decompose(Hypergraph(4, 3, [(0, 1, 2)]))
     assert single.components == ((0,),)

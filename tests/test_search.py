@@ -1,7 +1,8 @@
 """Growth enumeration and the pruned ambiguity search.  The three pilot
 certificates run once per module: their counters and the d=3 report are
-pinned, and the patterns they expand feed the candidate-dedup oracle (the
-acceptance suite checks their verdicts)."""
+pinned, the patterns they expand feed the candidate-dedup oracle, and the
+patterns they canonicalize feed the canonical-form oracle (the acceptance
+suite checks their verdicts)."""
 
 import hashlib
 import json
@@ -10,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import (
     generated_group_order,
     reference_automorphism_count,
     reference_candidate_neighbors,
+    reference_canonical_form,
     reference_grow,
 )
 
@@ -23,6 +26,7 @@ from hyperlift.census import (
     PatternTooLargeError,
     automorphism_count,
     automorphism_generators,
+    canonical_form,
 )
 from hyperlift.components import decompose
 from hyperlift.core import Graph, clique_hypergraph, project_edges
@@ -47,20 +51,28 @@ D3_REPORT_SHA256 = "100a1d96661f74780f2e860f89deedf85cb510b511968531eb6c180f87d1
 
 @pytest.fixture(scope="module")
 def certificates():
-    """Each certificate's report and the patterns its search expanded."""
+    """Each certificate's report, the patterns its search expanded and the
+    patterns it canonicalized."""
     expanded: list = []
+    canonicalized: list = []
 
     def recording(pattern, d, strict=True):
         expanded.append(pattern)
         return candidate_neighbors(pattern, d, strict=strict)
 
+    def canonicalizing(edges):
+        canonicalized.append(edges)
+        return canonical_form(edges)
+
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "candidate_neighbors", recording)
+        mp.setattr(search, "canonical_form", canonicalizing)
         for d, delta, depth in CERTIFICATES:
             expanded.clear()
+            canonicalized.clear()
             report = dfs_search(SearchConfig(d, delta, max_depth=depth))
-            runs[d] = (report, list(expanded))
+            runs[d] = (report, list(expanded), list(canonicalized))
     return runs
 
 
@@ -199,7 +211,7 @@ def test_pattern_exponent_root_values():
 
 def test_search_d5_at_one_half_certifies_no_ambiguity(certificates):
     # the d=5 companion of the d=4 acceptance run: exhaustive, no classes
-    report, _ = certificates[5]
+    report = certificates[5][0]
     assert report.exhausted
     assert report.ambiguous_found == []
     assert report.nodes_visited >= 3  # roots k=2,3,4 at least
@@ -207,7 +219,7 @@ def test_search_d5_at_one_half_certifies_no_ambiguity(certificates):
 
 def test_certificate_counters_and_d3_report_are_pinned(certificates):
     for (d, _, _), counters in CERTIFICATES.items():
-        report, _ = certificates[d]
+        report = certificates[d][0]
         assert report.exhausted
         assert (
             report.nodes_visited,
@@ -223,7 +235,7 @@ def test_certificate_counters_and_d3_report_are_pinned(certificates):
 def test_orbit_dedup_matches_canonical_form_dedup(certificates, d, strict):
     # same candidates in the same order as dedup by marked canonical forms,
     # on every pattern the certificate expanded
-    _, expanded = certificates[d]
+    expanded = certificates[d][1]
     assert expanded
     for pattern in expanded:
         assert candidate_neighbors(pattern, d, strict) == (
@@ -231,12 +243,36 @@ def test_orbit_dedup_matches_canonical_form_dedup(certificates, d, strict):
         ), pattern
 
 
+def test_canonical_form_matches_the_full_tree_reference(certificates, monkeypatch):
+    # byte for byte on every pattern the certificates canonicalized, and on
+    # the patterns with one marked hyperedge that the candidate-dedup oracle
+    # builds from the expanded patterns of the d=3 and d=5 certificates
+    plain = [p for _, _, canonicalized in certificates.values() for p in canonicalized]
+    assert len(plain) == 4126
+    for pattern in plain:
+        assert canonical_form(pattern) == reference_canonical_form(pattern), pattern
+    marked: list = []
+
+    def recording(edges, edge_colors=None):
+        key = reference_canonical_form(edges, edge_colors)
+        marked.append((edges, edge_colors, key))
+        return key
+
+    monkeypatch.setattr(oracles, "reference_canonical_form", recording)
+    for d in (3, 5):
+        for pattern in certificates[d][1]:
+            reference_candidate_neighbors(pattern, d)
+    assert len(marked) > 9000
+    for edges, colors, key in marked:
+        assert canonical_form(edges, colors) == key, (edges, colors)
+
+
 @pytest.mark.parametrize("d", [3, 5])
 def test_grow_matches_reference_collection_dfs(certificates, d):
     # the same children in the same order and the same pruned count as the
     # growth step's own bitmask DFS, for every candidate of every pattern
     # the certificate expanded, with the search's exponent floor and without
-    report, expanded = certificates[d]
+    report, expanded, _ = certificates[d]
     delta = report.config.delta
     for pattern in expanded:
         for h in candidate_neighbors(pattern, d):
@@ -253,7 +289,7 @@ def test_automorphism_count_on_expanded_patterns(certificates):
     # the backtracking reference on the d=3 patterns (it takes minutes on
     # some d=4 ones), and the order of the group the generators close to
     # on every pattern of the three certificates
-    for d, (_, expanded) in certificates.items():
+    for d, (_, expanded, _) in certificates.items():
         for pattern in expanded:
             pat = PatternHypergraph(pattern)
             order = automorphism_count(pat)
