@@ -131,25 +131,39 @@ def _refine(
 ) -> list:
     """Refine vertex colors to a stable equitable partition.
 
-    A vertex's signature is its color plus the sorted multiset of
-    (edge color, sorted member-color multiset) over incident edges; ranks
-    are reassigned by sorted signature, which preserves and refines the
-    previous class order, so the loop terminates at a fixed point.
+    A vertex's signature is its color plus the sorted multiset of the ranks
+    of its incident edges' profiles (edge color, sorted member-color
+    multiset); ranks are reassigned by sorted signature, which preserves and
+    refines the previous class order.  Ranking the profiles first changes no
+    comparison: the rank is strictly increasing in the profile, so sorted
+    rank tuples compare as the sorted profile tuples would.  A vertex alone
+    in its class keeps an empty multiset: the color, which no other vertex
+    has, already decides every comparison it enters.
+
+    The loop stops at the first round that splits no class.  Such a round's
+    ranks are a strictly increasing relabeling of the colors it started
+    from, so every signature of a further round would compare as in this
+    one and that round would return these ranks unchanged; they are the
+    fixed point, returned one round early.
     """
     while True:
-        edge_profiles = [
-            (edge_colors[ei], tuple(sorted(colors[u] for u in e)))
+        size: dict = {}  # class sizes
+        for c in colors:
+            size[c] = size.get(c, 0) + 1
+        profiles = [
+            (edge_colors[ei], tuple(sorted([colors[u] for u in e])))
             for ei, e in enumerate(edges)
         ]
+        profile_rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
+        ranked = [profile_rank[p] for p in profiles]
         sigs = [
-            (colors[v], tuple(sorted(edge_profiles[ei] for ei in incident[v])))
-            for v in range(n)
+            (c, tuple(sorted([ranked[ei] for ei in incident[v]])) if size[c] > 1 else ())
+            for v, c in enumerate(colors)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
+        colors = [rank[s] for s in sigs]
+        if len(rank) == len(size):
             return colors
-        colors = new
 
 
 def stable_colors(edges: Sequence[Sequence[int]]) -> list:
@@ -267,6 +281,8 @@ def canonical_form(
     """
     edges = [tuple(sorted(e)) for e in edges]
     edge_colors = [0] * len(edges) if edge_colors is None else list(edge_colors)
+    if len(edge_colors) != len(edges):
+        raise ValueError(f"{len(edge_colors)} edge colors for {len(edges)} edges")
     vertices = sorted({u for e in edges for u in e})
     if not vertices:
         return b"empty"

@@ -18,16 +18,19 @@ was found so far.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 # stable_colors is not called here; perfbench/layers.py traces
 # search.stable_colors by name, so the name stays importable
 from .census import (
     PatternTooLargeError,
+    _incidence,
     automorphism_generators,
     canonical_form,
     graph_canonical_form,
@@ -78,6 +81,11 @@ class SearchConfig:
     def __post_init__(self):
         if self.d < 3:
             raise ValueError(f"need d >= 3, got {self.d}")
+        if not isinstance(self.delta, numbers.Rational):
+            raise ValueError(
+                f"delta={self.delta!r} must be exact (an int or a Fraction); "
+                "a float would make max_depth inexact"
+            )
         if not 0 <= self.delta <= 1:
             raise ValueError(f"delta={self.delta} outside [0, 1]")
         if self.node_budget <= 0:
@@ -166,8 +174,18 @@ def candidate_neighbors(
     The fresh labels lie in no pattern edge, so (pattern, h) and
     (pattern, h') are isomorphic with h marked exactly when their k-sets
     lie in one orbit of Aut(pattern); both filters above are invariant
-    under Aut(pattern).  The result is the first k-set of each orbit in
-    combinations order, orbits closed under automorphism_generators.
+    under Aut(pattern).  The result is the lex-least k-set of each orbit,
+    k by k in lex order, orbits closed under automorphism_generators.
+
+    Only twin-canonical k-sets are walked: twins are vertices with the same
+    incident edges, and a twin-canonical set takes the least members of
+    each twin class it meets.  Swapping two twins is an automorphism and an
+    automorphism maps twin classes onto twin classes, so a k-set's orbit is
+    fixed by its count per class, and the generators act on those counts.
+    Trading a member for a smaller unused twin makes a k-set lex-smaller,
+    so the lex-least k-set of an orbit is twin-canonical: the list and its
+    order are those of walking every k-set, at a cost that follows the
+    number of twin-canonical k-sets, not C(v, k).
     """
     edges = [tuple(sorted(e)) for e in pattern]
     support = sorted({u for e in edges for u in e})
@@ -179,28 +197,93 @@ def candidate_neighbors(
     cli_pairs = set()
     for c in cli:
         cli_pairs.update(combinations(c, 2))
-    generators = automorphism_generators(edges)
+    classes: dict = {}  # incident edges -> the twin class, ascending
+    for u, incident in enumerate(_incidence(v, edges)):
+        classes.setdefault(tuple(incident), []).append(u)
+    twins: list = [None] * v  # u -> u's twin class
+    rank = [0] * v  # u -> u's index in its class
+    for group in classes.values():
+        for i, u in enumerate(group):
+            twins[u], rank[u] = group, i
+    # g maps u's class onto g(u)'s; sending the i-th member of a class to
+    # the i-th member of its image maps a twin-canonical set onto the
+    # twin-canonical set with g's image counts per class.  Twin swaps act
+    # as the identity, and only distinct actions are kept.
+    actions: list = []
+    for g in automorphism_generators(edges):
+        action = [twins[g[u]][rank[u]] for u in range(v)]
+        if action != list(range(v)) and action not in actions:
+            actions.append(action)
     seen: set = set()
     out: list = []
+    level: Iterable = [(u,) for u in range(v) if not rank[u]]
     for k in range(2, d + 1):
-        for chosen in combinations(range(v), k):
-            if strict:
-                if not any(p in cli_pairs for p in combinations(chosen, 2)):
-                    continue
-            if k == d and all(p in proj for p in combinations(chosen, 2)):
+        # twin-canonical k-sets in lex order: u joins only after its
+        # smaller twin, and extending a lex-ordered level keeps the order
+        grown = (
+            s + (u,)
+            for s in level
+            for u in range(s[-1] + 1, v)
+            if not rank[u] or twins[u][rank[u] - 1] in s
+        )
+        level = list(grown) if k < d else grown  # the last level is walked once
+        for chosen in level:
+            if strict and cli_pairs.isdisjoint(combinations(chosen, 2)):
+                continue
+            if k == d and proj.issuperset(combinations(chosen, 2)):
                 continue  # already a clique of the projection
             if chosen in seen:
                 continue
             orbit = [chosen]
             seen.add(chosen)
             for s in orbit:
-                for g in generators:
-                    image = tuple(sorted(g[u] for u in s))
+                for a in actions:
+                    image = tuple(sorted([a[u] for u in s]))
                     if image not in seen:
                         seen.add(image)
                         orbit.append(image)
             out.append(chosen + tuple(range(v, v + d - k)))
     return out
+
+
+@lru_cache(maxsize=1)
+def _pattern_facts(pattern: tuple) -> tuple:
+    """(edges, support, largest vertex, projection) of a pattern; the
+    search grows one pattern by each of its candidates in a row, so one
+    entry suffices."""
+    edges = tuple(tuple(sorted(e)) for e in pattern)
+    support = frozenset(u for e in edges for u in e)
+    return edges, support, max(support), frozenset(project_edges(edges))
+
+
+@lru_cache(maxsize=4096)
+def _growth_covers(
+    d: int, size: int, known: tuple, delta: Optional[tuple], budget: int
+) -> tuple:
+    """(family, covers, cut) of growing a candidate of ``size`` vertices,
+    known[i] telling whether its i-th pair in combinations order already
+    lies in Proj(pattern), with delta given as (numerator, denominator):
+    family members are tuples of positions in the sorted candidate, covers
+    index the family, and cut is covers_within's count of cut steps."""
+    pairs = combinations(range(size), 2)
+    universe = [p for p, old in zip(pairs, known) if not old]
+    new = set(universe)
+    family = [
+        s
+        for r in range(2, d + 1)
+        for s in combinations(range(size), r)
+        if any(p in new for p in combinations(s, 2))
+    ]
+    if delta is None and len(family) > 16:
+        raise PatternTooLargeError("unpruned grow lists every covering collection; <= 16 subsets")
+    masks, full = cover_masks(universe, family)
+    costs = [0] * len(family)
+    if delta is not None:
+        num, den = delta
+        costs = [den * (len(s) - 1) - num for s in family]
+    # a zero per-pair rate: only the members already chosen count
+    covers, cut = covers_within(full, masks, costs, budget, rate=Fraction(0))
+    return tuple(family), tuple(covers), cut
 
 
 def grow(
@@ -221,46 +304,55 @@ def grow(
     preimage.covers_within.
 
     When delta and min_child_exponent are given, each member S costs
-    |S| - 1 - delta of exponent, scaled to integers by delta's denominator,
-    against a budget of the parent exponent plus the fresh vertices of h
-    minus min_child_exponent; a branch is skipped once its members overrun
-    the budget, and the number of skipped branches is returned alongside.
-    Without delta every covering collection is listed, so a family of more
-    than 16 subsets raises PatternTooLargeError instead.
+    |S| - 1 - delta of exponent, scaled to integers by delta's denominator
+    den, against a budget of the parent exponent plus the fresh vertices of
+    h minus min_child_exponent, that is
+    v*den + e*(num - (d-1)*den) - ceil(min_child_exponent*den) with v the
+    vertices of pattern and h together; a branch is skipped once its members
+    overrun the budget, and the number of skipped branches is returned
+    alongside.  Without delta every covering collection is listed, so a
+    family of more than 16 subsets raises PatternTooLargeError instead.
     Returns (children, pruned).
+
+    The family, the masks and the enumeration read nothing of h but its
+    size, which of its pairs lie in Proj(pattern), delta and the integer
+    budget, so they are computed once per such shape (_growth_covers) with
+    members as positions in sorted h; mapping positions back to h gives the
+    same collections in the same order as enumerating h's own subsets.
     """
-    edges = [tuple(sorted(e)) for e in pattern]
-    support = {u for e in edges for u in e}
+    if (delta is None) != (min_child_exponent is None):
+        raise ValueError(
+            f"grow takes delta and min_child_exponent together, got delta={delta!r}, "
+            f"min_child_exponent={min_child_exponent!r}"
+        )
+    edges, support, top, proj = _pattern_facts(tuple(map(tuple, pattern)))
     h = tuple(sorted(h))
-    proj = project_edges(edges)
-    universe = [p for p in combinations(h, 2) if p not in proj]
-    family = []
-    for size in range(2, d + 1):
-        for s in combinations(h, size):
-            if any(p not in proj for p in combinations(s, 2)):
-                family.append(s)
-    if delta is None and len(family) > 16:
-        raise PatternTooLargeError("unpruned grow lists every covering collection; <= 16 subsets")
-    masks, full = cover_masks(universe, family)
-    costs, budget = [0] * len(family), 0
+    known = tuple(map(proj.__contains__, combinations(h, 2)))
+    budget = 0
     if delta is not None:
-        delta = Fraction(delta)
-        scale, a = delta.denominator, delta.numerator
-        costs = [scale * (len(s) - 1) - a for s in family]
-        fresh_bonus = len(set(h) - support)  # the most new vertices h itself brings
-        start = int((pattern_exponent(edges, d, delta) + fresh_bonus) * scale)
-        budget = start - math.ceil(Fraction(min_child_exponent) * scale)
-    # a zero per-pair rate: only the members already chosen count
-    covers, pruned = covers_within(full, masks, costs, budget, rate=Fraction(0))
+        # Fractions pass through: a frontier probe makes ~10^6 calls
+        delta, floor = (
+            x if isinstance(x, Fraction) else Fraction(x) for x in (delta, min_child_exponent)
+        )
+        num, den = delta.numerator, delta.denominator
+        v = len(support.union(h))  # the most new vertices h itself brings
+        budget = (
+            v * den
+            + len(edges) * (num - (d - 1) * den)
+            + (-floor.numerator * den) // floor.denominator  # -ceil(floor * den)
+        )
+        delta = (num, den)
+    family, covers, pruned = _growth_covers(d, len(h), known, delta, budget)
+    first = max(h[-1], top) + 1
     children: list = []
     for cover in covers:
         if not cover:
             continue
-        nxt = max(max(h) + 1, max(support) + 1)
+        nxt = first
         new_edges = list(edges)
         for i in cover:
-            s = family[i]
-            new_edges.append(tuple(sorted(s + tuple(range(nxt, nxt + d - len(s))))))
+            s = tuple(h[p] for p in family[i])
+            new_edges.append(s + tuple(range(nxt, nxt + d - len(s))))
             nxt += d - len(s)
         children.append(_normalize(new_edges))
     return children, pruned
@@ -278,7 +370,7 @@ def _check_ambiguous(pattern: Pattern, d: int):
 
 def dfs_search(config: SearchConfig) -> SearchReport:
     """Run the ambiguity search; see the module docstring for semantics."""
-    d, delta = config.d, Fraction(config.delta)
+    d, delta, floor = config.d, Fraction(config.delta), Fraction(0)
     threshold = Fraction(d - 1, d + 1)
     report = SearchReport(config=config)
     deadline = (
@@ -337,9 +429,7 @@ def dfs_search(config: SearchConfig) -> SearchReport:
             report.exhausted = False
             continue
         for h in candidate_neighbors(pattern, d, strict=config.strict_neighbors):
-            children, pruned = grow(
-                pattern, h, d, delta=delta, min_child_exponent=Fraction(0)
-            )
+            children, pruned = grow(pattern, h, d, delta=delta, min_child_exponent=floor)
             report.nodes_pruned_by_exponent += pruned
             for child in children:
                 child_exp = pattern_exponent(child, d, delta)

@@ -4,8 +4,10 @@ Deliberately dumb: subset enumeration and bitmask ORs only, no shared code
 with the branch-and-bound / flow paths they verify.  Also the Pasch-trade
 witness and the effective density exponent behind acceptance criterion 9,
 the block-by-block rank samplers that the fast ones must reproduce, the
-full-tree canonical form that the one-tree search must reproduce, the
-canonical-form candidate dedup that the orbit dedup must reproduce, the
+round-by-round color refinement that the early-stopping one must
+reproduce, the full-tree canonical form that the one-tree search must
+reproduce, the canonical-form candidate dedup and the orbit closure over
+every k-set that the twin-canonical orbit dedup must reproduce, the
 solve-every-component MAP that the singleton rule must reproduce, the
 growth step's own collection DFS that the shared cover enumerator must
 reproduce, and the backtracking automorphism count that the stabilizer
@@ -18,7 +20,12 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
-from hyperlift.census import PatternTooLargeError, _incidence, _refine, stable_colors
+from hyperlift.census import (
+    PatternTooLargeError,
+    _incidence,
+    automorphism_generators,
+    stable_colors,
+)
 from hyperlift.components import decompose
 from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project, project_edges
 from hyperlift.preimage import solve_cover
@@ -221,6 +228,33 @@ def reference_thinned_ranks(seed: int, total: int, p_max: float, keep) -> list[i
     return out
 
 
+def reference_refine(
+    n: int,
+    edges: Sequence[tuple],
+    edge_colors: Sequence[int],
+    incident: Sequence[Sequence[int]],
+    colors: list,
+) -> list:
+    """Color refinement that rebuilds every edge profile and vertex
+    signature each round and stops only when a round returns its input:
+    the loop census._refine must reproduce, color for color.
+    """
+    while True:
+        edge_profiles = [
+            (edge_colors[ei], tuple(sorted(colors[u] for u in e)))
+            for ei, e in enumerate(edges)
+        ]
+        sigs = [
+            (colors[v], tuple(sorted(edge_profiles[ei] for ei in incident[v])))
+            for v in range(n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
 def reference_canonical_form(
     edges: Sequence[Sequence[int]], edge_colors: Optional[Sequence[int]] = None
 ) -> bytes:
@@ -257,7 +291,7 @@ def reference_canonical_form(
 
     def search(colors: list) -> None:
         nonlocal best
-        colors = _refine(n, edges, edge_colors, incident, colors)
+        colors = reference_refine(n, edges, edge_colors, incident, colors)
         cells: dict = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
@@ -354,6 +388,44 @@ def reference_candidate_neighbors(
             else:
                 bucket.append((h, None))
             out.append(h)
+    return out
+
+
+def reference_orbit_candidates(
+    pattern: Sequence[tuple], d: int, strict: bool = True
+) -> list:
+    """reference_candidate_neighbors by orbit closure over every k-set: the
+    first k-set of each Aut(pattern) orbit in combinations order, each
+    orbit closed under automorphism_generators vertex by vertex.  The walk
+    that candidate_neighbors' twin-canonical walk must reproduce, and far
+    cheaper than canonical forms on patterns with large groups.
+    """
+    edges = [tuple(sorted(e)) for e in pattern]
+    v = len({u for e in edges for u in e})
+    proj = project_edges(edges)
+    cli_pairs = set()
+    for c in clique_hypergraph(Graph(v, proj), d).edges:
+        cli_pairs.update(combinations(c, 2))
+    generators = automorphism_generators(edges)
+    seen: set = set()
+    out: list = []
+    for k in range(2, d + 1):
+        for chosen in combinations(range(v), k):
+            if strict and not any(p in cli_pairs for p in combinations(chosen, 2)):
+                continue
+            if k == d and all(p in proj for p in combinations(chosen, 2)):
+                continue
+            if chosen in seen:
+                continue
+            orbit = [chosen]
+            seen.add(chosen)
+            for s in orbit:
+                for g in generators:
+                    image = tuple(sorted(g[u] for u in s))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+            out.append(chosen + tuple(range(v, v + d - k)))
     return out
 
 
@@ -508,7 +580,7 @@ def reference_automorphism_count(pattern) -> int:
     for ei, e in enumerate(edges):
         for u in e:
             incident[u].append(ei)
-    colors = _refine(n, edges, [0] * len(edges), incident, [0] * n)
+    colors = reference_refine(n, edges, [0] * len(edges), incident, [0] * n)
     if math.prod(
         math.factorial(c) for c in _cell_sizes(colors)
     ) > 20_000_000:

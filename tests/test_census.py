@@ -13,9 +13,12 @@ from oracles import (
     generated_group_order,
     reference_automorphism_count,
     reference_canonical_form,
+    reference_refine,
 )
 
 from hyperlift.census import (
+    _incidence,
+    _refine,
     cover_bound_min,
     PatternHypergraph,
     automorphism_count,
@@ -108,6 +111,10 @@ def test_canonical_form_respects_edge_colors():
     marked_other = canonical_form([(0, 1, 3), (0, 1, 2)], [1, 0])
     assert plain != marked
     assert marked == marked_other
+    with pytest.raises(ValueError, match="1 edge colors for 2 edges"):
+        canonical_form([(0, 1, 2), (0, 1, 3)], [0])
+    with pytest.raises(ValueError, match="3 edge colors for 2 edges"):
+        canonical_form([(0, 1, 2), (0, 1, 3)], [0, 1, 1])
 
 
 def test_canonical_form_matches_the_full_tree_reference_on_random_inputs():
@@ -128,6 +135,39 @@ def test_canonical_form_matches_the_full_tree_reference_on_random_inputs():
         rng.shuffle(perm)
         relabeled = [tuple(perm[u] for u in e) for e in edges]
         assert canonical_form(relabeled, colors) == key, (edges, colors, perm)
+
+
+def test_refine_matches_the_round_by_round_reference():
+    # seeded random colored hypergraphs from an arbitrary start coloring, and
+    # from every individualized coloring (2c, and 2c - 1 at one vertex) of
+    # their stable coloring, as the search tree's children build them
+    rng = Stream(1975)
+    starts = 0
+    for case in range(300):
+        n = 2 + rng.randrange(12)
+        edges = []
+        for _ in range(1 + rng.randrange(12)):
+            members = list(range(n))
+            rng.shuffle(members)
+            edges.append(tuple(sorted(members[: 2 + rng.randrange(min(4, n - 1))])))
+        edge_colors = [rng.randrange(1 + case % 3) for _ in edges]
+        incident = _incidence(n, edges)
+        start = [rng.randrange(1 + case % 4) * 3 for _ in range(n)]
+        stable = reference_refine(n, edges, edge_colors, incident, [0] * n)
+        colorings = [start, [0] * n]
+        for v in range(n):
+            branched = [2 * c for c in stable]
+            branched[v] -= 1
+            colorings.append(branched)
+        for colors in colorings:
+            expected = reference_refine(n, edges, edge_colors, incident, list(colors))
+            assert _refine(n, edges, edge_colors, incident, list(colors)) == expected, (
+                edges,
+                edge_colors,
+                colors,
+            )
+            starts += 1
+    assert starts > 2000
 
 
 def test_automorphism_examples():

@@ -5,9 +5,11 @@ patterns they canonicalize feed the canonical-form oracle (the acceptance
 suite checks their verdicts)."""
 
 import hashlib
+import importlib.util
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from oracles import (
     reference_candidate_neighbors,
     reference_canonical_form,
     reference_grow,
+    reference_orbit_candidates,
 )
 
 from hyperlift import search
@@ -26,6 +29,8 @@ from hyperlift.census import (
     PatternTooLargeError,
     automorphism_count,
     automorphism_generators,
+    build_ambiguous_gadget,
+    build_map_failure_gadget,
     canonical_form,
 )
 from hyperlift.components import decompose
@@ -47,6 +52,11 @@ CERTIFICATES = {
     (5, Fraction(1, 2), 14): (24, 34, 1166229),
 }
 D3_REPORT_SHA256 = "100a1d96661f74780f2e860f89deedf85cb510b511968531eb6c180f87d12048"
+REPORT_SHA256 = {
+    3: D3_REPORT_SHA256,
+    4: "39a6b9d75102a3bcd003eadf08c2529213d12a63b284d804de421496a17969b8",
+    5: "dd0b8f4601c0901f4f47496841608fa10c987419f87af999b4b31150aaeb2020",
+}
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +168,17 @@ def test_search_config_depth_default_and_validation():
     assert SearchConfig(3, Fraction(1, 2), max_depth=3).max_depth == 3
     with pytest.raises(ValueError):
         SearchConfig(2, Fraction(1, 5))
+    # 0.4 is not 2/5 in binary: ceil(2 / (1/2 - 0.4)) would read 21
+    with pytest.raises(ValueError, match="delta=0.4"):
+        SearchConfig(3, 0.4)
+    assert SearchConfig(3, 0).max_depth == 4
+
+
+def test_grow_needs_delta_and_the_exponent_floor_together():
+    with pytest.raises(ValueError, match="min_child_exponent=None"):
+        grow([(0, 1, 2)], (0, 1, 3), 3, Fraction(2, 5))
+    with pytest.raises(ValueError, match="delta=None"):
+        grow([(0, 1, 2)], (0, 1, 3), 3, min_child_exponent=Fraction(0))
 
 
 def test_search_below_gadget_threshold_finds_nothing():
@@ -226,8 +247,28 @@ def test_certificate_counters_and_d3_report_are_pinned(certificates):
             report.nodes_deduped,
             report.nodes_pruned_by_exponent,
         ) == counters, d
-    payload = json.dumps(certificates[3][0].to_dict(), sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == D3_REPORT_SHA256
+    for d, digest in REPORT_SHA256.items():
+        payload = json.dumps(certificates[d][0].to_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, d
+
+
+def test_d5_certificate_at_eleven_twentieths_is_pinned():
+    # a point inside the open interval (1/2, 2/3) for d=5: no ambiguous
+    # class, exhausted at the default depth; the counters and the report
+    # bytes are those of walking every k-set of every expanded pattern
+    start = time.perf_counter()
+    report = dfs_search(SearchConfig(5, Fraction(11, 20)))
+    elapsed = time.perf_counter() - start
+    assert report.config.max_depth == 18
+    assert report.exhausted
+    assert report.ambiguous_found == []
+    counters = (report.nodes_visited, report.nodes_deduped, report.nodes_pruned_by_exponent)
+    assert counters == (27, 34, 15_318_824)
+    payload = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "021150ed07172d6a226bde27738cb8ce48c94e402bcef8fbb1e612a57897b147"
+    )
+    assert elapsed < 10.0
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -296,3 +337,69 @@ def test_automorphism_count_on_expanded_patterns(certificates):
             assert generated_group_order(automorphism_generators(pattern), pat.v) == order
             if d == 3:
                 assert reference_automorphism_count(pat) == order, pattern
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("strict", [True, False])
+def test_twin_canonical_walk_matches_the_references_on_the_gadgets(d, strict):
+    # the gadgets' pendant blocks are twin classes of d - 2 vertices each;
+    # the second preimage is the first with the hubs' roles swapped
+    preimage_a, preimage_b, _ = build_ambiguous_gadget(d)
+    patterns = [preimage_a.edges, build_map_failure_gadget(d).edges]
+    for pattern in patterns + [preimage_b.edges] * (d == 3):
+        expected = reference_candidate_neighbors(pattern, d, strict)
+        assert reference_orbit_candidates(pattern, d, strict) == expected
+        assert candidate_neighbors(pattern, d, strict) == expected, pattern
+
+
+@pytest.mark.parametrize(
+    "pattern, strict",
+    [
+        (build_ambiguous_gadget(5)[0].edges, True),
+        (build_ambiguous_gadget(5)[0].edges, False),
+        (build_map_failure_gadget(5).edges, True),
+    ],
+    ids=["ambiguous-strict", "ambiguous-loose", "map-failure-strict"],
+)
+def test_twin_canonical_walk_matches_the_orbit_walk_on_the_d5_gadgets(pattern, strict):
+    # 30 and 35 vertices: canonical forms of every marked k-set take minutes,
+    # the orbit closure over every k-set a few seconds
+    assert candidate_neighbors(pattern, 5, strict) == (
+        reference_orbit_candidates(pattern, 5, strict)
+    )
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_grow_is_the_same_on_a_cold_and_a_warm_cache(certificates, d):
+    # each call on emptied caches, then every call again after a pass over
+    # all of them has filled the shape cache
+    report, expanded, _ = certificates[d]
+    delta = report.config.delta
+    calls = [(p, h) for p in expanded for h in candidate_neighbors(p, d)]
+    cold = []
+    for pattern, h in calls:
+        search._growth_covers.cache_clear()
+        search._pattern_facts.cache_clear()
+        cold.append(grow(pattern, h, d, delta, Fraction(0)))
+    for pattern, h in calls:
+        grow(pattern, h, d, delta, Fraction(0))
+    hits = search._growth_covers.cache_info().hits
+    warm = [grow(pattern, h, d, delta, Fraction(0)) for pattern, h in calls]
+    assert search._growth_covers.cache_info().hits - hits == len(calls)
+    assert warm == cold
+
+
+def test_run_frontier_records_each_point_and_reverifies_witnesses(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_frontier.py"
+    spec = importlib.util.spec_from_file_location("run_frontier", script)
+    run_frontier = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_frontier)
+    out = tmp_path / "frontier.json"
+    assert run_frontier.main(["--d", "3", "--delta", "1/5", "2/5", "--out", str(out)]) == 0
+    points = json.loads(out.read_text())["points"]
+    assert [(p["delta"], p["max_depth"], p["exhausted"], p["classes"]) for p in points] == [
+        ("1/5", 7, True, 0),
+        ("2/5", 20, True, 1),
+    ]
+    assert points[1]["nodes_visited"] == 1748
+    assert [w["reverified"] for w in points[1]["witnesses"]] == [True]
