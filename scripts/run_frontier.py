@@ -7,13 +7,14 @@ time budget, and writes pilot/frontier.json: for every point its d, delta,
 depth, node counters, whether the search was exhausted, the number of
 ambiguous classes found and the wall time.  An exhausted point with no class
 is a certificate; a point that runs out of time certifies nothing.  Every
-class found is re-verified with min_preimage and recorded as a witness.
+class found is recorded as a witness; dfs_search re-verifies each one with
+min_preimage before it reports it.
 
-    python3 scripts/run_frontier.py                       # the default ladder, 60 s a point
-    python3 scripts/run_frontier.py --d 5 --delta 11/20 3/5 --budget 120
+    python3 scripts/run_frontier.py                       # LADDER, BUDGET_S a point
+    python3 scripts/run_frontier.py --out /tmp/frontier.json
 
-The default ladder lies inside the intervals the threshold table leaves
-open: d=4 between 1/2 and 4/7, d=5 between 1/2 and 2/3.
+The ladder lies inside the intervals the threshold table leaves open:
+d=4 between 1/2 and 4/7, d=5 between 1/2 and 2/3.
 """
 
 import argparse
@@ -26,27 +27,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hyperlift.preimage import min_preimage
 from hyperlift.search import SearchConfig, dfs_search
 
 LADDER = {
     4: ("21/40", "17/32", "43/80", "11/20"),
     5: ("11/20", "23/40", "3/5", "5/8"),
 }
+BUDGET_S = 60.0  # seconds per point
 
 
-def probe(d: int, delta: Fraction, budget: float) -> dict:
-    """One point of the ladder, with its witnesses re-verified."""
+def probe(d: int, delta: Fraction) -> dict:
+    """One point of the ladder."""
     start = time.monotonic()
-    report = dfs_search(SearchConfig(d, delta, time_budget=budget))
+    report = dfs_search(SearchConfig(d, delta, time_budget=BUDGET_S))
     wall = time.monotonic() - start
-    witnesses = report.to_dict()["ambiguous_classes"]
-    for cls, witness in zip(report.ambiguous_found, witnesses):
-        g = cls.projection
-        recheck = min_preimage(g, d, vertex_bound=max(64, g.n), cap=2)
-        if not (recheck.ambiguous and recheck.min_size == cls.min_size):
-            raise RuntimeError(f"d={d} delta={delta}: a witness failed re-verification")
-        witness["reverified"] = True
     return {
         "d": d,
         "delta": str(delta),
@@ -57,21 +51,18 @@ def probe(d: int, delta: Fraction, budget: float) -> dict:
         "exhausted": report.exhausted,
         "classes": len(report.ambiguous_found),
         "wall_s": round(wall, 2),
-        "witnesses": witnesses,
+        "witnesses": report.to_dict()["ambiguous_classes"],
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--d", type=int, nargs="+", default=sorted(LADDER))
-    parser.add_argument("--delta", nargs="+", help="the ladder for every --d (default: LADDER)")
-    parser.add_argument("--budget", type=float, default=60.0, help="seconds per point")
     parser.add_argument("--out", type=Path, default=ROOT / "pilot" / "frontier.json")
     args = parser.parse_args(argv)
     points = []
-    for d in args.d:
-        for text in args.delta or LADDER.get(d, ()):
-            point = probe(d, Fraction(text), args.budget)
+    for d, ladder in sorted(LADDER.items()):
+        for text in ladder:
+            point = probe(d, Fraction(text))
             points.append(point)
             print(
                 f"d={d} delta={text} depth={point['max_depth']} "
@@ -80,7 +71,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
     args.out.parent.mkdir(exist_ok=True)
-    args.out.write_text(json.dumps({"budget_s": args.budget, "points": points}, indent=2) + "\n")
+    args.out.write_text(json.dumps({"budget_s": BUDGET_S, "points": points}, indent=2) + "\n")
     return 0
 
 

@@ -389,17 +389,18 @@ def test_grow_is_the_same_on_a_cold_and_a_warm_cache(certificates, d):
     assert warm == cold
 
 
-def test_run_frontier_records_each_point_and_reverifies_witnesses(tmp_path):
+def test_run_frontier_records_each_point(tmp_path, monkeypatch):
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_frontier.py"
     spec = importlib.util.spec_from_file_location("run_frontier", script)
     run_frontier = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_frontier)
+    monkeypatch.setattr(run_frontier, "LADDER", {3: ("1/5", "2/5")})
     out = tmp_path / "frontier.json"
-    assert run_frontier.main(["--d", "3", "--delta", "1/5", "2/5", "--out", str(out)]) == 0
+    assert run_frontier.main(["--out", str(out)]) == 0
     points = json.loads(out.read_text())["points"]
     assert [(p["delta"], p["max_depth"], p["exhausted"], p["classes"]) for p in points] == [
         ("1/5", 7, True, 0),
         ("2/5", 20, True, 1),
     ]
     assert points[1]["nodes_visited"] == 1748
-    assert [w["reverified"] for w in points[1]["witnesses"]] == [True]
+    assert len(points[1]["witnesses"]) == 1
