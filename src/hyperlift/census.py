@@ -517,9 +517,12 @@ def _min_cost_cover(
     universe of pairs; returns (cost, lexicographically least optimal cover).
 
     The costs are scaled to integers by delta's denominator and solved by
-    the shared weighted branch and bound, preimage.min_cost_cover.
+    the shared weighted branch and bound, preimage.min_cost_cover, which
+    needs the nonnegative costs that delta in [0, 1] gives.
     """
     delta = Fraction(delta)
+    if not 0 <= delta <= 1:
+        raise ValueError(f"delta={delta} outside [0, 1]")
     candidates = sorted(candidates)
     masks, full = cover_masks(sorted(universe), candidates)
     scale = delta.denominator

@@ -6,7 +6,8 @@ Subcommands:
     reconstruct  run cc / map / greedy on a .el graph, write .hg + stats JSON
     preimage     exact minimum-preimage report for a .el graph, as JSON
     census       exact densities, g tables and thresholds for (d, delta)
-    search       the ambiguity search; exit 0 if exhausted, 2 if budget-limited
+    search       the ambiguity search (2-neighbor growth, deduplicated up to
+                 isomorphism); exit 0 if exhausted, 2 if budget-limited
     sweep        run a seeded grid from a config file, write CSV
     hsbm         similarity-matrix -> support -> MAP pipeline summary
 
@@ -158,9 +159,6 @@ def _cmd_search(args) -> int:
         max_depth=args.max_depth,
         node_budget=args.node_budget,
         time_budget=args.time_budget,
-        dedup=not args.no_dedup,
-        strict_neighbors=not args.loose_neighbors,
-        include_single_root=args.single_root,
     )
     report = dfs_search(config)
     _emit(args, json.dumps(report.to_dict(), indent=2))
@@ -313,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=None, dest="max_depth")
     p.add_argument("--node-budget", type=int, default=1_000_000, dest="node_budget")
     p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
-    p.add_argument("--no-dedup", action="store_true")
-    p.add_argument("--loose-neighbors", action="store_true")
-    p.add_argument("--single-root", action="store_true")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("sweep", help="run a sweep config, write CSV")

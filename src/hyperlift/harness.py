@@ -239,6 +239,8 @@ def hsbm_pipeline(params: HsbmParams, seeds: Sequence[int]) -> dict:
 
     Returns a summary dict with the exact-recovery rate over the seeds.
     """
+    if not seeds:
+        raise ValueError("hsbm needs at least one seed")
     exact = 0
     failures = []
     aborted = 0
@@ -259,7 +261,7 @@ def hsbm_pipeline(params: HsbmParams, seeds: Sequence[int]) -> dict:
     return {
         "runs": len(seeds),
         "exact": exact,
-        "rate": exact / len(seeds) if seeds else float("nan"),
+        "rate": exact / len(seeds),
         "aborted": aborted,
         "failed_seeds": failures,
     }

@@ -190,6 +190,8 @@ def solve_cover(
     deepens from ceil(|universe| / largest candidate cover) until
     covers_within finds a cover, so the last pass yields the minima.
     """
+    if cap < 1:
+        raise ValueError(f"cap={cap} must be >= 1")
     universe = sorted(universe)
     candidates = sorted(candidates)
     masks, full = cover_masks(universe, candidates)

@@ -1,13 +1,16 @@
 """Isomorphism-pruned DFS search certifying (non-)existence of ambiguous graphs.
 
 The search walks hypergraph patterns K reachable by growth steps from two
-overlapping hyperedges.  At each pattern it asks the exact preimage engine
-whether Proj(K) is ambiguous (two minimum preimages), and it prunes a
-branch once the appearance exponent v + e*(delta - d + 1) drops to zero,
-because every growth step strictly decreases the exponent below the
-2-connectivity threshold.  A pattern is only *reported* when its exponent
-is nonnegative: patterns with negative exponent appear with vanishing
-probability and say nothing about the recovery threshold.
+overlapping hyperedges, one pattern per isomorphism class (canonical_form);
+a step makes a 2-neighbor, a candidate sharing two vertices with one
+clique hyperedge, a clique of the projection.  At each pattern it asks
+the exact preimage engine whether Proj(K) is ambiguous (two minimum
+preimages), and it prunes a branch once the appearance exponent
+v + e*(delta - d + 1) drops to zero, because every growth step strictly
+decreases the exponent below the 2-connectivity threshold.  A pattern is
+only *reported* when its exponent is nonnegative: patterns with negative
+exponent appear with vanishing probability and say nothing about the
+recovery threshold.
 
 A report with exhausted=True is a certificate: every pattern with
 2-connected clique structure and nonnegative exponent was checked up to
@@ -29,7 +32,6 @@ from typing import Iterable, Optional, Sequence
 # stable_colors is not called here; perfbench/layers.py traces
 # search.stable_colors by name, so the name stays importable
 from .census import (
-    PatternTooLargeError,
     _incidence,
     automorphism_generators,
     canonical_form,
@@ -64,9 +66,7 @@ class SearchConfig:
     max_depth counts growth steps from a root; the default
     ceil(2 / ((d-1)/(d+1) - delta)) is the provable sufficient depth below
     the 2-connectivity threshold and must be given explicitly at or above
-    it.  strict_neighbors selects whether a candidate hyperedge must share
-    two vertices with a single clique hyperedge (default) or merely with
-    the pattern's vertex set (looser; for sensitivity runs).
+    it.
     """
 
     d: int
@@ -74,9 +74,6 @@ class SearchConfig:
     max_depth: Optional[int] = None
     node_budget: int = 1_000_000
     time_budget: Optional[float] = None
-    dedup: bool = True
-    strict_neighbors: bool = True
-    include_single_root: bool = False
 
     def __post_init__(self):
         if self.d < 3:
@@ -159,16 +156,13 @@ class SearchReport:
         }
 
 
-def candidate_neighbors(
-    pattern: Sequence[tuple], d: int, strict: bool = True
-) -> list:
+def candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
     """Candidate hyperedges h that could join the pattern's clique structure,
     up to symmetry of (pattern, h).
 
-    h takes k in [2, d] vertices from the pattern and d - k fresh labels;
-    under the strict rule (the 2-neighbor definition) the k chosen vertices
-    must contain a pair lying inside some clique hyperedge of
-    Cli(Proj(pattern)); the loose rule only requires k >= 2.  Candidates
+    h takes k in [2, d] vertices from the pattern and d - k fresh labels,
+    and the k chosen vertices must contain a pair lying inside some clique
+    hyperedge of Cli(Proj(pattern)) (h is a 2-neighbor).  Candidates
     already present as cliques are excluded.
 
     The fresh labels lie in no pattern edge, so (pattern, h) and
@@ -228,7 +222,7 @@ def candidate_neighbors(
         )
         level = list(grown) if k < d else grown  # the last level is walked once
         for chosen in level:
-            if strict and cli_pairs.isdisjoint(combinations(chosen, 2)):
+            if cli_pairs.isdisjoint(combinations(chosen, 2)):
                 continue
             if k == d and proj.issuperset(combinations(chosen, 2)):
                 continue  # already a clique of the projection
@@ -257,9 +251,7 @@ def _pattern_facts(pattern: tuple) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _growth_covers(
-    d: int, size: int, known: tuple, delta: Optional[tuple], budget: int
-) -> tuple:
+def _growth_covers(d: int, size: int, known: tuple, delta: tuple, budget: int) -> tuple:
     """(family, covers, cut) of growing a candidate of ``size`` vertices,
     known[i] telling whether its i-th pair in combinations order already
     lies in Proj(pattern), with delta given as (numerator, denominator):
@@ -274,25 +266,15 @@ def _growth_covers(
         for s in combinations(range(size), r)
         if any(p in new for p in combinations(s, 2))
     ]
-    if delta is None and len(family) > 16:
-        raise PatternTooLargeError("unpruned grow lists every covering collection; <= 16 subsets")
     masks, full = cover_masks(universe, family)
-    costs = [0] * len(family)
-    if delta is not None:
-        num, den = delta
-        costs = [den * (len(s) - 1) - num for s in family]
+    num, den = delta
+    costs = [den * (len(s) - 1) - num for s in family]
     # a zero per-pair rate: only the members already chosen count
     covers, cut = covers_within(full, masks, costs, budget, rate=Fraction(0))
     return tuple(family), tuple(covers), cut
 
 
-def grow(
-    pattern: Sequence[tuple],
-    h: Sequence[int],
-    d: int,
-    delta: Optional[Fraction] = None,
-    min_child_exponent: Optional[Fraction] = None,
-) -> tuple:
+def grow(pattern: Sequence[tuple], h: Sequence[int], d: int, delta: Fraction) -> tuple:
     """All ways to make candidate h a clique of the grown pattern's projection.
 
     For every collection I of subsets S of h with |S| >= 2 and Proj(S) not
@@ -303,15 +285,12 @@ def grow(
     caller.  The collections come from the shared cover enumerator,
     preimage.covers_within.
 
-    When delta and min_child_exponent are given, each member S costs
-    |S| - 1 - delta of exponent, scaled to integers by delta's denominator
-    den, against a budget of the parent exponent plus the fresh vertices of
-    h minus min_child_exponent, that is
-    v*den + e*(num - (d-1)*den) - ceil(min_child_exponent*den) with v the
-    vertices of pattern and h together; a branch is skipped once its members
-    overrun the budget, and the number of skipped branches is returned
-    alongside.  Without delta every covering collection is listed, so a
-    family of more than 16 subsets raises PatternTooLargeError instead.
+    Each member S costs |S| - 1 - delta of exponent, scaled to integers by
+    delta's denominator den, against a budget of the parent exponent plus
+    the fresh vertices of h, that is v*den + e*(num - (d-1)*den) with v the
+    vertices of pattern and h together: a child's exponent is never
+    negative.  A branch is skipped once its members overrun the budget, and
+    the number of skipped branches is returned alongside.
     Returns (children, pruned).
 
     The family, the masks and the enumeration read nothing of h but its
@@ -320,29 +299,13 @@ def grow(
     members as positions in sorted h; mapping positions back to h gives the
     same collections in the same order as enumerating h's own subsets.
     """
-    if (delta is None) != (min_child_exponent is None):
-        raise ValueError(
-            f"grow takes delta and min_child_exponent together, got delta={delta!r}, "
-            f"min_child_exponent={min_child_exponent!r}"
-        )
     edges, support, top, proj = _pattern_facts(tuple(map(tuple, pattern)))
     h = tuple(sorted(h))
     known = tuple(map(proj.__contains__, combinations(h, 2)))
-    budget = 0
-    if delta is not None:
-        # Fractions pass through: a frontier probe makes ~10^6 calls
-        delta, floor = (
-            x if isinstance(x, Fraction) else Fraction(x) for x in (delta, min_child_exponent)
-        )
-        num, den = delta.numerator, delta.denominator
-        v = len(support.union(h))  # the most new vertices h itself brings
-        budget = (
-            v * den
-            + len(edges) * (num - (d - 1) * den)
-            + (-floor.numerator * den) // floor.denominator  # -ceil(floor * den)
-        )
-        delta = (num, den)
-    family, covers, pruned = _growth_covers(d, len(h), known, delta, budget)
+    num, den = delta.numerator, delta.denominator
+    v = len(support.union(h))  # the most new vertices h itself brings
+    budget = v * den + len(edges) * (num - (d - 1) * den)
+    family, covers, pruned = _growth_covers(d, len(h), known, (num, den), budget)
     first = max(h[-1], top) + 1
     children: list = []
     for cover in covers:
@@ -370,29 +333,18 @@ def _check_ambiguous(pattern: Pattern, d: int):
 
 def dfs_search(config: SearchConfig) -> SearchReport:
     """Run the ambiguity search; see the module docstring for semantics."""
-    d, delta, floor = config.d, Fraction(config.delta), Fraction(0)
+    d, delta = config.d, Fraction(config.delta)
     threshold = Fraction(d - 1, d + 1)
     report = SearchReport(config=config)
     deadline = (
         time.monotonic() + config.time_budget if config.time_budget else None
     )
-    roots: list = []
-    if config.include_single_root:
-        roots.append((tuple(range(d)),))
-    for k in range(2, d):
-        e1 = tuple(range(d))
-        e2 = tuple(range(d - k, 2 * d - k))
-        roots.append(_normalize([e1, e2]))
     visited: set = set()
     found: dict = {}
     stack: list = []
-    for root in roots:
-        if config.dedup:
-            key = canonical_form(root)
-            if key in visited:
-                report.nodes_deduped += 1
-                continue
-            visited.add(key)
+    for k in range(2, d):  # two hyperedges sharing k vertices: never isomorphic
+        root = _normalize([tuple(range(d)), tuple(range(d - k, 2 * d - k))])
+        visited.add(canonical_form(root))
         stack.append((root, 0))
     while stack:
         if deadline is not None and time.monotonic() > deadline:
@@ -428,8 +380,8 @@ def dfs_search(config: SearchConfig) -> SearchReport:
             # a positive-exponent node we are not allowed to expand
             report.exhausted = False
             continue
-        for h in candidate_neighbors(pattern, d, strict=config.strict_neighbors):
-            children, pruned = grow(pattern, h, d, delta=delta, min_child_exponent=floor)
+        for h in candidate_neighbors(pattern, d):
+            children, pruned = grow(pattern, h, d, delta)
             report.nodes_pruned_by_exponent += pruned
             for child in children:
                 child_exp = pattern_exponent(child, d, delta)
@@ -440,12 +392,11 @@ def dfs_search(config: SearchConfig) -> SearchReport:
                 if child_exp < 0:
                     report.nodes_pruned_by_exponent += 1
                     continue
-                if config.dedup:
-                    key = canonical_form(child)
-                    if key in visited:
-                        report.nodes_deduped += 1
-                        continue
-                    visited.add(key)
+                key = canonical_form(child)
+                if key in visited:
+                    report.nodes_deduped += 1
+                    continue
+                visited.add(key)
                 stack.append((child, depth + 1))
     report.ambiguous_found = sorted(found.values(), key=lambda c: c.canonical)
     return report

@@ -323,16 +323,13 @@ def reference_canonical_form(
     return best
 
 
-def reference_candidate_neighbors(
-    pattern: Sequence[tuple], d: int, strict: bool = True
-) -> list:
+def reference_candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
     """Candidate hyperedges h that could join the pattern's clique structure,
     up to symmetry of (pattern, h).
 
-    h takes k in [2, d] vertices from the pattern and d - k fresh labels;
-    under the strict rule (the 2-neighbor definition) the k chosen vertices
-    must contain a pair lying inside some clique hyperedge of
-    Cli(Proj(pattern)); the loose rule only requires k >= 2.  Candidates
+    h takes k in [2, d] vertices from the pattern and d - k fresh labels,
+    and the k chosen vertices must contain a pair lying inside some clique
+    hyperedge of Cli(Proj(pattern)) (h is a 2-neighbor).  Candidates
     already present as cliques are excluded.  Deduplication is by canonical
     form of the pattern with h marked.
     """
@@ -355,9 +352,8 @@ def reference_candidate_neighbors(
     buckets: dict = {}
     for k in range(2, d + 1):
         for chosen in combinations(range(v), k):
-            if strict:
-                if not any(p in cli_pairs for p in combinations(chosen, 2)):
-                    continue
+            if not any(p in cli_pairs for p in combinations(chosen, 2)):
+                continue
             if k == d and all(p in proj for p in combinations(chosen, 2)):
                 continue  # already a clique of the projection
             fingerprint = (
@@ -391,9 +387,7 @@ def reference_candidate_neighbors(
     return out
 
 
-def reference_orbit_candidates(
-    pattern: Sequence[tuple], d: int, strict: bool = True
-) -> list:
+def reference_orbit_candidates(pattern: Sequence[tuple], d: int) -> list:
     """reference_candidate_neighbors by orbit closure over every k-set: the
     first k-set of each Aut(pattern) orbit in combinations order, each
     orbit closed under automorphism_generators vertex by vertex.  The walk
@@ -411,7 +405,7 @@ def reference_orbit_candidates(
     out: list = []
     for k in range(2, d + 1):
         for chosen in combinations(range(v), k):
-            if strict and not any(p in cli_pairs for p in combinations(chosen, 2)):
+            if not any(p in cli_pairs for p in combinations(chosen, 2)):
                 continue
             if k == d and all(p in proj for p in combinations(chosen, 2)):
                 continue
@@ -474,8 +468,8 @@ def reference_grow(
     pattern: Sequence[tuple],
     h: Sequence[int],
     d: int,
-    delta: Optional[Fraction] = None,
-    min_child_exponent: Optional[Fraction] = None,
+    delta: Fraction,
+    min_child_exponent: Fraction,
 ) -> tuple:
     """search.grow with its own collection DFS: the bitmask walk that the
     shared cover enumerator must reproduce, children and pruned count alike.
@@ -489,9 +483,9 @@ def reference_grow(
     (densely relabeled); duplicates up to isomorphism are left to the
     caller.
 
-    When delta and min_child_exponent are given, collections whose every
-    completion falls below that exponent are skipped; the number of such
-    skipped branches is returned alongside.  Returns (children, pruned).
+    Collections whose every completion falls below min_child_exponent are
+    skipped; the number of such skipped branches is returned alongside.
+    Returns (children, pruned).
     """
     edges = [tuple(sorted(e)) for e in pattern]
     support = {u for e in edges for u in e}
@@ -517,15 +511,10 @@ def reference_grow(
         suffix[i] = suffix[i + 1] | masks[i]
     fresh_bonus = len(set(h) - support)  # the most new vertices h itself brings
     # exponent pruning in integers scaled by delta's denominator
-    per_member = None
-    floor_scaled = 0
-    if delta is not None:
-        delta = Fraction(delta)
-        scale = delta.denominator
-        a = delta.numerator
-        parent_exp = pattern_exponent(edges, d, delta)
-        per_member = [a + scale * (1 - len(s)) for s in family]
-        floor_scaled = math.ceil(Fraction(min_child_exponent) * scale)
+    delta = Fraction(delta)
+    scale = delta.denominator
+    per_member = [delta.numerator + scale * (1 - len(s)) for s in family]
+    floor_scaled = math.ceil(Fraction(min_child_exponent) * scale)
     children: list = []
     pruned = 0
     chosen: list = []
@@ -542,7 +531,7 @@ def reference_grow(
 
     def dfs(i: int, covered: int, bound_scaled: int) -> None:
         nonlocal pruned
-        if per_member is not None and bound_scaled < floor_scaled:
+        if bound_scaled < floor_scaled:
             pruned += 1
             return
         if i == len(family):
@@ -552,19 +541,11 @@ def reference_grow(
         if covered | suffix[i] != full:
             return
         chosen.append(i)
-        dfs(
-            i + 1,
-            covered | masks[i],
-            bound_scaled + per_member[i] if per_member is not None else bound_scaled,
-        )
+        dfs(i + 1, covered | masks[i], bound_scaled + per_member[i])
         chosen.pop()
         dfs(i + 1, covered, bound_scaled)
 
-    if per_member is not None:
-        start = int((parent_exp + fresh_bonus) * scale)
-    else:
-        start = 0
-    dfs(0, 0, start)
+    dfs(0, 0, int((pattern_exponent(edges, d, delta) + fresh_bonus) * scale))
     return children, pruned
 
 

@@ -317,6 +317,16 @@ def test_g0_examples():
         g_0(2, Fraction(0))
 
 
+@pytest.mark.parametrize("delta", [Fraction(2), Fraction(-1, 5)])
+def test_cover_optimizations_reject_delta_outside_the_unit_interval(delta):
+    # outside [0, 1] some member costs |S| - 1 - delta < 0, which the
+    # branch and bound cannot minimize: g_0(3, 2) would read -3
+    with pytest.raises(ValueError, match=f"delta={delta}"):
+        g_0(3, delta)
+    with pytest.raises(ValueError, match=f"delta={delta}"):
+        g_k(3, 2, delta)
+
+
 # sha256 of repr([(d, delta, g_0(d, delta), [g_k(d, k, delta) for k in 2..d])])
 # over d = 3..6 and delta = i/20, i = 0..20 (delta = 1 makes pairs cost 0)
 G_TABLE_SHA256 = "6086a2e207f3fa34842d0a875f46e3a3d3fc99e09f3d99d477869ec2070a515e"

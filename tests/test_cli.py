@@ -1,12 +1,14 @@
 """End-to-end CLI checks on temp files."""
 
+import argparse
+import dataclasses
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from hyperlift.cli import main, parse_sweep_config
+from hyperlift.cli import build_parser, main, parse_sweep_config
 from hyperlift.core import (
     FormatError,
     graph_to_text,
@@ -14,6 +16,7 @@ from hyperlift.core import (
     project,
 )
 from hyperlift.census import build_ambiguous_gadget
+from hyperlift.search import SearchConfig
 
 
 def test_gen_project_reconstruct_roundtrip(tmp_path, capsys):
@@ -60,6 +63,24 @@ def test_preimage_reports_gadget_ambiguity(tmp_path, capsys):
     assert report["feasible"] and report["min_size"] == 5 and report["ambiguous"]
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_preimage_cap_below_one_exits_1_with_one_stderr_line(tmp_path, capsys, cap):
+    el = tmp_path / "g.el"
+    el.write_text(graph_to_text(build_ambiguous_gadget(3)[2]))
+    assert main(["preimage", "--d", "3", "--cap", cap, str(el)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"cap={cap}" in captured.err
+
+
+@pytest.mark.parametrize("delta", ["2", "-1/5"])
+def test_census_delta_outside_unit_interval_exits_1_with_one_stderr_line(capsys, delta):
+    assert main(["census", "--d", "3", f"--delta={delta}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"delta={Fraction(delta)}" in captured.err
+
+
 def test_census_payload(capsys):
     assert main(["census", "--d", "3", "--delta", "2/5"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -84,6 +105,15 @@ def test_search_exit_codes(capsys):
     assert main(["search", "--d", "3", "--delta", "2/5", "--node-budget", "3"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["exhausted"] is False
+
+
+def test_search_options_are_the_search_config_fields():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {a.dest for a in subparsers.choices["search"]._actions} - {"help"}
+    assert options == {f.name for f in dataclasses.fields(SearchConfig)}
+    assert options == {"d", "delta", "max_depth", "node_budget", "time_budget"}
 
 
 def test_sweep_config_and_run(tmp_path, capsys):
@@ -192,6 +222,14 @@ def test_hsbm_command(capsys):
     assert main(["hsbm", "--d", "3", "--n", "20", "--alpha", "1/2", "--beta", "1/8", "--seeds", "3"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["runs"] == 3
+
+
+def test_hsbm_without_seeds_exits_1_with_one_stderr_line(capsys):
+    args = ["hsbm", "--d", "3", "--n", "20", "--alpha", "1/2", "--beta", "1/8", "--seeds", "0"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "seed" in captured.err
 
 
 def test_sweep_json_format_mirrors_csv_schema(tmp_path, capsys):
