@@ -7,8 +7,8 @@ time budget, and writes pilot/frontier.json: for every point its d, delta,
 depth, node counters, whether the search was exhausted, the number of
 ambiguous classes found and the wall time.  An exhausted point with no class
 is a certificate; a point that runs out of time certifies nothing.  Every
-class found is recorded as a witness; dfs_search re-verifies each one with
-min_preimage before it reports it.
+class found is recorded as a witness: a projection together with the two
+minimum preimages min_preimage found for it.
 
     python3 scripts/run_frontier.py                       # LADDER, BUDGET_S a point
     python3 scripts/run_frontier.py --out /tmp/frontier.json

@@ -16,8 +16,8 @@ is banned.  The pieces:
   count under p = n**(-d+1+delta), and the exact expectation
   C(n, v) * v! / aut(K) * p**e;
 - the cover optimizations g_k(delta) and g_0(delta) controlling spurious
-  cliques, solved by the weighted branch and bound shared with the
-  preimage engine (`preimage.min_cost_cover`);
+  cliques, solved by the preimage engine's cover search
+  (`preimage.least_covers`);
 - the ambiguous gadget (two equal-size minimum preimages), the
   minimum-preimage failure gadget, and the spurious-clique gadget;
 - the feasibility threshold table.
@@ -32,7 +32,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .core import Graph, project_edges
-from .preimage import cover_masks, min_cost_cover
+from .preimage import cover_masks, least_covers
 
 
 class PatternTooLargeError(ValueError):
@@ -516,9 +516,11 @@ def _min_cost_cover(
     """Minimize sum(|S| - 1 - delta) over candidate collections covering the
     universe of pairs; returns (cost, lexicographically least optimal cover).
 
-    The costs are scaled to integers by delta's denominator and solved by
-    the shared weighted branch and bound, preimage.min_cost_cover, which
-    needs the nonnegative costs that delta in [0, 1] gives.
+    The costs, scaled to integers by delta's denominator, are nonnegative
+    for delta in [0, 1].  The first cover preimage.least_covers finds is the
+    lex-least optimum: for delta < 1 all costs are positive, so no optimum
+    contains another and include-before-exclude meets them in lex order;
+    at delta = 1 the only zero-cost cover is the set of all universe pairs.
     """
     delta = Fraction(delta)
     if not 0 <= delta <= 1:
@@ -527,10 +529,10 @@ def _min_cost_cover(
     masks, full = cover_masks(sorted(universe), candidates)
     scale = delta.denominator
     costs = [scale * (len(s) - 1) - delta.numerator for s in candidates]
-    best = min_cost_cover(full, masks, costs)
-    if best is None:
+    least = least_covers(full, masks, costs, stop_after=1)
+    if least is None:
         raise ValueError("universe cannot be covered by the candidates")
-    cost, chosen = best
+    cost, (chosen,) = least
     return Fraction(cost, scale), tuple(candidates[i] for i in chosen)
 
 

@@ -12,8 +12,8 @@ Subcommands:
     hsbm         similarity-matrix -> support -> MAP pipeline summary
 
 Malformed input (a bad file, config or parameter), a file that cannot be
-read or written, and a MAP abort on a giant component print one line to
-stderr and exit 1.
+read or written, a MAP abort on a giant component and an input too large
+for the exact engine's recursion print one line to stderr and exit 1.
 
 Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5.
 
@@ -117,13 +117,17 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_preimage(args) -> int:
     g = _load(args.input, graph_from_text)
-    report = min_preimage(g, args.d, vertex_bound=args.vertex_bound, cap=args.cap)
+    if g.n > args.vertex_bound:
+        raise ValueError(f"{g.n} vertices exceed --vertex-bound={args.vertex_bound}")
+    report = min_preimage(g, args.d, cap=args.cap)
     _emit(args, json.dumps(report.to_dict(), indent=2))
     return 0
 
 
 def _cmd_census(args) -> int:
     d, delta = args.d, Fraction(args.delta)
+    if not 0 <= delta <= 1:
+        raise ValueError(f"delta={delta} outside [0, 1]")
     preimage1, _, _ = build_ambiguous_gadget(d)
     hb = build_map_failure_gadget(d)
     g0_value, g0_witness = g_0(d, delta) if 3 <= d <= 7 else (None, None)
@@ -333,6 +337,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ComponentTooLargeError) as err:
         sys.stderr.write(f"hyperlift {args.command}: {err}\n")
+        return 1
+    except RecursionError:
+        sys.stderr.write(f"hyperlift {args.command}: input too large for the exact engine\n")
         return 1
     except OSError as err:
         where = f"{err.filename}: " if err.filename is not None else ""

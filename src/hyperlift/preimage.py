@@ -4,15 +4,13 @@ A preimage (clique cover) of a graph G is a set of d-cliques of G whose
 pairwise projections cover every edge of G exactly; a minimum preimage has
 the fewest hyperedges.  This module is the exact set-cover engine behind
 the MAP reconstruction rule, the ambiguity search and the census cover
-optimizations.  Every cover problem there goes through three primitives
-over bitmasks of a pair universe:
-
-- cover_masks builds the masks;
-- covers_within enumerates every candidate set covering the universe
-  within a cost budget (minimum covers by deepening
-  the budget, all preimages up to a size, the growth step of the search);
-- min_cost_cover is a weighted branch and bound for the cheapest cover
-  (g_k and g_0).
+optimizations.  Every cover problem there goes through one search
+algorithm over bitmasks of a pair universe: cover_masks builds the masks,
+covers_within enumerates every candidate set covering the universe within
+a cost budget (all preimages up to a size, the growth step of the search),
+and least_covers raises that budget from a per-pair lower bound to the
+least one at which covers_within finds a cover: minimum preimages with
+unit costs, g_k and g_0 with the census costs.
 
 It is meant for component-scale inputs (tens of candidate hyperedges), not
 whole projected graphs.
@@ -131,51 +129,30 @@ def covers_within(
     return covers, cut
 
 
-def min_cost_cover(
-    full: int, masks: Sequence[int], costs: Sequence[int]
+def least_covers(
+    full: int,
+    masks: Sequence[int],
+    costs: Sequence[int],
+    stop_after: Optional[int] = None,
 ) -> Optional[tuple]:
-    """Least total cost of a candidate set covering ``full``.
-
-    Branch and bound on the least uncovered pair over the candidates
-    containing it; each option bans the options before it, so every
-    collection is visited once, and a branch is cut only when its cost
-    plus the cheapest cost per pair times the uncovered pairs exceeds the
-    best found, so every optimal cover the branching reaches is compared.
-    Costs must be nonnegative.  Returns (cost, lexicographically least
-    sorted index tuple among those optima), or None if infeasible.
+    """The least cost of a cover of ``full`` and the covers at that cost in
+    covers_within order, at most ``stop_after`` of them: (budget, covers),
+    or None when the candidates cannot cover ``full``.  Costs are
+    nonnegative integers; the budget rises by one from ceil(cheapest cost
+    per pair * |universe|), which no cover undercuts.
     """
-    by_pair: list = [[] for _ in range(full.bit_length())]
-    for ci, m in enumerate(masks):
-        while m:
-            low = m & -m
-            by_pair[low.bit_length() - 1].append(ci)
-            m ^= low
+    union = 0
+    for m in masks:
+        union |= m
+    if union != full:
+        return None
     rate = _pair_rate(masks, costs)
-    num, den = rate.numerator, rate.denominator
-    best: Optional[tuple] = None
-    chosen: list = []
-
-    def dfs(uncovered: int, cost: int, banned: int) -> None:
-        nonlocal best
-        if best is not None and (
-            (cost - best[0]) * den + num * uncovered.bit_count() > 0
-        ):
-            return
-        if uncovered == 0:
-            found = (cost, tuple(sorted(chosen)))
-            if best is None or found < best:
-                best = found
-            return
-        for ci in by_pair[(uncovered & -uncovered).bit_length() - 1]:
-            if banned >> ci & 1:
-                continue
-            chosen.append(ci)
-            dfs(uncovered & ~masks[ci], cost + costs[ci], banned)
-            chosen.pop()
-            banned |= 1 << ci
-
-    dfs(full, 0, 0)
-    return best
+    budget = -(-rate.numerator * full.bit_count() // rate.denominator)
+    while True:
+        covers, _ = covers_within(full, masks, costs, budget, stop_after, rate)
+        if covers:
+            return budget, covers
+        budget += 1
 
 
 def solve_cover(
@@ -186,44 +163,27 @@ def solve_cover(
     Returns (min_size, covers, ambiguous) where covers are tuples of
     candidate hyperedges (lex-least first, at most cap of them), or
     (None, (), False) if infeasible.  ambiguous means a second distinct
-    minimum cover exists; deciding it never relies on the cap.  The size
-    deepens from ceil(|universe| / largest candidate cover) until
-    covers_within finds a cover, so the last pass yields the minima.
+    minimum cover exists; deciding it never relies on the cap.
     """
     if cap < 1:
         raise ValueError(f"cap={cap} must be >= 1")
     universe = sorted(universe)
     candidates = sorted(candidates)
     masks, full = cover_masks(universe, candidates)
-    union = 0
-    for m in masks:
-        union |= m
-    if union != full:
+    least = least_covers(full, masks, [1] * len(masks), stop_after=max(2, cap))
+    if least is None:
         return None, (), False
-    ones = [1] * len(masks)
-    r = -(-len(universe) // (max((m.bit_count() for m in masks), default=0) or 1))
-    while True:
-        index_covers, _ = covers_within(full, masks, ones, r, stop_after=max(2, cap))
-        if index_covers:
-            break
-        r += 1
+    r, index_covers = least
     covers = tuple(tuple(candidates[i] for i in ic) for ic in index_covers[:cap])
     return r, covers, len(index_covers) >= 2
 
 
-def min_preimage(
-    g: Graph, d: int, vertex_bound: int = 64, cap: int = 16
-) -> PreimageReport:
+def min_preimage(g: Graph, d: int, cap: int = 16) -> PreimageReport:
     """Exact minimum preimages of g among its d-cliques (solve_cover).
 
     Infeasible (some edge of g lies in no d-clique) is reported, not raised:
     the CLI accepts arbitrary graphs.
     """
-    if g.n > vertex_bound:
-        raise ValueError(
-            f"graph has {g.n} vertices; exact engine is capped at {vertex_bound} "
-            "(raise vertex_bound explicitly if you mean it)"
-        )
     r, covers, ambiguous = solve_cover(g.edges, clique_hypergraph(g, d).edges, cap)
     return PreimageReport(r is not None, r, covers, ambiguous)
 

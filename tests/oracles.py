@@ -10,8 +10,10 @@ reproduce, the canonical-form candidate dedup and the orbit closure over
 every k-set that the twin-canonical orbit dedup must reproduce, the
 solve-every-component MAP that the singleton rule must reproduce, the
 growth step's own collection DFS that the shared cover enumerator must
-reproduce, and the backtracking automorphism count that the stabilizer
-chain's orbit-length product must reproduce.
+reproduce, the backtracking automorphism count that the stabilizer
+chain's orbit-length product must reproduce, and the weighted branch and
+bound whose cheapest covers the least-budget enumeration must reproduce
+for g_k and g_0.
 """
 
 import math
@@ -622,3 +624,53 @@ def generated_group_order(generators: Sequence[Sequence[int]], v: int) -> int:
                 group.add(composed)
                 frontier.append(composed)
     return len(group)
+
+
+def reference_min_cost_cover(
+    full: int, masks: Sequence[int], costs: Sequence[int]
+) -> Optional[tuple]:
+    """Least total cost of a candidate set covering ``full``.
+
+    Branch and bound on the least uncovered pair over the candidates
+    containing it; each option bans the options before it, so every
+    collection is visited once, and a branch is cut only when its cost
+    plus the cheapest cost per pair times the uncovered pairs exceeds the
+    best found, so every optimal cover the branching reaches is compared.
+    Costs must be nonnegative.  Returns (cost, lexicographically least
+    sorted index tuple among those optima), or None if infeasible.
+    """
+    by_pair: list = [[] for _ in range(full.bit_length())]
+    for ci, m in enumerate(masks):
+        while m:
+            low = m & -m
+            by_pair[low.bit_length() - 1].append(ci)
+            m ^= low
+    rate = min(
+        (Fraction(c, m.bit_count()) for m, c in zip(masks, costs) if m),
+        default=Fraction(0),
+    )
+    num, den = rate.numerator, rate.denominator
+    best: Optional[tuple] = None
+    chosen: list = []
+
+    def dfs(uncovered: int, cost: int, banned: int) -> None:
+        nonlocal best
+        if best is not None and (
+            (cost - best[0]) * den + num * uncovered.bit_count() > 0
+        ):
+            return
+        if uncovered == 0:
+            found = (cost, tuple(sorted(chosen)))
+            if best is None or found < best:
+                best = found
+            return
+        for ci in by_pair[(uncovered & -uncovered).bit_length() - 1]:
+            if banned >> ci & 1:
+                continue
+            chosen.append(ci)
+            dfs(uncovered & ~masks[ci], cost + costs[ci], banned)
+            chosen.pop()
+            banned |= 1 << ci
+
+    dfs(full, 0, 0)
+    return best

@@ -13,6 +13,7 @@ from oracles import (
     generated_group_order,
     reference_automorphism_count,
     reference_canonical_form,
+    reference_min_cost_cover,
     reference_refine,
 )
 
@@ -36,7 +37,7 @@ from hyperlift.census import (
     threshold_table,
 )
 from hyperlift.core import DensityParams, generate_random_hypergraph, Hypergraph, project
-from hyperlift.preimage import min_preimage
+from hyperlift.preimage import cover_masks, min_preimage
 from hyperlift.rng import Stream
 
 
@@ -320,7 +321,7 @@ def test_g0_examples():
 @pytest.mark.parametrize("delta", [Fraction(2), Fraction(-1, 5)])
 def test_cover_optimizations_reject_delta_outside_the_unit_interval(delta):
     # outside [0, 1] some member costs |S| - 1 - delta < 0, which the
-    # branch and bound cannot minimize: g_0(3, 2) would read -3
+    # budgeted cover search cannot minimize: g_0(3, 2) would read -3
     with pytest.raises(ValueError, match=f"delta={delta}"):
         g_0(3, delta)
     with pytest.raises(ValueError, match=f"delta={delta}"):
@@ -342,6 +343,32 @@ def test_g_tables_are_pinned():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == G_TABLE_SHA256
 
 
+def _reference_cover(universe, candidates, delta):
+    """(cost, cover) of the weighted branch and bound on g's masks and costs."""
+    masks, full = cover_masks(universe, candidates)
+    scale = delta.denominator
+    costs = [scale * (len(s) - 1) - delta.numerator for s in candidates]
+    cost, chosen = reference_min_cost_cover(full, masks, costs)
+    return Fraction(cost, scale), tuple(candidates[i] for i in chosen)
+
+
+@pytest.mark.parametrize(
+    "delta", [Fraction(0), Fraction(1, 4), Fraction(3, 7), Fraction(11, 20), Fraction(1)]
+)
+def test_g_at_d7_matches_the_weighted_branch_and_bound(delta):
+    # the pin above stops at d = 6
+    d = 7
+    pairs = list(combinations(range(d), 2))
+    subsets = [s for size in range(2, d + 1) for s in combinations(range(d), size)]
+    proper = [s for s in subsets if len(s) < d]
+    assert g_0(d, delta) == _reference_cover(pairs, proper, delta)
+    for k in range(2, d):
+        inside = set(range(k))
+        universe = [p for p in pairs if not set(p) <= inside]
+        candidates = [s for s in subsets if not set(s) <= inside]
+        assert g_k(d, k, delta) == _reference_cover(universe, candidates, delta)[0]
+
+
 def test_ambiguous_gadget_structure():
     p1, p2, proj = build_ambiguous_gadget(3)
     assert p1.v == 8 and p1.e == 5 and p2.e == 5
@@ -350,7 +377,7 @@ def test_ambiguous_gadget_structure():
     for d in (3, 4, 5):
         a, b, pr = build_ambiguous_gadget(d)
         assert a.v == d + 1 + 2 * (d - 1) * (d - 2)
-        rep = min_preimage(pr, d, vertex_bound=max(64, pr.n))
+        rep = min_preimage(pr, d)
         assert rep.min_size == 2 * d - 1 and rep.ambiguous
         found = {frozenset(c) for c in rep.min_covers}
         assert found == {frozenset(a.edges), frozenset(b.edges)}
@@ -378,7 +405,7 @@ def test_map_failure_gadget_structure():
         assert hb.v == d + math.comb(d, 2) * (d - 2)
         assert hb.e == math.comb(d, 2) + 1
         g = project(Hypergraph(hb.v, d, hb.edges))
-        rep = min_preimage(g, d, vertex_bound=max(64, hb.v))
+        rep = min_preimage(g, d)
         assert rep.min_size == math.comb(d, 2)
         assert tuple(range(d)) not in rep.min_covers[0]  # central hyperedge dropped
 

@@ -5,12 +5,14 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from hyperlift.cli import build_parser, main, parse_sweep_config
 from hyperlift.core import (
     FormatError,
+    Graph,
     graph_to_text,
     hypergraph_from_text,
     project,
@@ -73,9 +75,39 @@ def test_preimage_cap_below_one_exits_1_with_one_stderr_line(tmp_path, capsys, c
     assert captured.err.count("\n") == 1 and f"cap={cap}" in captured.err
 
 
+def test_vertex_bound_guard(tmp_path, capsys):
+    el = tmp_path / "g.el"
+    el.write_text(graph_to_text(Graph(80, [(0, 1)])))
+    assert main(["preimage", "--d", "3", str(el)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "80 vertices" in captured.err
+    assert main(["preimage", "--d", "3", "--vertex-bound", "100", str(el)]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is False
+
+
+def test_preimage_too_deep_for_the_engine_exits_1_with_one_stderr_line(tmp_path, capsys):
+    # K_46 at d=2: 1,035 candidates, one recursion frame per included one
+    el = tmp_path / "k46.el"
+    el.write_text(graph_to_text(Graph(46, list(combinations(range(46), 2)))))
+    assert main(["preimage", "--d", "2", str(el)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "too large" in captured.err
+
+
 @pytest.mark.parametrize("delta", ["2", "-1/5"])
 def test_census_delta_outside_unit_interval_exits_1_with_one_stderr_line(capsys, delta):
     assert main(["census", "--d", "3", f"--delta={delta}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"delta={Fraction(delta)}" in captured.err
+
+
+@pytest.mark.parametrize("delta", ["2", "-1/5"])
+def test_census_beyond_the_g_tables_rejects_delta_outside_unit_interval(capsys, delta):
+    # for d >= 8 no g_0/g_k runs, so the command itself must check delta
+    assert main(["census", "--d", "8", f"--delta={delta}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and f"delta={Fraction(delta)}" in captured.err

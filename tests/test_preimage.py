@@ -3,8 +3,6 @@
 from fractions import Fraction
 from itertools import combinations, product
 
-import pytest
-
 from oracles import all_preimages_bitmask, glue_component_preimages, is_projection_of
 
 from hyperlift.census import build_ambiguous_gadget, build_spurious_clique_gadget
@@ -20,7 +18,7 @@ from hyperlift.core import (
 from hyperlift.preimage import (
     covers_within,
     enumerate_preimages,
-    min_cost_cover,
+    least_covers,
     min_preimage,
 )
 from hyperlift.rng import Stream
@@ -58,13 +56,6 @@ def test_infeasible_graph_is_reported():
     g = Graph(4, [(0, 1)])  # a lone edge is in no triangle
     rep = min_preimage(g, 3)
     assert not rep.feasible and rep.min_size is None and not rep.ambiguous
-
-
-def test_vertex_bound_guard():
-    g = Graph(80, [(0, 1)])
-    with pytest.raises(ValueError):
-        min_preimage(g, 3)
-    assert not min_preimage(g, 3, vertex_bound=100).feasible
 
 
 def test_enumerate_preimages_examples():
@@ -190,21 +181,6 @@ def _exhaustive_covers(full, masks, costs, budget):
     return out
 
 
-def _reached(full, masks, chosen):
-    """Whether the least-uncovered-pair branching with the forbid-earlier
-    rule reaches exactly this set: taking, for the least uncovered pair,
-    the first member covering it must use up every member."""
-    left, covered = list(chosen), 0
-    while covered != full:
-        low = (full & ~covered) & -(full & ~covered)
-        first = next((i for i in left if masks[i] & low), None)
-        if first is None:
-            return False
-        left.remove(first)
-        covered |= masks[first]
-    return not left
-
-
 def test_covers_within_matches_exhaustive_subsets():
     checked = 0
     for full, masks, costs in _random_instances(400, 11):
@@ -237,28 +213,30 @@ def test_covers_within_edge_cases():
     assert covers_within(0b1, [0b1, 0b1], [0, 0], 0)[0] == [(0, 1), (0,), (1,)]
 
 
-def test_min_cost_cover_matches_exhaustive_subsets():
-    checked = 0
+def test_least_covers_matches_exhaustive_subsets():
+    checked = positive = 0
     for full, masks, costs in _random_instances(400, 12):
-        best = min_cost_cover(full, masks, costs)
         covers = _exhaustive_covers(full, masks, costs, sum(costs))
         if not covers:
-            assert best is None
+            assert least_covers(full, masks, costs) is None
             continue
         low = min(sum(costs[i] for i in c) for c in covers)
-        optima = [c for c in covers if sum(costs[i] for i in c) == low]
-        reached = [c for c in optima if _reached(full, masks, c)]
-        assert best == (low, min(reached)), (full, masks, costs)
+        optima = _exhaustive_covers(full, masks, costs, low)
+        assert least_covers(full, masks, costs) == (low, optima), (full, masks, costs)
+        for stop in (1, 2):
+            assert least_covers(full, masks, costs, stop) == (low, optima[:stop])
         if all(costs):
-            # with positive costs every optimum is minimal, hence reached
-            assert best == (low, min(optima))
+            # no optimum contains another, so the first is the lex-least
+            assert optima[0] == min(optima)
+            positive += 1
         checked += 1
-    assert checked > 200
+    assert checked > 200 and positive > 50
 
 
-def test_min_cost_cover_edge_cases():
-    assert min_cost_cover(0, [], []) == (0, ())
-    assert min_cost_cover(0, [0], [0]) == (0, ())
-    assert min_cost_cover(0b11, [0b01], [1]) is None
-    assert min_cost_cover(0b11, [0b11, 0b01, 0b10], [3, 1, 1]) == (2, (1, 2))
-    assert min_cost_cover(0b11, [0b11, 0b01, 0b10], [2, 1, 1]) == (2, (0,))
+def test_least_covers_edge_cases():
+    assert least_covers(0, [], []) == (0, [()])
+    assert least_covers(0, [0], [0]) == (0, [(0,), ()])
+    assert least_covers(0b11, [0b01], [1]) is None
+    assert least_covers(0b11, [0b11, 0b01, 0b10], [3, 1, 1]) == (2, [(1, 2)])
+    assert least_covers(0b11, [0b11, 0b01, 0b10], [2, 1, 1]) == (2, [(0,), (1, 2)])
+    assert least_covers(0b11, [0b11, 0b01, 0b10], [2, 1, 1], 1) == (2, [(0,)])
