@@ -11,11 +11,17 @@ Subcommands:
     sweep        run a seeded grid from a config file, write CSV
     hsbm         similarity-matrix -> support -> MAP pipeline summary
 
+The options before the subcommand are --seed (the base seed of gen and
+hsbm), --out (the output path, stdout by default; sweep writes sweep.csv)
+and --threads (sweep worker processes, at most one per replicate and per
+CPU; the CSV bytes do not depend on it).
+
 Malformed input (a bad file, config or parameter), a file that cannot be
 read or written, a MAP abort on a giant component and an input too large
 for the exact engine's recursion print one line to stderr and exit 1.
 
-Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5.
+Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5;
+one that does not parse, or has a zero denominator, is a bad parameter.
 
 The sweep config grammar is one `key = value` pair per line, `#` comments,
 lists comma-separated; d, n, delta and seeds are required, and a key not
@@ -62,9 +68,9 @@ from .core import (
     read_text,
     write_text,
 )
-from .harness import RESULT_COLUMNS, SweepSpec, hsbm_pipeline, run_sweep, write_sweep_csv
+from .harness import SweepSpec, hsbm_pipeline, write_sweep_csv
 from .preimage import min_preimage
-from .reconstruct import ALGORITHM_NAMES, ComponentTooLargeError, run_algorithm
+from .reconstruct import ALGORITHMS, ComponentTooLargeError
 from .search import SearchConfig, dfs_search
 
 
@@ -82,8 +88,15 @@ def _load(path, parse):
         raise FormatError(f"{path}: {err}") from None
 
 
+def _fraction(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError(f"bad {flag} value {text!r}: {err}") from None
+
+
 def _cmd_gen(args) -> int:
-    params = DensityParams(args.d, Fraction(args.delta), args.n, Fraction(args.c))
+    params = DensityParams(args.d, _fraction("--delta", args.delta), args.n)
     h = generate_random_hypergraph(params, args.seed, p_override=args.p_override)
     _emit(args, hypergraph_to_text(h))
     return 0
@@ -97,7 +110,7 @@ def _cmd_project(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     g = _load(args.input, graph_from_text)
-    res = run_algorithm(args.algo, g, args.d)
+    res = ALGORITHMS[args.algo](g, args.d)
     stats = {
         "algorithm": res.algorithm,
         "is_preimage": res.is_preimage,
@@ -125,7 +138,7 @@ def _cmd_preimage(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    d, delta = args.d, Fraction(args.delta)
+    d, delta = args.d, _fraction("--delta", args.delta)
     if not 0 <= delta <= 1:
         raise ValueError(f"delta={delta} outside [0, 1]")
     preimage1, _, _ = build_ambiguous_gadget(d)
@@ -159,7 +172,7 @@ def _cmd_census(args) -> int:
 def _cmd_search(args) -> int:
     config = SearchConfig(
         d=args.d,
-        delta=Fraction(args.delta),
+        delta=_fraction("--delta", args.delta),
         max_depth=args.max_depth,
         node_budget=args.node_budget,
         time_budget=args.time_budget,
@@ -211,7 +224,7 @@ def parse_sweep_config(text: str) -> SweepSpec:
             lineno, value = values[key]
             raise FormatError(f"line {lineno}: bad {key} value {value!r}: {why}")
 
-    # the constraints DensityParams (c = 1) and SweepSpec put on every cell,
+    # the constraints DensityParams and SweepSpec put on every cell,
     # checked here so that a bad value names its line before any output opens
     d = field("d", int)
     check("d", d >= 2, "d must be >= 2")
@@ -229,8 +242,8 @@ def parse_sweep_config(text: str) -> SweepSpec:
     if "algorithms" in values:
         check(
             "algorithms",
-            algorithms and set(algorithms) <= ALGORITHM_NAMES,
-            f"need a nonempty list from {', '.join(sorted(ALGORITHM_NAMES))}",
+            algorithms and set(algorithms) <= ALGORITHMS.keys(),
+            f"need a nonempty list from {', '.join(sorted(ALGORITHMS))}",
         )
     return SweepSpec(
         d=d,
@@ -246,14 +259,6 @@ def _cmd_sweep(args) -> int:
     spec = _load(args.config, parse_sweep_config)
     if args.threads > 1:
         spec = replace(spec, threads=args.threads)
-    if args.format == "json":
-        # JSON mirror of the CSV schema (timing stays out of the records)
-        rows = [
-            dict(zip(RESULT_COLUMNS, record.result_row()))
-            for record in run_sweep(spec)
-        ]
-        _emit(args, json.dumps(rows, indent=2))
-        return 0
     out = args.out or "sweep.csv"
     count = write_sweep_csv(spec, out, out + ".timing")
     sys.stderr.write(f"wrote {count} records to {out}\n")
@@ -261,7 +266,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hsbm(args) -> int:
-    params = HsbmParams(args.d, args.n, Fraction(args.alpha), Fraction(args.beta))
+    params = HsbmParams(
+        args.d, args.n, _fraction("--alpha", args.alpha), _fraction("--beta", args.beta)
+    )
     seeds = [args.seed + i for i in range(args.seeds)]
     summary = hsbm_pipeline(params, seeds)
     _emit(args, json.dumps(summary, indent=2))
@@ -276,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="base 64-bit seed")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="sample a random hypergraph")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", required=True, help="exact rational, e.g. 2/5")
-    p.add_argument("--c", default="1", help="density constant factor")
     p.add_argument("--p-override", type=float, default=None, dest="p_override")
     p.set_defaults(func=_cmd_gen)
 
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("reconstruct", help="reconstruct a hypergraph from .el")
-    p.add_argument("--algo", choices=sorted(ALGORITHM_NAMES), required=True)
+    p.add_argument("--algo", choices=sorted(ALGORITHMS), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("input")
     p.set_defaults(func=_cmd_reconstruct)

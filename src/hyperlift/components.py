@@ -47,23 +47,10 @@ class ComponentPartition:
     component ascending, so the partition is deterministic.
     """
 
-    __slots__ = ("hypergraph", "components")
+    __slots__ = ("components",)
 
-    def __init__(self, hypergraph: Hypergraph, components: Sequence[Sequence[int]]):
-        self.hypergraph = hypergraph
+    def __init__(self, components: Sequence[Sequence[int]]):
         self.components = tuple(tuple(c) for c in components)
-
-    def sizes(self) -> list:
-        return [len(c) for c in self.components]
-
-    def component_edges(self, idx: int) -> list:
-        return [self.hypergraph.edges[i] for i in self.components[idx]]
-
-    def component_of(self, edge_index: int) -> int:
-        for ci, comp in enumerate(self.components):
-            if edge_index in comp:
-                return ci
-        raise KeyError(edge_index)
 
 
 def two_neighbors(h: Sequence[int], hypergraph: Hypergraph) -> set:
@@ -102,7 +89,7 @@ def decompose(hypergraph: Hypergraph) -> ComponentPartition:
     for i in range(m):
         groups.setdefault(uf.find(i), []).append(i)
     components = sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
-    return ComponentPartition(hypergraph, components)
+    return ComponentPartition(components)
 
 
 def component_size_bound(d: int, delta: Fraction) -> Fraction:

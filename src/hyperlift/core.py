@@ -5,7 +5,7 @@ d-tuples; a hypergraph's edge list is lexicographically sorted and
 duplicate free, so two hypergraphs are equal iff (n, d, edges) are equal.
 All file formats are 0-indexed and bit-exact canonical (sorted lines).
 
-Density is parameterized as p = c * n**(-d + 1 + delta) with delta an exact
+Density is parameterized as p = n**(-d + 1 + delta) with delta an exact
 rational in [0, 1]; p itself is a float.  Everything random is a pure
 function of (params, seed); see :mod:`hyperlift.rng` for the stream rules.
 """
@@ -13,7 +13,6 @@ function of (params, seed); see :mod:`hyperlift.rng` for the stream rules.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -60,11 +59,6 @@ class Hypergraph:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def __contains__(self, e) -> bool:
-        e = tuple(e)
-        i = bisect_left(self.edges, e)
-        return i < len(self.edges) and self.edges[i] == e
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, d={self.d}, edges={len(self.edges)})"
@@ -119,16 +113,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class DensityParams:
-    """Random-hypergraph parameters (d, delta, n) with p = c * n**(-d+1+delta).
+    """Random-hypergraph parameters (d, delta, n) with p = n**(-d+1+delta).
 
-    delta is an exact rational in [0, 1]; the optional constant c (default 1)
-    exists for sensitivity experiments only and does not change exponents.
+    delta is an exact rational in [0, 1]; n >= d >= 2 then gives p <= 1.
     """
 
     d: int
     delta: Fraction
     n: int
-    c: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.d < 2:
@@ -137,15 +129,11 @@ class DensityParams:
             raise ValueError(f"n={self.n} must be >= d={self.d}")
         if not 0 <= self.delta <= 1:
             raise ValueError(f"delta={self.delta} outside [0, 1]")
-        if self.c <= 0:
-            raise ValueError("constant c must be positive")
-        if self.p > 1.0:
-            raise ValueError(f"p={self.p} exceeds 1 (reduce c or delta)")
 
     @property
     def p(self) -> float:
         exponent = float(-self.d + 1 + self.delta)
-        return float(self.c) * self.n**exponent
+        return self.n**exponent
 
 
 @dataclass(frozen=True)
@@ -401,7 +389,7 @@ def densify_reduction(
     """
     if delta2 <= params1.delta:
         raise ValueError(f"delta2={delta2} must exceed delta1={params1.delta}")
-    params2 = DensityParams(params1.d, delta2, params1.n, params1.c)
+    params2 = DensityParams(params1.d, delta2, params1.n)
     p1, p2 = params1.p, params2.p
     p3 = (p2 - p1) / (1.0 - p1)
     h3 = generate_random_hypergraph(params1, seed, p_override=p3)

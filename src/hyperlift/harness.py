@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,6 @@ from itertools import combinations, permutations
 from typing import Iterator, Optional, Sequence
 
 from .census import PatternHypergraph, automorphism_count, build_ambiguous_gadget
-from .components import decompose
 from .core import (
     DensityParams,
     HsbmParams,
@@ -31,7 +31,6 @@ from .core import (
     similarity_matrix,
     support_graph,
 )
-from .preimage import solve_cover
 from .reconstruct import (
     ALGORITHMS,
     ComponentTooLargeError,
@@ -147,44 +146,29 @@ def _run_one(args: tuple) -> list:
     for name in algorithms:
         try:
             res = ALGORITHMS[name](g, d)
-            records.append(
-                SweepRecord(
-                    d=d,
-                    n=n,
-                    delta=delta,
-                    seed=seed,
-                    algorithm=name,
-                    exact=verify_exact(res, truth),
-                    is_preimage=res.is_preimage,
-                    output_size=len(res.output),
-                    truth_size=len(truth),
-                    max_component_size=res.max_component_size if name == "map" else None,
-                    component_count=res.component_count if name == "map" else None,
-                    ambiguous_component_count=res.ambiguous_components
-                    if name == "map"
-                    else None,
-                    elapsed=res.elapsed,
-                )
-            )
         except ComponentTooLargeError:
-            records.append(
-                SweepRecord(
-                    d=d,
-                    n=n,
-                    delta=delta,
-                    seed=seed,
-                    algorithm=name,
-                    exact=False,
-                    is_preimage=False,
-                    output_size=None,
-                    truth_size=len(truth),
-                    max_component_size=None,
-                    component_count=None,
-                    ambiguous_component_count=None,
-                    elapsed=0.0,
-                    reason="component_too_large",
-                )
+            res = None  # an abort is a record with no result
+        stats = res if name == "map" else None
+        records.append(
+            SweepRecord(
+                d=d,
+                n=n,
+                delta=delta,
+                seed=seed,
+                algorithm=name,
+                exact=res is not None and verify_exact(res, truth),
+                is_preimage=res is not None and res.is_preimage,
+                output_size=None if res is None else len(res.output),
+                truth_size=len(truth),
+                max_component_size=None if stats is None else stats.max_component_size,
+                component_count=None if stats is None else stats.component_count,
+                ambiguous_component_count=None
+                if stats is None
+                else stats.ambiguous_components,
+                elapsed=0.0 if res is None else res.elapsed,
+                reason="component_too_large" if res is None else "",
             )
+        )
     return records
 
 
@@ -195,11 +179,13 @@ def run_sweep(spec: SweepSpec) -> Iterator[SweepRecord]:
         (spec.d, n, delta, rep, spec.base_seed, spec.algorithms)
         for n, delta, rep in spec.cells()
     ]
-    if spec.threads <= 1:
+    # the pool starts all its workers at once, so ask for no more than can work
+    workers = min(spec.threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         for task in tasks:
             yield from _run_one(task)
     else:
-        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for records in pool.map(_run_one, tasks, chunksize=4):
                 yield from records
 
@@ -395,11 +381,13 @@ def planted_gadget_trial(
     """Plant one of the two gadget preimage variants (chosen uniformly) on
     random vertices inside an otherwise random hypergraph, then run MAP.
 
-    If the gadget's 2-connected component stays isolated, exactly one of
-    the two variants can match the canonical minimum there, so MAP's
-    success on the trial is a fair coin over the variant choice.  When the
-    background touches the gadget component the trial is flagged collision
-    (and should be discarded by callers estimating the forced-failure rate).
+    The gadget's d-cliques form one 2-connected component of Cli(G).  If
+    no other clique shares a pair with them, that component stays isolated,
+    MAP keeps its canonical minimum, and exactly one of the two variants
+    matches it, so MAP's success on the trial is a fair coin over the
+    variant choice.  When the background touches the gadget component the
+    trial is flagged collision (and should be discarded by callers
+    estimating the forced-failure rate).
     """
     p1, p2, gadget_proj = build_ambiguous_gadget(d)
     gadget_v = p1.v
@@ -407,45 +395,37 @@ def planted_gadget_trial(
         raise ValueError(f"n={n} too small to embed a gadget on {gadget_v} vertices")
     rng = substream(seed, TRIAL_TAG)
     variant = rng.randrange(2)
-    planted_pattern = p1 if variant == 0 else p2
     spots = list(range(n))
     rng.shuffle(spots)
-    embed = {i: spots[i] for i in range(gadget_v)}
-    planted_edges = [tuple(sorted(embed[u] for u in e)) for e in planted_pattern.edges]
+
+    def place(edges) -> set:
+        return {tuple(sorted(spots[u] for u in e)) for e in edges}
+
+    variant_edge_sets = [place(pat.edges) for pat in (p1, p2)]
     if background is not None:
         if (background.n, background.d) != (n, d):
             raise ValueError("background params must match (n, d)")
         base = generate_random_hypergraph(background, mix64(seed, 0xB6))
     else:
         base = Hypergraph(n, d, [])
-    truth = base.union(Hypergraph(n, d, planted_edges))
+    truth = base.union(Hypergraph(n, d, variant_edge_sets[variant]))
     g = project(truth)
-    cli = clique_hypergraph(g, d)
-    partition = decompose(cli)
-    cli_index = {e: i for i, e in enumerate(cli.edges)}
-    comp_idx = partition.component_of(cli_index[planted_edges[0]])
-    comp_edges = set(partition.component_edges(comp_idx))
-    expected_cli = {
-        tuple(sorted(embed[u] for u in e))
-        for e in clique_hypergraph(gadget_proj, d).edges
-    }
-    isolated = comp_edges == expected_cli
+    gadget_cli = place(clique_hypergraph(gadget_proj, d).edges)
+    gadget_pairs = {pair for c in gadget_cli for pair in combinations(c, 2)}
+    isolated = not any(
+        c not in gadget_cli and not gadget_pairs.isdisjoint(combinations(c, 2))
+        for c in clique_hypergraph(g, d).edges
+    )
     if not isolated:
         return PlantedTrial(seed, variant, True, False, None, None)
-    universe = set()
-    for c in comp_edges:
-        universe.update(combinations(c, 2))
-    r, covers, ambiguous = solve_cover(universe, comp_edges, cap=4)
-    if not (ambiguous and len(covers) == 2 and r == 2 * d - 1):
+    res = map_reconstruct(g, d)
+    if res.ambiguous_components < 1:
         raise RuntimeError("isolated gadget component is not behaving ambiguously")
-    variant_edge_sets = [
-        {tuple(sorted(embed[u] for u in e)) for e in pat.edges} for pat in (p1, p2)
-    ]
-    canonical = set(covers[0])
+    # MAP keeps the canonical (lex-least) minimum of the gadget's component
+    canonical = set(res.output.edges) & gadget_cli
     matches = [canonical == s for s in variant_edge_sets]
     if sum(matches) != 1:
         raise RuntimeError("canonical minimum should match exactly one variant")
-    res = map_reconstruct(g, d)
     return PlantedTrial(
         seed=seed,
         variant=variant,

@@ -143,15 +143,6 @@ ALGORITHMS = {
     "map": map_reconstruct,
     "greedy": greedy_reconstruct,
 }
-ALGORITHM_NAMES = frozenset(ALGORITHMS)
-
-
-def run_algorithm(name: str, g: Graph, d: int, **kwargs) -> ReconstructionResult:
-    try:
-        algo = ALGORITHMS[name]
-    except KeyError:
-        raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}")
-    return algo(g, d, **kwargs)
 
 
 def verify_exact(result: ReconstructionResult, truth: Hypergraph) -> bool:

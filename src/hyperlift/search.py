@@ -386,9 +386,6 @@ def dfs_search(config: SearchConfig) -> SearchReport:
                     raise RuntimeError(
                         f"growth failed to decrease the exponent: {exp} -> {child_exp}"
                     )
-                if child_exp < 0:
-                    report.nodes_pruned_by_exponent += 1
-                    continue
                 key = canonical_form(child)
                 if key in visited:
                     report.nodes_deduped += 1

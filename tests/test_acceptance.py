@@ -173,8 +173,8 @@ def test_criterion_05_oracle_equivalence():
         direct = all_preimages_bitmask(g, 3)
         part = decompose(cli)
         per_component = []
-        for ci in range(len(part.components)):
-            cand = part.component_edges(ci)
+        for comp in part.components:
+            cand = [cli.edges[i] for i in comp]
             universe = set()
             for c in cand:
                 universe.update(combinations(c, 2))
@@ -326,7 +326,7 @@ def test_criterion_10_structural_invariants():
         assert len(mp.output) <= len(gr.output) <= len(cc.output)
         # every delta in the grid sits at or below threshold - 1/10 = 2/5
         if cli.edges:
-            assert max(decompose(cli).sizes()) <= component_size_bound(3, delta)
+            assert max(map(len, decompose(cli).components)) <= component_size_bound(3, delta)
         cases += 1
     elapsed = time.time() - t0
     ok = cases >= 1000 and elapsed < 120.0

@@ -148,6 +148,15 @@ def test_search_options_are_the_search_config_fields():
     assert options == {"d", "delta", "max_depth", "node_budget", "time_budget"}
 
 
+def test_top_level_and_gen_options():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    top = {a.dest for a in parser._actions} - {"help", "command"}
+    assert top == {"seed", "out", "threads"}
+    gen = {a.dest for a in subparsers.choices["gen"]._actions} - {"help"}
+    assert gen == {"d", "n", "delta", "p_override"}
+
+
 def test_sweep_config_and_run(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
@@ -264,14 +273,20 @@ def test_hsbm_without_seeds_exits_1_with_one_stderr_line(capsys):
     assert captured.err.count("\n") == 1 and "seed" in captured.err
 
 
-def test_sweep_json_format_mirrors_csv_schema(tmp_path, capsys):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("d = 3\nn = 14\ndelta = 1/5\nseeds = 2\nbase_seed = 4\nalgorithms = map\n")
-    assert main(["--format", "json", "sweep", str(cfg)]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 2
-    assert list(rows[0]) == [
-        "d", "n", "delta", "seed", "algorithm", "exact", "is_preimage",
-        "output_size", "truth_size", "max_component_size", "component_count",
-        "ambiguous_component_count", "reason",
-    ]
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["gen", "--d", "3", "--n", "10", "--delta", "1/0"], "--delta"),
+        (["census", "--d", "3", "--delta", "1/0"], "--delta"),
+        (["search", "--d", "3", "--delta", "1/0"], "--delta"),
+        (["hsbm", "--d", "3", "--n", "20", "--alpha", "1/0", "--beta", "1/8"], "--alpha"),
+        (["hsbm", "--d", "3", "--n", "20", "--alpha", "1/2", "--beta", "1/0"], "--beta"),
+    ],
+    ids=["gen", "census", "search", "hsbm-alpha", "hsbm-beta"],
+)
+def test_zero_denominator_exits_1_with_one_stderr_line(capsys, command, flag):
+    assert main(command) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"bad {flag} value '1/0'" in captured.err

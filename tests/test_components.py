@@ -35,8 +35,10 @@ def test_decompose_examples():
     h = Hypergraph(8, 3, [(1, 2, 3), (2, 3, 4), (5, 6, 7)])
     part = decompose(h)
     assert part.components == ((0, 1), (2,))
-    assert part.component_edges(0) == [(1, 2, 3), (2, 3, 4)]
-    assert part.component_edges(1) == [(5, 6, 7)]
+    assert [[h.edges[i] for i in comp] for comp in part.components] == [
+        [(1, 2, 3), (2, 3, 4)],
+        [(5, 6, 7)],
+    ]
 
     single = decompose(Hypergraph(4, 3, [(0, 1, 2)]))
     assert single.components == ((0,),)
@@ -72,8 +74,7 @@ def test_partition_and_separation_properties():
         assert sorted(seen) == list(range(len(h.edges)))
         # projections of distinct components are edge-disjoint
         projections = [
-            project_edges(part.component_edges(ci))
-            for ci in range(len(part.components))
+            project_edges(h.edges[i] for i in comp) for comp in part.components
         ]
         for a in range(len(projections)):
             for b in range(a + 1, len(projections)):
@@ -96,7 +97,7 @@ def test_component_size_bound_observed():
         if not cli.edges:
             continue
         part = decompose(cli)
-        assert max(part.sizes()) <= bound
+        assert max(len(comp) for comp in part.components) <= bound
 
 
 def test_component_size_bound_needs_subcritical_delta():

@@ -173,8 +173,6 @@ def test_density_params_validation():
         DensityParams(3, Fraction(0), 2)
     with pytest.raises(ValueError):
         DensityParams(3, Fraction(3, 2), 10)
-    with pytest.raises(ValueError):
-        DensityParams(2, Fraction(1), 10, c=Fraction(50))  # p = 50/10 > 1
 
 
 def test_generation_mean_matches_binomial():

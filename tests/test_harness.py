@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperlift import harness
 from hyperlift.census import PatternHypergraph, exact_expected_count
 from hyperlift.core import DensityParams, HsbmParams, generate_hsbm, project
 from hyperlift.harness import (
@@ -113,6 +114,39 @@ def test_sweep_parallel_matches_sequential(tmp_path):
     )
     par = [r.result_row() for r in run_sweep(par_spec)]
     assert seq == par
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "threads, num_seeds, cpus, workers",
+    [(64, 3, 8, 3), (64, 20, 2, 2), (2, 20, 8, 2), (64, 1, 8, None), (64, 20, None, None)],
+)
+def test_sweep_pool_is_capped_by_tasks_and_cpus(monkeypatch, threads, num_seeds, cpus, workers):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    base = dict(d=3, n_list=(8,), delta_list=(Fraction(1, 5),), num_seeds=num_seeds, base_seed=2)
+    rows = [r.result_row() for r in run_sweep(SweepSpec(**base, threads=threads))]
+    assert rows == [r.result_row() for r in run_sweep(SweepSpec(**base))]
+    # one worker (a single task or an unknown CPU count) runs in process
+    assert _SerialPool.sizes == ([] if workers is None else [workers])
 
 
 def test_mc_subgraph_count_examples():

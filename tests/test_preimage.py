@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
+
 from oracles import all_preimages_bitmask, glue_component_preimages, is_projection_of
 
 from hyperlift.census import build_ambiguous_gadget, build_spurious_clique_gadget
@@ -31,10 +33,14 @@ def test_single_clique_is_unique_minimum():
     assert rep.min_covers == (((1, 2, 4),),)
 
 
-def test_gadget_has_exactly_two_minimum_preimages():
-    p1, p2, proj = build_ambiguous_gadget(3)
-    rep = min_preimage(proj, 3)
-    assert rep.feasible and rep.min_size == 5 and rep.ambiguous
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_gadget_has_exactly_two_minimum_preimages(d):
+    # what planted_gadget_trial relies on: one 2-connected component of
+    # gadget cliques, whose two minimum preimages are the two variants
+    p1, p2, proj = build_ambiguous_gadget(d)
+    assert len(decompose(clique_hypergraph(proj, d)).components) == 1
+    rep = min_preimage(proj, d)
+    assert rep.feasible and rep.min_size == 2 * d - 1 and rep.ambiguous
     assert len(rep.min_covers) == 2
     found = {frozenset(c) for c in rep.min_covers}
     assert found == {frozenset(p1.edges), frozenset(p2.edges)}
@@ -119,8 +125,8 @@ def test_component_decomposition_oracle():
         direct = all_preimages_bitmask(g, 3)
         part = decompose(cli)
         per_component = []
-        for ci in range(len(part.components)):
-            cand = part.component_edges(ci)
+        for comp in part.components:
+            cand = [cli.edges[i] for i in comp]
             universe = set()
             for c in cand:
                 universe.update(combinations(c, 2))

@@ -23,7 +23,6 @@ from hyperlift.reconstruct import (
     clique_cover,
     greedy_reconstruct,
     map_reconstruct,
-    run_algorithm,
     verify_exact,
 )
 
@@ -142,13 +141,6 @@ def test_map_never_consults_density():
     g = project(h)
     out = map_reconstruct(g, 3).output
     assert out == map_reconstruct(Graph(g.n, g.edges), 3).output
-
-
-def test_run_algorithm_dispatch():
-    g = project(Hypergraph(5, 3, [(0, 1, 4)]))
-    assert run_algorithm("cc", g, 3).algorithm == "cc"
-    with pytest.raises(ValueError):
-        run_algorithm("bogus", g, 3)
 
 
 def _map_or_abort(fn, g, d, **kwargs):

@@ -306,14 +306,15 @@ def test_canonical_form_matches_the_full_tree_reference(certificates, monkeypatc
 def test_grow_matches_reference_collection_dfs(certificates, d):
     # the same children in the same order and the same pruned count as the
     # growth step's own bitmask DFS, for every candidate of every pattern
-    # the certificate expanded, with the search's exponent floor of 0
+    # the certificate expanded, with the search's exponent floor of 0; the
+    # budget keeps every child's exponent >= 0, which dfs_search relies on
     report, expanded, _ = certificates[d]
     delta = report.config.delta
     for pattern in expanded:
         for h in candidate_neighbors(pattern, d):
-            assert grow(pattern, h, d, delta) == reference_grow(
-                pattern, h, d, delta, Fraction(0)
-            ), (pattern, h)
+            grown = grow(pattern, h, d, delta)
+            assert grown == reference_grow(pattern, h, d, delta, Fraction(0)), (pattern, h)
+            assert all(pattern_exponent(c, d, delta) >= 0 for c in grown[0]), (pattern, h)
 
 
 def test_automorphism_count_on_expanded_patterns(certificates):
