@@ -11,7 +11,7 @@ is banned.  The pieces:
   lengths;
 - max sub-hypergraph density m(K) = max e'/v' over nonempty hyperedge
   subsets, computed exactly by Dinkelbach iteration over a
-  project-selection min cut;
+  project-selection min cut (shortest augmenting paths);
 - the appearance exponent v + e*(delta - d + 1) of a pattern's expected
   count under p = n**(-d+1+delta), and the exact expectation
   C(n, v) * v! / aut(K) * p**e;
@@ -44,6 +44,15 @@ class PatternTooLargeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _normalize(edges: Iterable[Sequence[int]]) -> tuple:
+    """Sorted tuple of sorted edges relabeled densely in sorted vertex order,
+    so equal labeled structures normalize equally."""
+    raw = [tuple(sorted(e)) for e in edges]
+    support = sorted({u for e in raw for u in e})
+    relabel = {u: i for i, u in enumerate(support)}
+    return tuple(sorted(tuple(relabel[u] for u in e) for e in raw))
+
+
 class PatternHypergraph:
     """An unlabeled hypergraph pattern: edges over vertices 0..v-1, no isolates.
 
@@ -71,10 +80,7 @@ class PatternHypergraph:
     @classmethod
     def from_edges(cls, edges: Iterable[Sequence[int]]) -> "PatternHypergraph":
         """Build a pattern from edges over arbitrary labels (relabels densely)."""
-        raw = [tuple(sorted(e)) for e in edges]
-        support = sorted({u for e in raw for u in e})
-        relabel = {u: i for i, u in enumerate(support)}
-        return cls([tuple(relabel[u] for u in e) for e in raw])
+        return cls(_normalize(edges))
 
     @property
     def e(self) -> int:
@@ -337,97 +343,51 @@ def _orbit(point: int, generators: Sequence[Sequence[int]]) -> set:
 # ---------------------------------------------------------------------------
 
 
-class _Dinic:
-    """Integer-capacity max flow on a small graph."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list = []
-        self.cap: list = []
-        self.head: list = [[] for _ in range(n)]
-
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.n
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for ei in self.head[u]:
-                    v = self.to[ei]
-                    if self.cap[ei] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, limit: int) -> int:
-                if u == t:
-                    return limit
-                while it[u] < len(self.head[u]):
-                    ei = self.head[u][it[u]]
-                    v = self.to[ei]
-                    if self.cap[ei] > 0 and level[v] == level[u] + 1:
-                        pushed = dfs(v, min(limit, self.cap[ei]))
-                        if pushed:
-                            self.cap[ei] -= pushed
-                            self.cap[ei ^ 1] += pushed
-                            return pushed
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 62)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def source_side(self, s: int) -> set:
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for ei in self.head[u]:
-                v = self.to[ei]
-                if self.cap[ei] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
 def _best_subset_above(edges: Sequence[tuple], lam: Fraction) -> Optional[list]:
-    """Edge-index subset maximizing b*e_S - a*v_S for lam = a/b, if positive.
+    """The least edge-index subset maximizing b*e_S - a*v_S for lam = a/b,
+    or None when no subset has positive profit (none beats ratio lam).
 
     Project-selection min cut: selecting a hyperedge earns b, touching a
-    vertex costs a.  Returns None when no subset beats ratio lam.
+    vertex costs a.  A maximum flow is found by shortest augmenting paths;
+    the hyperedges still reachable from the source in its residual graph
+    form the inclusion-least minimum cut, the intersection of all
+    profit-maximizing subsets, which is empty exactly when the best profit
+    is 0 (the empty subset's).
     """
     a, b = lam.numerator, lam.denominator
-    vertices = sorted({u for e in edges for u in e})
-    vidx = {u: i for i, u in enumerate(vertices)}
-    ne, nv = len(edges), len(vertices)
-    src, sink = ne + nv, ne + nv + 1
-    net = _Dinic(ne + nv + 2)
-    inf = b * ne + a * nv + 1
+    ne = len(edges)
+    node = {u: ne + j for j, u in enumerate(sorted({u for e in edges for u in e}))}
+    src, sink = ne + len(node), ne + len(node) + 1
+    residual: list = [{} for _ in range(sink + 1)]
+
+    def add(u: int, v: int, c: int) -> None:
+        residual[u][v] = c
+        residual[v][u] = 0
+
     for i, e in enumerate(edges):
-        net.add(src, i, b)
-        for u in set(e):
-            net.add(i, ne + vidx[u], inf)
-    for j in range(nv):
-        net.add(ne + j, sink, a)
-    cut = net.max_flow(src, sink)
-    profit = b * ne - cut
-    if profit <= 0:
-        return None
-    side = net.source_side(src)
-    return [i for i in range(ne) if i in side]
+        add(src, i, b)
+        for u in e:
+            add(i, node[u], b * ne + 1)  # never saturated
+    for x in node.values():
+        add(x, sink, a)
+    while True:
+        prev = {src: src}
+        queue = [src]
+        for u in queue:
+            for v, c in residual[u].items():
+                if c > 0 and v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            subset = [i for i in range(ne) if i in prev]
+            return subset or None
+        path = [sink]
+        while path[-1] != src:
+            path.append(prev[path[-1]])
+        push = min(residual[u][v] for v, u in zip(path, path[1:]))
+        for v, u in zip(path, path[1:]):
+            residual[u][v] -= push
+            residual[v][u] += push
 
 
 def max_density(pattern: PatternHypergraph) -> Fraction:

@@ -3,9 +3,9 @@
 Two hyperedges are 2-neighbors when they share at least two vertices; a
 2-connected component is a connected component under that relation.  This
 is a hypergraph notion, not the usual graph 2-vertex-connectivity.  The
-decomposition runs union-find keyed by vertex pairs: for each pair {a, b},
-all hyperedges containing both get unioned, for total cost
-O(|edges| * C(d, 2) * alpha).
+decomposition runs union-find keyed by vertex pairs over a parent list
+with path halving: each hyperedge is joined to the first hyperedge seen
+with each of its pairs, for O(|edges| * C(d, 2)) find calls.
 """
 
 from __future__ import annotations
@@ -15,29 +15,6 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import Hypergraph
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
 
 
 class ComponentPartition:
@@ -77,19 +54,23 @@ def two_neighbors(h: Sequence[int], hypergraph: Hypergraph) -> set:
 
 def decompose(hypergraph: Hypergraph) -> ComponentPartition:
     """Split a hypergraph into its 2-connected components via pair-keyed union-find."""
-    m = len(hypergraph.edges)
-    uf = _UnionFind(m)
+    parent = list(range(len(hypergraph.edges)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
     first_seen: dict = {}
     for i, e in enumerate(hypergraph.edges):
         for pair in combinations(e, 2):
             j = first_seen.setdefault(pair, i)
             if j != i:
-                uf.union(i, j)
-    groups: dict = {}
-    for i in range(m):
-        groups.setdefault(uf.find(i), []).append(i)
-    components = sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
-    return ComponentPartition(components)
+                parent[find(i)] = find(j)
+    groups: dict = {}  # inserted in order of least member, so sorted
+    for i in range(len(parent)):
+        groups.setdefault(find(i), []).append(i)
+    return ComponentPartition(groups.values())
 
 
 def component_size_bound(d: int, delta: Fraction) -> Fraction:

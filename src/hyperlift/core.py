@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .rng import SIGMA_TAG, bernoulli_ranks, substream, thinned_ranks
+from .rng import SIGMA_TAG, bernoulli_ranks, substream
 
 Hyperedge = tuple  # strictly increasing d-tuple of vertex ids
 Edge = tuple  # (a, b) with a < b
@@ -212,7 +212,7 @@ class SimilarityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Combinatorial rank <-> d-subset (lexicographic order)
+# Combinatorial rank -> d-subset (lexicographic order)
 # ---------------------------------------------------------------------------
 
 
@@ -240,18 +240,6 @@ def unrank_combination(rank: int, n: int, d: int) -> tuple:
         combo.append(v)
         prev = v
     return tuple(combo)
-
-
-def rank_combination(combo: Sequence[int], n: int) -> int:
-    """Inverse of :func:`unrank_combination`."""
-    d = len(combo)
-    rank = 0
-    prev = -1
-    for i, v in enumerate(combo):
-        k = d - 1 - i
-        rank += math.comb(n - prev - 1, k + 1) - math.comb(n - v, k + 1)
-        prev = v
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +289,7 @@ def generate_hsbm(params: HsbmParams, seed: int) -> tuple:
             return True
         return False
 
-    thinned_ranks(seed, math.comb(n, d), q1, keep)
+    bernoulli_ranks(seed, math.comb(n, d), q1, keep)
     return Hypergraph(n, d, edges), sigma
 
 
@@ -421,6 +409,8 @@ def _int_rows(text: str, header_width: int) -> list[tuple[int, tuple[int, ...]]]
     lineno, header = rows[0]
     if len(header) != header_width:
         raise FormatError(f"line {lineno}: header needs {header_width} integers, got {len(header)}")
+    if header[-1] < 0:
+        raise FormatError(f"line {lineno}: vertex count n={header[-1]} must be >= 0")
     return rows
 
 
@@ -438,8 +428,12 @@ def hypergraph_to_text(h: Hypergraph) -> str:
 def hypergraph_from_text(text: str) -> Hypergraph:
     rows = _int_rows(text, 2)
     d, n = rows[0][1]
+    if d < 2:
+        raise FormatError(f"line {rows[0][0]}: uniformity d={d} must be >= 2")
     for lineno, e in rows[1:]:
         _check_width(lineno, e, d)
+        if list(e) != sorted(set(e)) or e[0] < 0 or e[-1] >= n:
+            raise FormatError(f"line {lineno}: hyperedge {e} not strictly increasing in 0..{n - 1}")
     return Hypergraph(n, d, [e for _, e in rows[1:]])
 
 
@@ -454,6 +448,8 @@ def graph_from_text(text: str) -> Graph:
     (n,) = rows[0][1]
     for lineno, e in rows[1:]:
         _check_width(lineno, e, 2)
+        if not -1 < min(e) < max(e) < n:
+            raise FormatError(f"line {lineno}: edge {e} needs two distinct vertices in 0..{n - 1}")
     return Graph(n, [e for _, e in rows[1:]])
 
 
@@ -472,6 +468,8 @@ def similarity_from_text(text: str) -> SimilarityMatrix:
         i, j, c = row
         if not (0 <= i < n and 0 <= j < n):
             raise FormatError(f"line {lineno}: pair ({i},{j}) out of range for n={n}")
+        if c < 0 or (i == j and c != 0):
+            raise FormatError(f"line {lineno}: count {c} at ({i},{j}): need >= 0, and 0 if i = j")
         counts[(i, j) if i <= j else (j, i)] = c  # a later line overrides
     return SimilarityMatrix(n, counts)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterator, Optional, Sequence
 
-from .census import PatternHypergraph, automorphism_count, build_ambiguous_gadget
+from .census import PatternHypergraph, _incidence, automorphism_count, build_ambiguous_gadget
 from .core import (
     DensityParams,
     HsbmParams,
@@ -268,10 +268,7 @@ def count_pattern_copies(pattern: PatternHypergraph, host: Hypergraph) -> int:
     """
     if not host.edges:
         return 0
-    incident: dict = {}
-    for idx, e in enumerate(host.edges):
-        for v in e:
-            incident.setdefault(v, []).append(idx)
+    incident = _incidence(host.n, host.edges)
     # order pattern edges so each (when possible) touches earlier ones
     remaining = list(pattern.edges)
     ordered: list = []
@@ -295,9 +292,9 @@ def count_pattern_copies(pattern: PatternHypergraph, host: Hypergraph) -> int:
         e = ordered[i]
         mapped = [u for u in e if u in image]
         if mapped:
-            pool = set(incident.get(image[mapped[0]], []))
+            pool = set(incident[image[mapped[0]]])
             for u in mapped[1:]:
-                pool &= set(incident.get(image[u], []))
+                pool &= set(incident[image[u]])
             candidates = [host.edges[j] for j in sorted(pool)]
         else:
             candidates = list(host.edges)

@@ -18,7 +18,8 @@ first outputs are computed for 4096 blocks at a time, one block per 128-bit
 lane of a single Python int, so an empty block costs a 4096th share of
 about thirty-five big-int operations instead of a hash of its own.  Every
 other block runs its full draw sequence, so the ranks are the same as
-walking every block's stream.
+walking every block's stream.  ``bernoulli_ranks`` is the one sampler:
+its ``keep`` test thins the ranks to non-uniform rates.
 
 Floating-point draws are ``(x >> 11) * 2**-53`` from 64-bit outputs, i.e.
 uniform on [0, 1) with 53 bits, identical on any IEEE-754 platform.
@@ -191,16 +192,29 @@ def _empty_cut(log1mp: float) -> int | None:
     return x << 11 if x < 1 << 53 else None
 
 
-def _walk(seed: int, total: int, log1mp: float | None, keep=None) -> list[int]:
-    """Ranks in [0, total) that the geometric skips land on, block by block.
+def bernoulli_ranks(seed: int, total: int, p: float, keep=None) -> list[int]:
+    """Ranks r in [0, total) kept by independent Bernoulli(p) trials.
 
-    Block b is walked with ``substream(seed, GEN_TAG, b)``; ``log1mp is
-    None`` means p = 1, where every rank is a candidate.  With ``keep``, one
-    more draw u is taken per candidate and the rank is kept iff
-    ``keep(rank, u)``.  A skip is capped at BLOCK_SIZE before ``int``: the cap
-    only bites when the skip leaves the block anyway, and it keeps a
-    subnormal p, whose ratio overflows to inf, from raising.
+    Uses geometric skip-sampling within each rank block, so the cost is
+    O(#kept + #blocks) rather than O(total): block b is walked with
+    ``substream(seed, GEN_TAG, b)``, and empty blocks are found 4096 at a
+    time by one lane-parallel hash of their indices; every other block runs
+    its full draw sequence.  At p = 1 every rank is a candidate and no skip
+    is drawn.  A skip is capped at BLOCK_SIZE before ``int``: the cap only
+    bites when the skip leaves the block anyway, and it keeps a subnormal
+    p, whose ratio overflows to inf, from raising.  Deterministic per
+    (seed, total, p).
+
+    ``keep(rank, u)`` thins to non-uniform rates: one more uniform draw u is
+    taken per candidate, so the stream layout does not depend on ``keep``,
+    and the rank is kept iff ``keep`` returns True, which it must do with
+    probability p(rank)/p for the intended per-rank rate p(rank) <= p.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability out of range: {p}")
+    if p == 0.0 or total == 0:
+        return []
+    log1mp = math.log1p(-p) if p < 1.0 else None
     log1p = math.log1p
     out: list[int] = []
     for b in _live_blocks(seed, total, log1mp):
@@ -217,37 +231,3 @@ def _walk(seed: int, total: int, log1mp: float | None, keep=None) -> list[int]:
                 out.append(pos)
             pos += 1
     return out
-
-
-def bernoulli_ranks(seed: int, total: int, p: float) -> list[int]:
-    """Ranks r in [0, total) kept by independent Bernoulli(p) trials.
-
-    Uses geometric skip-sampling within each rank block, so the cost is
-    O(#kept + #blocks) rather than O(total).  Empty blocks are found 4096
-    at a time by one lane-parallel hash of their indices; every other block
-    runs its full draw sequence.  Equivalent in distribution to flipping one
-    coin per rank, and deterministic per (seed, total, p).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    if p == 0.0 or total == 0:
-        return []
-    if p == 1.0:
-        return list(range(total))
-    return _walk(seed, total, math.log1p(-p))
-
-
-def thinned_ranks(seed: int, total: int, p_max: float, keep) -> list[int]:
-    """Bernoulli ranks at non-uniform rates via sampling at p_max and thinning.
-
-    ``keep(rank, u)`` decides acceptance of a candidate rank given one
-    uniform draw u; it must return True with probability p(rank)/p_max for
-    the intended per-rank rate p(rank) <= p_max.  One thinning draw is
-    consumed per candidate so the stream layout does not depend on ``keep``.
-    """
-    if not 0.0 < p_max <= 1.0:
-        if p_max == 0.0:
-            return []
-        raise ValueError(f"probability out of range: {p_max}")
-    log1mp = math.log1p(-p_max) if p_max < 1.0 else None
-    return _walk(seed, total, log1mp, keep)

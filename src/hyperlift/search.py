@@ -33,6 +33,7 @@ from typing import Iterable, Optional, Sequence
 # search.stable_colors by name, so the name stays importable
 from .census import (
     _incidence,
+    _normalize,
     automorphism_generators,
     canonical_form,
     graph_canonical_form,
@@ -48,15 +49,6 @@ def pattern_exponent(edges: Sequence[tuple], d: int, delta: Fraction) -> Fractio
     """Exponent of the expected appearance count of the pattern."""
     v = len({u for e in edges for u in e})
     return Fraction(v) + len(edges) * (Fraction(delta) - d + 1)
-
-
-def _normalize(edges) -> Pattern:
-    """Sorted, densely-relabeled edge tuple (labels follow first appearance
-    in sorted vertex order, so equal labeled structures normalize equally)."""
-    raw = sorted(tuple(sorted(e)) for e in edges)
-    support = sorted({u for e in raw for u in e})
-    relabel = {u: i for i, u in enumerate(support)}
-    return tuple(sorted(tuple(sorted(relabel[u] for u in e)) for e in raw))
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,7 @@ class SearchConfig:
             raise ValueError(f"delta={self.delta} outside [0, 1]")
         if self.node_budget <= 0:
             raise ValueError("node budget must be positive")
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget is not None and not self.time_budget > 0:  # nan too
             raise ValueError("time budget must be positive")
         if self.max_depth is None:
             threshold = Fraction(self.d - 1, self.d + 1)

@@ -3,7 +3,8 @@
 Deliberately dumb: subset enumeration and bitmask ORs only, no shared code
 with the branch-and-bound / flow paths they verify.  Also the Pasch-trade
 witness and the effective density exponent behind acceptance criterion 9,
-the block-by-block rank samplers that the fast ones must reproduce, the
+the block-by-block rank samplers that the fast one must reproduce, the
+inverse of unrank_combination for its round trip, the
 round-by-round color refinement that the early-stopping one must
 reproduce, the full-tree canonical form that the one-tree search must
 reproduce, the canonical-form candidate dedup and the orbit closure over
@@ -177,6 +178,19 @@ def hsbm_effective_delta(params) -> float:
     mono = 2 * math.comb(n // 2, d) / math.comb(n, d)
     p_bar = mono * params.q1 + (1 - mono) * params.q2
     return math.log(p_bar * n ** (d - 1)) / math.log(n)
+
+
+def rank_combination(combo: Sequence[int], n: int) -> int:
+    """Lexicographic rank of a sorted d-subset of range(n): the inverse of
+    core.unrank_combination."""
+    d = len(combo)
+    rank = 0
+    prev = -1
+    for i, v in enumerate(combo):
+        k = d - 1 - i
+        rank += math.comb(n - prev - 1, k + 1) - math.comb(n - v, k + 1)
+        prev = v
+    return rank
 
 
 def reference_bernoulli_ranks(seed: int, total: int, p: float) -> list[int]:

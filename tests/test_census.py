@@ -18,6 +18,7 @@ from oracles import (
 )
 
 from hyperlift.census import (
+    _best_subset_above,
     _incidence,
     _refine,
     cover_bound_min,
@@ -240,6 +241,54 @@ def test_max_density_examples_and_oracle():
             continue
         pat = PatternHypergraph.from_edges(h.edges)
         assert max_density(pat) == brute_max_density(pat.edges)
+
+
+def test_best_subset_above_is_the_least_profit_maximizing_subset():
+    # brute force over every hyperedge subset S of profit b*e_S - a*v_S at
+    # lam = a/b: the min cut returns the intersection of the maximizers,
+    # and None exactly when the best profit is 0 (the empty subset's)
+    draw = Stream(14)
+    outcomes = set()
+    for _ in range(400):
+        v = 3 + draw.randrange(5)
+        pool = [e for k in (2, 3) for e in combinations(range(v), k)]
+        draw.shuffle(pool)
+        edges = sorted(pool[: 1 + draw.randrange(8)])
+        lam = Fraction(1 + draw.randrange(6), 1 + draw.randrange(6))
+        a, b = lam.numerator, lam.denominator
+        profit = {
+            subset: b * len(subset) - a * len({u for i in subset for u in edges[i]})
+            for r in range(len(edges) + 1)
+            for subset in combinations(range(len(edges)), r)
+        }
+        best = max(profit.values())
+        least = set(range(len(edges))).intersection(*(s for s, x in profit.items() if x == best))
+        got = _best_subset_above(edges, lam)
+        assert got == (sorted(least) if best > 0 else None), (edges, lam)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+# m(K) of the ambiguous gadget's preimages and of the map-failure gadget,
+# pinned so that any change to the min cut must reproduce them
+GADGET_MAX_DENSITY = {
+    3: ("5/8", "2/3"),
+    4: ("7/17", "7/16"),
+    5: ("3/10", "11/35"),
+    6: ("11/47", "8/33"),
+    7: ("13/68", "11/56"),
+    8: ("5/31", "29/176"),
+    9: ("17/122", "37/261"),
+    10: ("19/155", "23/185"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(GADGET_MAX_DENSITY))
+def test_gadget_max_densities_are_pinned(d):
+    ambiguous, failure = map(Fraction, GADGET_MAX_DENSITY[d])
+    pre1, pre2, _ = build_ambiguous_gadget(d)
+    assert max_density(pre1) == max_density(pre2) == ambiguous
+    assert max_density(build_map_failure_gadget(d)) == failure
 
 
 def test_max_density_monotone_under_adding_hyperedges():

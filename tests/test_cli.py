@@ -56,6 +56,23 @@ def test_malformed_edge_list_exits_1_with_one_stderr_line(tmp_path, capsys, text
     assert err.count("\n") == 1 and str(el) in err and line in err
 
 
+@pytest.mark.parametrize("text, line", [("3 4\n0 1 2\n0 1 9\n", "line 3"), ("1 4\n", "line 1")])
+def test_invalid_hypergraph_cell_exits_1_naming_file_and_line(tmp_path, capsys, text, line):
+    path = tmp_path / "h.hg"
+    path.write_text(text)
+    assert main(["project", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert str(path) in captured.err and line in captured.err
+
+
+def test_search_nan_time_budget_exits_1_with_one_stderr_line(capsys):
+    assert main(["search", "--d", "3", "--delta", "1/5", "--time-budget", "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "time budget must be positive" in captured.err
+
+
 def test_preimage_reports_gadget_ambiguity(tmp_path, capsys):
     _, _, proj = build_ambiguous_gadget(3)
     el = tmp_path / "g.el"

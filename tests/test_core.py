@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import reference_bernoulli_ranks, reference_thinned_ranks
+from oracles import rank_combination, reference_bernoulli_ranks, reference_thinned_ranks
 
 from hyperlift import rng
 from hyperlift.core import (
@@ -26,14 +26,13 @@ from hyperlift.core import (
     hypergraph_from_text,
     hypergraph_to_text,
     project,
-    rank_combination,
     similarity_matrix,
     similarity_from_text,
     similarity_to_text,
     support_graph,
     unrank_combination,
 )
-from hyperlift.rng import BLOCK_SIZE, GEN_TAG, Stream, bernoulli_ranks, mix64, thinned_ranks
+from hyperlift.rng import BLOCK_SIZE, GEN_TAG, Stream, bernoulli_ranks, mix64
 
 
 def test_unrank_matches_lexicographic_order():
@@ -103,9 +102,16 @@ def test_thinned_ranks_match_the_reference_draw_for_draw():
         def recording(log):
             return lambda rank, u: log.append((rank, u)) or u < 0.5
 
-        out = thinned_ranks(seed, total, p_max, recording(seen))
+        out = bernoulli_ranks(seed, total, p_max, recording(seen))
         assert out == reference_thinned_ranks(seed, total, p_max, recording(seen_ref))
         assert seen == seen_ref and seen
+
+
+def test_certain_ranks_walk_every_block():
+    # p = 1 draws no skip: two full blocks and a partial one keep every rank
+    total = 2 * BLOCK_SIZE + 5
+    assert bernoulli_ranks(3, total, 1.0) == list(range(total))
+    assert bernoulli_ranks(3, total, 1.0, lambda rank, u: True) == list(range(total))
 
 
 def test_skipped_blocks_are_those_whose_first_draw_clears_the_cut():
@@ -154,7 +160,7 @@ def test_subnormal_probability_keeps_no_rank():
     # log1p(-u) / log1p(-p) overflows to inf for subnormal p
     assert bernoulli_ranks(1, 10, 5e-324) == []
     assert bernoulli_ranks(1, 2 * BLOCK_SIZE + 1, 5e-324) == []
-    assert thinned_ranks(1, 10, 5e-324, lambda rank, u: True) == []
+    assert bernoulli_ranks(1, 10, 5e-324, lambda rank, u: True) == []
 
 
 def test_generation_boundaries():
@@ -402,6 +408,16 @@ def test_file_roundtrips_are_bit_exact():
         (similarity_from_text, "3\n0 1\n", "line 2"),
         (similarity_from_text, "3\n0 1 1\n0 3 1\n", "line 3"),
         (similarity_from_text, "3\n-1 1 1\n", "line 2"),
+        (hypergraph_from_text, "3 4\n0 1 9\n", "line 2"),
+        (hypergraph_from_text, "3 4\n0 1 2\n0 0 1\n", "line 3"),
+        (hypergraph_from_text, "3 4\n1 0 2\n", "line 2"),
+        (hypergraph_from_text, "1 4\n", "line 1"),
+        (hypergraph_from_text, "3 -1\n", "line 1"),
+        (graph_from_text, "3\n1 1", "line 2"),
+        (graph_from_text, "3\n0 5", "line 2"),
+        (graph_from_text, "-1\n", "line 1"),
+        (similarity_from_text, "3\n0 1 -2", "line 2"),
+        (similarity_from_text, "3\n1 1 4", "line 2"),
     ],
 )
 def test_malformed_text_raises_format_error_naming_the_line(parse, text, line):

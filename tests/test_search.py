@@ -176,6 +176,13 @@ def test_search_config_depth_default_and_validation():
     assert SearchConfig(3, 0).max_depth == 4
 
 
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan")])
+def test_search_config_rejects_a_time_budget_that_is_not_positive(budget):
+    # nan <= 0 is False, so a nan budget once passed and never expired
+    with pytest.raises(ValueError, match="time budget must be positive"):
+        SearchConfig(3, Fraction(1, 5), time_budget=budget)
+
+
 def test_search_below_gadget_threshold_finds_nothing():
     report = dfs_search(SearchConfig(3, Fraction(1, 5)))
     assert report.exhausted
