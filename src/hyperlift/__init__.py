@@ -30,7 +30,7 @@ from .core import (
     similarity_matrix,
     support_graph,
 )
-from .components import ComponentPartition, decompose, two_neighbors
+from .components import ComponentPartition, decompose
 from .preimage import PreimageReport, enumerate_preimages, min_preimage
 from .reconstruct import (
     ComponentTooLargeError,
@@ -93,6 +93,5 @@ __all__ = [
     "similarity_matrix",
     "support_graph",
     "threshold_table",
-    "two_neighbors",
     "verify_exact",
 ]

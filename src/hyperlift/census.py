@@ -503,8 +503,6 @@ def g_k(d: int, k: int, delta: Fraction) -> Fraction:
     """
     if not 2 <= k <= d <= 7:
         raise ValueError(f"need 2 <= k <= d <= 7, got k={k}, d={d}")
-    if k == d:
-        return Fraction(0)
     u_h = set(range(k))
     universe = [
         pair for pair in combinations(range(d), 2) if not set(pair) <= u_h
@@ -536,15 +534,16 @@ def cover_bound_min(d: int, delta: Fraction) -> Fraction:
     """min over k in [2, d] of (g_k(delta) + k - d), with the k = d branch
     evaluated on a nonempty cover.
 
-    g_k's k = d convention returns 0 for the empty universe, but a
-    hyperedge on k = d old vertices only matters when at least one of its
-    pairs is still uncovered, and covering that pair costs at least
-    1 - delta; that is the value the k = d branch contributes here.  Below
-    the 2-connectivity threshold this minimum is >= (d-1)/(d+1) - delta.
+    g_k is 0 at k = d for the empty universe, but a hyperedge on k = d old
+    vertices only matters when at least one of its pairs is still
+    uncovered, and covering that pair costs at least 1 - delta; that is
+    what the k = d branch adds here.  Below the 2-connectivity threshold
+    this minimum is >= (d-1)/(d+1) - delta.  d and delta are checked as
+    g_k checks them.
     """
     delta = Fraction(delta)
-    terms = [g_k(d, k, delta) + k - d for k in range(2, d)]
-    terms.append(Fraction(1) - delta)
+    terms = [g_k(d, k, delta) + k - d for k in range(2, d + 1)]
+    terms[-1] += 1 - delta
     return min(terms)
 
 

@@ -1,4 +1,4 @@
-"""2-neighborhoods and 2-connected components of a hypergraph.
+"""2-connected components of a hypergraph.
 
 Two hyperedges are 2-neighbors when they share at least two vertices; a
 2-connected component is a connected component under that relation.  This
@@ -28,28 +28,6 @@ class ComponentPartition:
 
     def __init__(self, components: Sequence[Sequence[int]]):
         self.components = tuple(tuple(c) for c in components)
-
-
-def two_neighbors(h: Sequence[int], hypergraph: Hypergraph) -> set:
-    """Indices of hyperedges sharing >= 2 vertices with h (h itself excluded)."""
-    h = tuple(sorted(h))
-    if len(h) != hypergraph.d:
-        raise ValueError(f"hyperedge size {len(h)} != d={hypergraph.d}")
-    if h and (h[0] < 0 or h[-1] >= hypergraph.n):
-        raise ValueError(f"hyperedge {h} out of range for n={hypergraph.n}")
-    members = set(h)
-    out = set()
-    for i, e in enumerate(hypergraph.edges):
-        if e == h:
-            continue
-        shared = 0
-        for v in e:
-            if v in members:
-                shared += 1
-                if shared >= 2:
-                    out.add(i)
-                    break
-    return out
 
 
 def decompose(hypergraph: Hypergraph) -> ComponentPartition:

@@ -107,27 +107,27 @@ class SweepRecord:
     elapsed: float
     reason: str = ""
 
+    def _cells(self, columns: Sequence[str]) -> list:
+        """The named fields as CSV cells: None is empty, a bool 0 or 1,
+        elapsed six decimals, anything else its str."""
+        row = []
+        for name in columns:
+            value = getattr(self, name)
+            if value is None:
+                row.append("")
+            elif isinstance(value, bool):
+                row.append(str(int(value)))
+            elif name == "elapsed":
+                row.append(f"{value:.6f}")
+            else:
+                row.append(str(value))
+        return row
+
     def result_row(self) -> list:
-        return [
-            self.d,
-            self.n,
-            str(self.delta),
-            self.seed,
-            self.algorithm,
-            int(self.exact),
-            int(self.is_preimage),
-            "" if self.output_size is None else self.output_size,
-            self.truth_size,
-            "" if self.max_component_size is None else self.max_component_size,
-            "" if self.component_count is None else self.component_count,
-            ""
-            if self.ambiguous_component_count is None
-            else self.ambiguous_component_count,
-            self.reason,
-        ]
+        return self._cells(RESULT_COLUMNS)
 
     def timing_row(self) -> list:
-        return [self.d, self.n, str(self.delta), self.seed, self.algorithm, f"{self.elapsed:.6f}"]
+        return self._cells(TIMING_COLUMNS)
 
 
 def derive_seed(base_seed: int, d: int, n: int, delta: Fraction, rep: int) -> int:
@@ -190,28 +190,20 @@ def run_sweep(spec: SweepSpec) -> Iterator[SweepRecord]:
                 yield from records
 
 
-def write_sweep_csv(spec: SweepSpec, results_path, timing_path=None) -> int:
-    """Run a sweep, streaming rows to CSV; timing goes to a sidecar file so
-    the results file is byte-stable.  Returns the number of records."""
+def write_sweep_csv(spec: SweepSpec, results_path, timing_path) -> int:
+    """Run a sweep, streaming rows to the results CSV and each record's
+    elapsed time to the timing sidecar, row for row, so the results file
+    is byte-stable.  Returns the number of records."""
     count = 0
-    timing_file = open(timing_path, "w", newline="") if timing_path else None
-    try:
-        with open(results_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(RESULT_COLUMNS)
-            timing_writer = None
-            if timing_file is not None:
-                timing_writer = csv.writer(timing_file)
-                timing_writer.writerow(TIMING_COLUMNS)
-            for record in run_sweep(spec):
-                writer.writerow(record.result_row())
-                f.flush()
-                if timing_writer is not None:
-                    timing_writer.writerow(record.timing_row())
-                count += 1
-    finally:
-        if timing_file is not None:
-            timing_file.close()
+    with open(timing_path, "w", newline="") as t, open(results_path, "w", newline="") as f:
+        writer, timing_writer = csv.writer(f), csv.writer(t)
+        writer.writerow(RESULT_COLUMNS)
+        timing_writer.writerow(TIMING_COLUMNS)
+        for record in run_sweep(spec):
+            writer.writerow(record.result_row())
+            f.flush()
+            timing_writer.writerow(record.timing_row())
+            count += 1
     return count
 
 

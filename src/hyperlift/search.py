@@ -42,8 +42,6 @@ from .census import (
 from .core import Graph, clique_hypergraph, hypergraph_to_text, Hypergraph, project_edges
 from .preimage import covers_within, cover_masks, min_preimage
 
-Pattern = tuple  # tuple of sorted d-tuples over dense vertex labels
-
 
 def pattern_exponent(edges: Sequence[tuple], d: int, delta: Fraction) -> Fraction:
     """Exponent of the expected appearance count of the pattern."""
@@ -105,7 +103,6 @@ class AmbiguousClass:
     min_size: int
     exponent: Fraction
     canonical: bytes
-    source_pattern: Pattern
 
 
 @dataclass
@@ -232,16 +229,6 @@ def candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
     return out
 
 
-@lru_cache(maxsize=1)
-def _pattern_facts(pattern: tuple) -> tuple:
-    """(edges, support, largest vertex, projection) of a pattern; the
-    search grows one pattern by each of its candidates in a row, so one
-    entry suffices."""
-    edges = tuple(tuple(sorted(e)) for e in pattern)
-    support = frozenset(u for e in edges for u in e)
-    return edges, support, max(support), frozenset(project_edges(edges))
-
-
 @lru_cache(maxsize=4096)
 def _growth_covers(d: int, size: int, known: tuple, delta: tuple, budget: int) -> tuple:
     """(family, covers, cut) of growing a candidate of ``size`` vertices,
@@ -266,61 +253,61 @@ def _growth_covers(d: int, size: int, known: tuple, delta: tuple, budget: int) -
     return tuple(family), tuple(covers), cut
 
 
-def grow(pattern: Sequence[tuple], h: Sequence[int], d: int, delta: Fraction) -> tuple:
-    """All ways to make candidate h a clique of the grown pattern's projection.
+def grow(
+    pattern: Sequence[tuple], candidates: Sequence[Sequence[int]], d: int, delta: Fraction
+) -> tuple:
+    """All ways to make each candidate h a clique of the grown pattern's
+    projection.
 
-    For every collection I of subsets S of h with |S| >= 2 and Proj(S) not
-    inside Proj(pattern), whose pairwise projections cover
-    Proj(h) \\ Proj(pattern), emit pattern + {h_i} where h_i meets h exactly
-    in S_i and takes fresh labels elsewhere.  Results are normalized
-    (densely relabeled); duplicates up to isomorphism are left to the
-    caller.  The collections come from the shared cover enumerator,
-    preimage.covers_within.
+    For every candidate h in order, and every collection I of subsets S of
+    h with |S| >= 2 and Proj(S) not inside Proj(pattern), whose pairwise
+    projections cover Proj(h) \\ Proj(pattern), emit pattern + {h_i} where
+    h_i meets h exactly in S_i and takes fresh labels elsewhere.  Results
+    are normalized (densely relabeled); duplicates up to isomorphism are
+    left to the caller.  The collections come from the shared cover
+    enumerator, preimage.covers_within.
 
     Each member S costs |S| - 1 - delta of exponent, scaled to integers by
     delta's denominator den, against a budget of the parent exponent plus
     the fresh vertices of h, that is v*den + e*(num - (d-1)*den) with v the
     vertices of pattern and h together: a child's exponent is never
     negative.  A branch is skipped once its members overrun the budget, and
-    the number of skipped branches is returned alongside.
-    Returns (children, pruned).
+    the number of skipped branches is summed over the candidates.
+    Returns (children, pruned), children in candidate order.
 
+    The pattern's edges, support and projection are read once per call.
     The family, the masks and the enumeration read nothing of h but its
     size, which of its pairs lie in Proj(pattern), delta and the integer
     budget, so they are computed once per such shape (_growth_covers) with
     members as positions in sorted h; mapping positions back to h gives the
     same collections in the same order as enumerating h's own subsets.
     """
-    edges, support, top, proj = _pattern_facts(tuple(map(tuple, pattern)))
-    h = tuple(sorted(h))
-    known = tuple(map(proj.__contains__, combinations(h, 2)))
+    edges = [tuple(sorted(e)) for e in pattern]
+    support = {u for e in edges for u in e}
+    top = max(support)
+    proj = project_edges(edges)
     num, den = delta.numerator, delta.denominator
-    v = len(support.union(h))  # the most new vertices h itself brings
-    budget = v * den + len(edges) * (num - (d - 1) * den)
-    family, covers, pruned = _growth_covers(d, len(h), known, (num, den), budget)
-    first = max(h[-1], top) + 1
     children: list = []
-    for cover in covers:
-        if not cover:
-            continue
-        nxt = first
-        new_edges = list(edges)
-        for i in cover:
-            s = tuple(h[p] for p in family[i])
-            new_edges.append(s + tuple(range(nxt, nxt + d - len(s))))
-            nxt += d - len(s)
-        children.append(_normalize(new_edges))
+    pruned = 0
+    for h in candidates:
+        h = tuple(sorted(h))
+        known = tuple(map(proj.__contains__, combinations(h, 2)))
+        v = len(support.union(h))  # the most new vertices h itself brings
+        budget = v * den + len(edges) * (num - (d - 1) * den)
+        family, covers, cut = _growth_covers(d, len(h), known, (num, den), budget)
+        pruned += cut
+        first = max(h[-1], top) + 1
+        for cover in covers:
+            if not cover:
+                continue
+            nxt = first
+            new_edges = list(edges)
+            for i in cover:
+                s = tuple(h[p] for p in family[i])
+                new_edges.append(s + tuple(range(nxt, nxt + d - len(s))))
+                nxt += d - len(s)
+            children.append(_normalize(new_edges))
     return children, pruned
-
-
-def _check_ambiguous(pattern: Pattern, d: int):
-    """Run the preimage engine on Proj(pattern); return a report or None."""
-    v = len({u for e in pattern for u in e})
-    g = Graph(v, project_edges(pattern))
-    rep = min_preimage(g, d, cap=2)
-    if rep.feasible and rep.ambiguous:
-        return g, rep
-    return None
 
 
 def dfs_search(config: SearchConfig) -> SearchReport:
@@ -337,7 +324,7 @@ def dfs_search(config: SearchConfig) -> SearchReport:
     for k in range(2, d):  # two hyperedges sharing k vertices: never isomorphic
         root = _normalize([tuple(range(d)), tuple(range(d - k, 2 * d - k))])
         visited.add(canonical_form(root))
-        stack.append((root, 0))
+        stack.append((root, 0, pattern_exponent(root, d, delta)))
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             report.exhausted = False
@@ -345,13 +332,12 @@ def dfs_search(config: SearchConfig) -> SearchReport:
         if report.nodes_visited >= config.node_budget:
             report.exhausted = False
             break
-        pattern, depth = stack.pop()
+        pattern, depth, exp = stack.pop()
         report.nodes_visited += 1
-        exp = pattern_exponent(pattern, d, delta)
         if exp >= 0:
-            hit = _check_ambiguous(pattern, d)
-            if hit is not None:
-                g, rep = hit
+            g = Graph(len({u for e in pattern for u in e}), project_edges(pattern))
+            rep = min_preimage(g, d, cap=2)
+            if rep.feasible and rep.ambiguous:
                 key = graph_canonical_form(g)
                 if key not in found:
                     found[key] = AmbiguousClass(
@@ -361,7 +347,6 @@ def dfs_search(config: SearchConfig) -> SearchReport:
                         min_size=rep.min_size,
                         exponent=exp,
                         canonical=key,
-                        source_pattern=pattern,
                     )
         if exp <= 0:
             continue  # children can only be smaller; nothing left to certify
@@ -369,20 +354,19 @@ def dfs_search(config: SearchConfig) -> SearchReport:
             # a positive-exponent node we are not allowed to expand
             report.exhausted = False
             continue
-        for h in candidate_neighbors(pattern, d):
-            children, pruned = grow(pattern, h, d, delta)
-            report.nodes_pruned_by_exponent += pruned
-            for child in children:
-                child_exp = pattern_exponent(child, d, delta)
-                if delta <= threshold and child_exp > exp - (threshold - delta):
-                    raise RuntimeError(
-                        f"growth failed to decrease the exponent: {exp} -> {child_exp}"
-                    )
-                key = canonical_form(child)
-                if key in visited:
-                    report.nodes_deduped += 1
-                    continue
-                visited.add(key)
-                stack.append((child, depth + 1))
+        children, pruned = grow(pattern, candidate_neighbors(pattern, d), d, delta)
+        report.nodes_pruned_by_exponent += pruned
+        for child in children:
+            child_exp = pattern_exponent(child, d, delta)
+            if delta <= threshold and child_exp > exp - (threshold - delta):
+                raise RuntimeError(
+                    f"growth failed to decrease the exponent: {exp} -> {child_exp}"
+                )
+            key = canonical_form(child)
+            if key in visited:
+                report.nodes_deduped += 1
+                continue
+            visited.add(key)
+            stack.append((child, depth + 1, child_exp))
     report.ambiguous_found = sorted(found.values(), key=lambda c: c.canonical)
     return report

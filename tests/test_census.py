@@ -337,7 +337,8 @@ def test_exact_expected_count_examples():
 
 
 def test_g_k_examples_and_range():
-    assert g_k(3, 3, Fraction(2, 5)) == 0
+    for d in range(2, 8):
+        assert g_k(d, d, Fraction(2, 5)) == 0  # the empty universe
     assert g_k(3, 2, Fraction(2, 5)) == Fraction(6, 5)
     with pytest.raises(ValueError):
         g_k(3, 1, Fraction(0))
@@ -375,6 +376,13 @@ def test_cover_optimizations_reject_delta_outside_the_unit_interval(delta):
         g_0(3, delta)
     with pytest.raises(ValueError, match=f"delta={delta}"):
         g_k(3, 2, delta)
+    # k = d has an empty universe and d = 2 only the cover bound's k = d
+    # branch, and delta is still checked
+    with pytest.raises(ValueError, match=f"delta={delta}"):
+        g_k(3, 3, delta)
+    for d in (2, 3):
+        with pytest.raises(ValueError, match=f"delta={delta}"):
+            cover_bound_min(d, delta)
 
 
 # sha256 of repr([(d, delta, g_0(d, delta), [g_k(d, k, delta) for k in 2..d])])

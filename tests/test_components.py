@@ -1,11 +1,11 @@
-"""2-neighborhoods and 2-connected component decomposition."""
+"""2-connected component decomposition."""
 
 from fractions import Fraction
 
 import pytest
 
 from hyperlift.census import build_ambiguous_gadget
-from hyperlift.components import component_size_bound, decompose, two_neighbors
+from hyperlift.components import component_size_bound, decompose
 from hyperlift.core import (
     DensityParams,
     Hypergraph,
@@ -14,21 +14,6 @@ from hyperlift.core import (
     project,
     project_edges,
 )
-
-
-def test_two_neighbors_examples():
-    h = Hypergraph(8, 3, [(1, 2, 3), (2, 3, 4), (5, 6, 7)])
-    assert two_neighbors((1, 2, 3), h) == {1}
-    lonely = Hypergraph(6, 3, [(1, 4, 5)])
-    assert two_neighbors((1, 2, 3), lonely) == set()
-    h4 = Hypergraph(10, 4, [(1, 2, 5, 6), (3, 7, 8, 9)])
-    assert two_neighbors((1, 2, 3, 4), h4) == {0}
-
-
-def test_two_neighbors_validates_size():
-    h = Hypergraph(6, 3, [(0, 1, 2)])
-    with pytest.raises(ValueError):
-        two_neighbors((0, 1), h)
 
 
 def test_decompose_examples():

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hyperlift.census import PatternHypergraph, exact_expected_count
 from hyperlift.core import DensityParams, HsbmParams, generate_hsbm, project
 from hyperlift.harness import (
     RESULT_COLUMNS,
+    TIMING_COLUMNS,
     SweepSpec,
     count_pattern_copies,
     derive_seed,
@@ -70,6 +72,31 @@ def test_sweep_csv_is_byte_identical_across_runs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert "elapsed" not in header  # timing is segregated
+
+
+def test_timing_sidecar_matches_the_results_row_for_row(tmp_path):
+    # d=3 n=60 delta=9/20 aborts MAP on replicates 0 and 1 of base seed 7
+    spec = SweepSpec(
+        d=3,
+        n_list=(60,),
+        delta_list=(Fraction(1, 5), Fraction(9, 20)),
+        num_seeds=3,
+        base_seed=7,
+    )
+    out, timing = tmp_path / "a.csv", tmp_path / "a.timing"
+    count = write_sweep_csv(spec, out, timing)
+    results = list(csv.reader(out.read_text().splitlines()))
+    times = list(csv.reader(timing.read_text().splitlines()))
+    assert results[0] == RESULT_COLUMNS and times[0] == TIMING_COLUMNS
+    assert len(results) == len(times) == count + 1
+    aborts = 0
+    for row, timed in zip(results[1:], times[1:]):
+        assert timed[:5] == row[:5]
+        assert re.fullmatch(r"\d+\.\d{6}", timed[5]), timed
+        if row[-1] == "component_too_large":
+            assert timed[5] == "0.000000"
+            aborts += 1
+    assert aborts == 2
 
 
 def test_sweep_csv_bytes_are_pinned():

@@ -116,7 +116,7 @@ def test_candidate_neighbors_strict_vs_loose():
 
 def test_grow_children_for_single_hyperedge():
     delta = Fraction(2, 5)
-    kids, pruned = grow([(0, 1, 2)], (0, 1, 3), 3, delta)
+    kids, pruned = grow([(0, 1, 2)], [(0, 1, 3)], 3, delta)
     assert (kids, pruned) == reference_grow([(0, 1, 2)], (0, 1, 3), 3, delta, Fraction(0))
     kid_sets = {k for k in kids}
     # h itself
@@ -133,7 +133,7 @@ def test_grow_children_have_two_connected_clique_structure():
     pattern = [(0, 1, 2), (0, 1, 3)]
     delta = Fraction(2, 5)
     for h in candidate_neighbors(pattern, 3):
-        kids, pruned = grow(pattern, h, 3, delta)
+        kids, pruned = grow(pattern, [h], 3, delta)
         assert (kids, pruned) == reference_grow(pattern, h, 3, delta, Fraction(0))
         for child in kids:
             v = len({u for e in child for u in e})
@@ -147,7 +147,7 @@ def test_grow_exponent_decrease_is_at_least_the_gap():
     pattern = ((0, 1, 2), (0, 1, 3))
     parent = pattern_exponent(pattern, d, delta)
     for h in candidate_neighbors(pattern, d):
-        kids, pruned = grow(pattern, h, d, delta)
+        kids, pruned = grow(pattern, [h], d, delta)
         assert (kids, pruned) == reference_grow(pattern, h, d, delta, Fraction(0))
         for child in kids:
             child_exp = pattern_exponent(child, d, delta)
@@ -158,7 +158,7 @@ def test_pruned_grow_lists_the_child_of_a_large_family():
     # nine of the ten pairs of h are new: 25 subsets, up to 2**25 collections,
     # of which the exponent budget leaves few
     pattern, h = ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)), (0, 1, 8, 9, 10)
-    kids, _ = grow(pattern, h, 5, Fraction(1, 2))
+    kids, _ = grow(pattern, [h], 5, Fraction(1, 2))
     assert ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (0, 1, 8, 9, 10)) in kids
 
 
@@ -319,7 +319,7 @@ def test_grow_matches_reference_collection_dfs(certificates, d):
     delta = report.config.delta
     for pattern in expanded:
         for h in candidate_neighbors(pattern, d):
-            grown = grow(pattern, h, d, delta)
+            grown = grow(pattern, [h], d, delta)
             assert grown == reference_grow(pattern, h, d, delta, Fraction(0)), (pattern, h)
             assert all(pattern_exponent(c, d, delta) >= 0 for c in grown[0]), (pattern, h)
 
@@ -360,22 +360,37 @@ def test_twin_canonical_walk_matches_the_orbit_walk_on_the_d5_gadgets(pattern):
     assert candidate_neighbors(pattern, 5) == reference_orbit_candidates(pattern, 5)
 
 
+@pytest.mark.parametrize("d", [3, 5])
+def test_grow_over_a_candidate_list_concatenates_the_single_candidate_calls(certificates, d):
+    # children in candidate order and the cut counts summed, on every
+    # pattern the certificate expanded
+    report, expanded, _ = certificates[d]
+    delta = report.config.delta
+    for pattern in expanded:
+        candidates = candidate_neighbors(pattern, d)
+        children, pruned = [], 0
+        for h in candidates:
+            kids, cut = grow(pattern, [h], d, delta)
+            children += kids
+            pruned += cut
+        assert grow(pattern, candidates, d, delta) == (children, pruned), pattern
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_grow_is_the_same_on_a_cold_and_a_warm_cache(certificates, d):
-    # each call on emptied caches, then every call again after a pass over
-    # all of them has filled the shape cache
+    # each call on an emptied shape cache, then every call again after a
+    # pass over all of them has filled it
     report, expanded, _ = certificates[d]
     delta = report.config.delta
     calls = [(p, h) for p in expanded for h in candidate_neighbors(p, d)]
     cold = []
     for pattern, h in calls:
         search._growth_covers.cache_clear()
-        search._pattern_facts.cache_clear()
-        cold.append(grow(pattern, h, d, delta))
+        cold.append(grow(pattern, [h], d, delta))
     for pattern, h in calls:
-        grow(pattern, h, d, delta)
+        grow(pattern, [h], d, delta)
     hits = search._growth_covers.cache_info().hits
-    warm = [grow(pattern, h, d, delta) for pattern, h in calls]
+    warm = [grow(pattern, [h], d, delta) for pattern, h in calls]
     assert search._growth_covers.cache_info().hits - hits == len(calls)
     assert warm == cold
 
