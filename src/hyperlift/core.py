@@ -12,7 +12,10 @@ function of (params, seed); see :mod:`hyperlift.rng` for the stream rules.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -34,14 +37,24 @@ class Hypergraph:
             raise ValueError(f"uniformity d={d} must be >= 2")
         if n < 0:
             raise ValueError(f"vertex count n={n} must be >= 0")
-        canon = sorted({tuple(e) for e in edges})
-        for e in canon:
-            if len(e) != d:
-                raise ValueError(f"hyperedge {e} is not of size {d}")
-            if any(e[i] >= e[i + 1] for i in range(d - 1)):
-                raise ValueError(f"hyperedge {e} is not strictly increasing")
-            if e[0] < 0 or e[-1] >= n:
-                raise ValueError(f"hyperedge {e} out of range for n={n}")
+        # dict order keeps sorted input sorted, which sorted() then checks in
+        # linear time; the edges are checked a column at a time, and only
+        # a failed check walks them one by one to name the first bad edge
+        canon = sorted(dict.fromkeys(map(tuple, edges)))
+        cols = list(zip(*canon))
+        if not (
+            set(map(len, canon)) == {d}
+            and all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
+            and min(cols[0]) >= 0
+            and max(cols[-1]) < n
+        ):
+            for e in canon:
+                if len(e) != d:
+                    raise ValueError(f"hyperedge {e} is not of size {d}")
+                if any(e[i] >= e[i + 1] for i in range(d - 1)):
+                    raise ValueError(f"hyperedge {e} is not strictly increasing")
+                if e[0] < 0 or e[-1] >= n:
+                    raise ValueError(f"hyperedge {e} out of range for n={n}")
         self.n = n
         self.d = d
         self.edges = tuple(canon)
@@ -216,29 +229,39 @@ class SimilarityMatrix:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _binomial_column(n: int, j: int) -> tuple:
+    """(C(m, j) for m in 0..n), built on first use."""
+    return tuple(math.comb(m, j) for m in range(n + 1))
+
+
 def unrank_combination(rank: int, n: int, d: int) -> tuple:
-    """The rank-th d-subset of range(n) in lexicographic order."""
+    """The rank-th d-subset of range(n) in lexicographic order.
+
+    With prev the element chosen last and k elements still to choose after
+    this one, the combinations whose next element is below v number
+    ``top - C(n - v, k + 1)`` with ``top = C(n - prev - 1, k + 1)`` (hockey
+    stick).  So with r the rank left, the next element is v = n - m for the
+    least m with C(m, k + 1) >= top - r, one bisection of the column
+    [C(m, k + 1) for m in 0..n]; the last element is prev + 1 + r.  The
+    columns are cached, at most 32 of them, each n + 1 ints: less memory
+    than the n adjacency sets of a projection.
+    """
     if not 0 <= rank < math.comb(n, d):
         raise ValueError(f"rank {rank} out of range for C({n},{d})")
+    if d == 0:
+        return ()
     combo = []
     prev = -1
     r = rank
-    for i in range(d):
-        k = d - 1 - i  # elements still to choose after this one
-        lo, hi = prev + 1, n - 1 - k
-        # count of combinations with this element < v:
-        #   S(v) = C(n - prev - 1, k + 1) - C(n - v, k + 1)   (hockey stick)
-        top = math.comb(n - prev - 1, k + 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if top - math.comb(n - mid - 1, k + 1) > r:
-                hi = mid
-            else:
-                lo = mid + 1
-        v = lo
-        r -= top - math.comb(n - v, k + 1)
-        combo.append(v)
-        prev = v
+    for k in range(d - 1, 0, -1):
+        col = _binomial_column(n, k + 1)
+        top = col[n - prev - 1]
+        m = bisect_left(col, top - r, k + 1, n - prev)
+        r -= top - col[m]
+        prev = n - m
+        combo.append(prev)
+    combo.append(prev + 1 + r)
     return tuple(combo)
 
 

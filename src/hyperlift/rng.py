@@ -16,9 +16,12 @@ any rank: a block whose first 64-bit output clears an integer cut, computed
 once per call, is empty and is skipped without building its stream.  Those
 first outputs are computed for 4096 blocks at a time, one block per 128-bit
 lane of a single Python int, so an empty block costs a 4096th share of
-about thirty-five big-int operations instead of a hash of its own.  Every
-other block runs its full draw sequence, so the ranks are the same as
-walking every block's stream.  ``bernoulli_ranks`` is the one sampler:
+about thirty-five big-int operations instead of a hash of its own.  The
+lanes pass through each block's stream seed ``mix64(seed, GEN_TAG, b)`` on
+the way to its first output, so a live block's stream starts from the seed
+its lane already holds instead of hashing it again.  Every other block runs
+its full draw sequence, so the ranks are the same as walking every block's
+stream.  ``bernoulli_ranks`` is the one sampler:
 its ``keep`` test thins the ranks to non-uniform rates.
 
 Floating-point draws are ``(x >> 11) * 2**-53`` from 64-bit outputs, i.e.
@@ -104,7 +107,7 @@ def substream(seed: int, *tags: int) -> Stream:
 
 
 def _live_blocks(seed: int, total: int, log1mp: float | None):
-    """Indices, in order, of the rank blocks that may keep a rank.
+    """(index, stream seed), in order, of the rank blocks that may keep a rank.
 
     A full block is empty exactly when the first gap drawn from its stream
     reaches past it, and that gap grows with the draw's 53-bit integer
@@ -114,14 +117,18 @@ def _live_blocks(seed: int, total: int, log1mp: float | None):
     one block per 128-bit lane of one int: ``mix64(seed, GEN_TAG, b)`` and
     one SplitMix64 step, each lane masked to 64 bits before every multiply.
     Lane value z then becomes ``2**64 + cut - 1 - z``, whose bit 64 is set
-    exactly when z < cut, and those bits pick the live blocks.  The last
-    partial block and every full block below the cut are yielded, and the
-    caller walks them with the unchanged draw sequence.
+    exactly when z < cut, and those bits pick the live blocks.  A live full
+    block comes with its stream seed ``mix64(seed, GEN_TAG, b)``, the
+    lanes' intermediate value, read in the same pass as its live bit; the
+    last partial block, and every block when there is no cut, come with
+    None.  The caller walks each yielded block with the unchanged draw
+    sequence.
     """
     nfull, rest = divmod(total, BLOCK_SIZE)
     cut = None if log1mp is None or nfull == 0 else _empty_cut(log1mp)
     if cut is None:
-        yield from range(nfull + (rest > 0))
+        for b in range(nfull + (rest > 0)):
+            yield b, None
         return
     # fold is mix64's state after absorbing seed and GEN_TAG; mix64(seed,
     # GEN_TAG, b) is one SplitMix64 output from state (fold ^ b) + gamma, and
@@ -135,16 +142,18 @@ def _live_blocks(seed: int, total: int, log1mp: float | None):
         if n != width:  # the first chunk, and a shorter last one
             width, keep = n, (1 << 128 * n) - 1
             ones, steps = (c & keep for c in _lane_constants())
-            low, salt, gamma, gamma2, top = (
+            low, salt, gamma, gamma2, top, flag = (
                 c * ones
-                for c in (_MASK64, fold, _GAMMA, 2 * _GAMMA & _MASK64, (1 << 64) + cut - 1)
+                for c in (_MASK64, fold, _GAMMA, 2 * _GAMMA & _MASK64, (1 << 64) + cut - 1, 1 << 64)
             )
-        z = ((lo * ones + steps) ^ salt) + gamma2 & low
-        z = _mix_lanes(_mix_lanes(z, low) + gamma & low, low)
-        live = (top - z).to_bytes(16 * n, "little")[8::16]
-        yield from compress(range(lo, lo + n), live)
+        m = _mix_lanes(((lo * ones + steps) ^ salt) + gamma2 & low, low)
+        z = _mix_lanes(m + gamma & low, low)
+        # each lane: the live bit at bit 64 over the block's stream seed
+        lanes = ((top - z) & flag | m).to_bytes(16 * n, "little")
+        for i in compress(range(n), lanes[8::16]):
+            yield lo + i, int.from_bytes(lanes[16 * i : 16 * i + 8], "little")
     if rest:
-        yield nfull
+        yield nfull, None
 
 
 @functools.cache
@@ -199,11 +208,11 @@ def bernoulli_ranks(seed: int, total: int, p: float, keep=None) -> list[int]:
     O(#kept + #blocks) rather than O(total): block b is walked with
     ``substream(seed, GEN_TAG, b)``, and empty blocks are found 4096 at a
     time by one lane-parallel hash of their indices; every other block runs
-    its full draw sequence.  At p = 1 every rank is a candidate and no skip
-    is drawn.  A skip is capped at BLOCK_SIZE before ``int``: the cap only
-    bites when the skip leaves the block anyway, and it keeps a subnormal
-    p, whose ratio overflows to inf, from raising.  Deterministic per
-    (seed, total, p).
+    its full draw sequence, from the stream seed that hash computed.  At
+    p = 1 every rank is a candidate and no skip is drawn.  A skip is capped
+    at BLOCK_SIZE before ``int``: the cap only bites when the skip leaves
+    the block anyway, and it keeps a subnormal p, whose ratio overflows to
+    inf, from raising.  Deterministic per (seed, total, p).
 
     ``keep(rank, u)`` thins to non-uniform rates: one more uniform draw u is
     taken per candidate, so the stream layout does not depend on ``keep``,
@@ -217,10 +226,10 @@ def bernoulli_ranks(seed: int, total: int, p: float, keep=None) -> list[int]:
     log1mp = math.log1p(-p) if p < 1.0 else None
     log1p = math.log1p
     out: list[int] = []
-    for b in _live_blocks(seed, total, log1mp):
+    for b, block_seed in _live_blocks(seed, total, log1mp):
         start = b * BLOCK_SIZE
         stop = min(start + BLOCK_SIZE, total)
-        rng = substream(seed, GEN_TAG, b)
+        rng = substream(seed, GEN_TAG, b) if block_seed is None else Stream(block_seed)
         pos = start
         while True:
             if log1mp is not None:

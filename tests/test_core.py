@@ -43,15 +43,39 @@ def test_unrank_matches_lexicographic_order():
         assert rank_combination(expected, n) == r
 
 
+def test_unrank_round_trips_at_scale():
+    draw = Stream(16)
+    for n, d in ((5000, 3), (200, 3), (120, 4)):
+        total = math.comb(n, d)
+        for r in [0, total - 1] + [draw.randrange(total) for _ in range(2000)]:
+            combo = unrank_combination(r, n, d)
+            assert len(combo) == d and 0 <= combo[0] and combo[-1] < n
+            assert rank_combination(combo, n) == r, (n, d, r)
+    assert [unrank_combination(r, 7, 1) for r in range(7)] == [(v,) for v in range(7)]
+    for n in (1, 2, 6):
+        assert unrank_combination(0, n, n) == tuple(range(n))
+    assert unrank_combination(math.comb(5000, 3) - 1, 5000, 3) == (4997, 4998, 4999)
+    for rank, n, d in ((-1, 10, 3), (math.comb(10, 3), 10, 3), (0, 3, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            unrank_combination(rank, n, d)
+
+
 def test_hypergraph_canonical_and_validation():
     h = Hypergraph(5, 3, [(2, 3, 4), (0, 1, 2), (0, 1, 2)])
     assert h.edges == ((0, 1, 2), (2, 3, 4))
-    with pytest.raises(ValueError):
+    unsorted = [[3, 4, 5], (0, 2, 4), (1, 2, 3), (0, 2, 4), (3, 4, 5), (0, 1, 5)]
+    assert Hypergraph(6, 3, unsorted).edges == ((0, 1, 5), (0, 2, 4), (1, 2, 3), (3, 4, 5))
+    with pytest.raises(ValueError, match=r"hyperedge \(0, 1, 4\) out of range for n=4"):
         Hypergraph(4, 3, [(0, 1, 4)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"hyperedge \(0, 2, 1\) is not strictly increasing"):
         Hypergraph(4, 3, [(0, 2, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"hyperedge \(0, 1\) is not of size 3"):
         Hypergraph(4, 3, [(0, 1)])
+    # two faults: the bad edge that sorts first is named, whatever its fault
+    with pytest.raises(ValueError, match=r"hyperedge \(1, 1, 2\) is not strictly increasing"):
+        Hypergraph(4, 3, [(2, 3, 9), (0, 1, 2), (1, 1, 2)])
+    with pytest.raises(ValueError, match=r"hyperedge \(0, 2, 9\) out of range for n=4"):
+        Hypergraph(4, 3, [(1, 1, 2), (0, 1, 2), (0, 2, 9)])
 
 
 def test_generation_is_deterministic_per_seed():
@@ -126,7 +150,10 @@ def test_skipped_blocks_are_those_whose_first_draw_clears_the_cut():
             cut = rng._empty_cut(log1mp)
             for nfull in counts:
                 live = list(rng._live_blocks(seed, nfull * BLOCK_SIZE + 3, log1mp))
-                assert live == [b for b in range(nfull) if first[b] < cut] + [nfull]
+                assert [b for b, _ in live] == [b for b in range(nfull) if first[b] < cut] + [nfull]
+                # a live full block carries its stream seed; the partial block None
+                assert all(s == mix64(seed, GEN_TAG, b) for b, s in live[:-1])
+                assert live[-1][1] is None
 
 
 @pytest.mark.parametrize("p", [1e-9, 1e-7, DensityParams(3, Fraction(1, 5), 5000).p, 1e-5, 1e-4])
@@ -154,6 +181,14 @@ def test_rank_sampler_outputs_are_pinned_at_n5000():
         ranks = bernoulli_ranks(seed, total, p)
         digest = hashlib.sha256(",".join(map(str, ranks)).encode()).hexdigest()
         assert len(ranks) == 4646 and digest.startswith(prefix), seed
+
+
+def test_generated_hyperedges_are_pinned_at_n5000():
+    params = DensityParams(3, Fraction(1, 5), 5000)
+    for seed, prefix in ((1, "1afdb162ca6fba83"), (2, "39972df10cc80a11"), (3, "bf2dfce17a98d737")):
+        edges = generate_random_hypergraph(params, seed).edges
+        digest = hashlib.sha256(repr(edges).encode()).hexdigest()
+        assert len(edges) == 4646 and digest.startswith(prefix), seed
 
 
 def test_subnormal_probability_keeps_no_rank():
