@@ -26,7 +26,6 @@ is banned.  The pieces:
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -150,25 +149,30 @@ def _refine(
     ranks are a strictly increasing relabeling of the colors it started
     from, so every signature of a further round would compare as in this
     one and that round would return these ranks unchanged; they are the
-    fixed point, returned one round early.
+    fixed point, returned one round early.  A discrete coloring is a fixed
+    point up to its dense ranks, since every signature is then (color, ()):
+    a discrete input returns its dense ranks before any profile is built,
+    and a round that leaves the coloring discrete returns at once instead
+    of running a confirming round.
     """
     while True:
         size: dict = {}  # class sizes
         for c in colors:
             size[c] = size.get(c, 0) + 1
-        profiles = [
-            (edge_colors[ei], tuple(sorted([colors[u] for u in e])))
-            for ei, e in enumerate(edges)
-        ]
+        if len(size) == n:
+            rank = {c: i for i, c in enumerate(sorted(size))}
+            return list(map(rank.__getitem__, colors))
+        color = colors.__getitem__
+        profiles = [(ec, tuple(sorted(map(color, e)))) for ec, e in zip(edge_colors, edges)]
         profile_rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
-        ranked = [profile_rank[p] for p in profiles]
+        edge_rank = list(map(profile_rank.__getitem__, profiles)).__getitem__
         sigs = [
-            (c, tuple(sorted([ranked[ei] for ei in incident[v]])) if size[c] > 1 else ())
+            (c, tuple(sorted(map(edge_rank, incident[v]))) if size[c] > 1 else ())
             for v, c in enumerate(colors)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == len(size):
+        colors = list(map(rank.__getitem__, sigs))
+        if len(rank) == len(size) or len(rank) == n:
             return colors
 
 
@@ -201,33 +205,48 @@ def _search_tree(n: int, edges: Sequence[tuple], edge_colors: Sequence[int]) -> 
     is an automorphism fixing b_0..b_{i-1} and sending b_i to w.  When
     level i is done the generators generate the stabilizer of
     b_0..b_{i-1}, so |Aut| is the product of the orbit lengths of the b_i.
+
+    A child that individualizes v in a cell of twins of v is not refined.
+    Every edge that meets such a cell contains all of it, so individualizing
+    v changes the profile of each such edge in the same injective way; no
+    two signatures equal before differ after, and _refine would return the
+    dense ranks of the branched coloring from its first round.  The child
+    is built as those ranks.
     """
     incident = _incidence(n, edges)
-    twins = [frozenset(incident[v]) for v in range(n)]
+    ids: dict = {}  # vertices with the same incident edges are twins
+    twins = [ids.setdefault(frozenset(edge_ids), len(ids)) for edge_ids in incident]
 
-    def child(colors: list, v: int) -> list:
-        branched = [2 * c for c in colors]
+    def child(colors: list, cell: list, v: int) -> list:
+        # colors: a stable coloring with dense ranks; cell: v's cell in it
+        c = colors[v]
+        t = twins[v]
+        if all(twins[u] == t for u in cell):
+            # a cell of twins: the branched coloring's dense ranks are stable
+            ranks = [x + (x >= c) for x in colors]
+            ranks[v] = c
+            return ranks
+        branched = [2 * x for x in colors]
         branched[v] -= 1
         return _refine(n, edges, edge_colors, incident, branched)
 
     def first_cell(colors: list) -> Optional[list]:
-        sizes = Counter(colors)
-        c = min((c for c, k in sizes.items() if k > 1), default=None)
-        return None if c is None else [v for v in range(n) if colors[v] == c]
+        # sorted dense ranks read 0, 1, 2, ... up to the first repeated
+        # rank: the first index i holding another rank holds i - 1
+        c = next((i - 1 for i, x in enumerate(sorted(colors)) if x != i), None)
+        return None if c is None else [v for v, x in enumerate(colors) if x == c]
 
     def encode(leaf: list) -> bytes:  # a discrete coloring ranks 0..n-1
+        at = leaf.__getitem__
         return repr(
-            sorted(
-                (edge_colors[ei], tuple(sorted(leaf[u] for u in e)))
-                for ei, e in enumerate(edges)
-            )
+            sorted((ec, tuple(sorted(map(at, e)))) for ec, e in zip(edge_colors, edges))
         ).encode()
 
     path = [_refine(n, edges, edge_colors, incident, [0] * n)]
     base: list = []
     while (cell := first_cell(path[-1])) is not None:
         base.append(cell[0])
-        path.append(child(path[-1], cell[0]))
+        path.append(child(path[-1], cell, cell[0]))
     best = (encode(path[-1]), path[-1])
 
     def explore(colors: list, ref: bytes) -> Optional[list]:
@@ -243,7 +262,7 @@ def _search_tree(n: int, edges: Sequence[tuple], edge_colors: Sequence[int]) -> 
         for v in cell:
             if twins[v] not in seen:
                 seen.add(twins[v])
-                leaf = explore(child(colors, v), ref)
+                leaf = explore(child(colors, cell, v), ref)
                 if leaf is not None:
                     return leaf
         return None
@@ -255,14 +274,15 @@ def _search_tree(n: int, edges: Sequence[tuple], edge_colors: Sequence[int]) -> 
         ref, ref_leaf = best
         searched: list = []
         covered = _orbit(b, generators)
-        for w in range(n):
-            if colors[w] != colors[b] or w in covered:
+        cell = [w for w, x in enumerate(colors) if x == colors[b]]
+        for w in cell:
+            if w in covered:
                 continue
             if twins[w] == twins[b]:
                 image = list(range(n))
                 image[b], image[w] = w, b
             else:
-                leaf = explore(child(colors, w), ref)
+                leaf = explore(child(colors, cell, w), ref)
                 if leaf is None:
                     searched.append(w)
                     covered |= _orbit(w, generators)

@@ -11,10 +11,10 @@ reproduce, the canonical-form candidate dedup and the orbit closure over
 every k-set that the twin-canonical orbit dedup must reproduce, the
 solve-every-component MAP that the singleton rule must reproduce, the
 growth step's own collection DFS that the shared cover enumerator must
-reproduce, the backtracking automorphism count that the stabilizer
-chain's orbit-length product must reproduce, and the weighted branch and
-bound whose cheapest covers the least-budget enumeration must reproduce
-for g_k and g_0.
+reproduce, the backtracking automorphism count over twin classes that
+the stabilizer chain's orbit-length product must reproduce, and the
+weighted branch and bound whose cheapest covers the least-budget
+enumeration must reproduce for g_k and g_0.
 """
 
 import math
@@ -256,19 +256,31 @@ def reference_refine(
     the loop census._refine must reproduce, color for color.
     """
     while True:
-        edge_profiles = [
-            (edge_colors[ei], tuple(sorted(colors[u] for u in e)))
-            for ei, e in enumerate(edges)
-        ]
-        sigs = [
-            (colors[v], tuple(sorted(edge_profiles[ei] for ei in incident[v])))
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
+        new = reference_refine_round(n, edges, edge_colors, incident, colors)
         if new == colors:
             return colors
         colors = new
+
+
+def reference_refine_round(
+    n: int,
+    edges: Sequence[tuple],
+    edge_colors: Sequence[int],
+    incident: Sequence[Sequence[int]],
+    colors: list,
+) -> list:
+    """One refinement round: each vertex's rank among the signatures
+    (color, sorted profiles of its incident edges)."""
+    edge_profiles = [
+        (edge_colors[ei], tuple(sorted(colors[u] for u in e)))
+        for ei, e in enumerate(edges)
+    ]
+    sigs = [
+        (colors[v], tuple(sorted(edge_profiles[ei] for ei in incident[v])))
+        for v in range(n)
+    ]
+    rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [rank[s] for s in sigs]
 
 
 def reference_canonical_form(
@@ -565,11 +577,18 @@ def reference_grow(
     return children, pruned
 
 
-def reference_automorphism_count(pattern) -> int:
-    """|Aut(K)|, by backtracking over the color-refined partition.
+def reference_automorphism_count(pattern, max_nodes: int = 5_000_000) -> int:
+    """|Aut(K)|, by backtracking over the twin classes of K.
 
-    Candidate images of each vertex are its refinement cellmates; partial
-    maps are pruned as soon as a fully-mapped hyperedge leaves the edge set.
+    Twins (vertices with the same incident edges) can be permuted freely,
+    every hyperedge is a union of twin classes, and every automorphism maps
+    twin classes onto twin classes of the same size.  So |Aut| is the
+    product of the class-size factorials times the number of class
+    bijections that keep sizes and refinement colors and map the hyperedges
+    (as sets of classes) into themselves.  Classes are assigned in the
+    order the sorted edge list first meets them, and partial maps are
+    pruned as soon as a fully-mapped hyperedge leaves the edge set; more
+    than max_nodes partial maps raise PatternTooLargeError.
     """
     n = pattern.v
     edges = pattern.edges
@@ -578,51 +597,45 @@ def reference_automorphism_count(pattern) -> int:
         for u in e:
             incident[u].append(ei)
     colors = reference_refine(n, edges, [0] * len(edges), incident, [0] * n)
-    if math.prod(
-        math.factorial(c) for c in _cell_sizes(colors)
-    ) > 20_000_000:
-        raise PatternTooLargeError(
-            "automorphism search space too large after refinement"
-        )
-    order = sorted(range(n), key=lambda v: (colors[v], v))
-    position = {v: i for i, v in enumerate(order)}
-    # edges checkable once their last vertex (in assignment order) is mapped
-    ready: list = [[] for _ in range(n)]
+    classes: dict = {}
     for e in edges:
-        last = max(e, key=lambda u: position[u])
-        ready[position[last]].append(e)
-    edge_set = set(edges)
-    image = [-1] * n
-    used = [False] * n
+        for u in e:
+            classes.setdefault(tuple(incident[u]), set()).add(u)
+    members = list(classes.values())
+    class_of = {u: i for i, cls in enumerate(members) for u in cls}
+    kind = [(colors[min(cls)], len(cls)) for cls in members]
+    m = len(members)
+    class_edges = [frozenset(class_of[u] for u in e) for e in edges]
+    # class edges checkable once their last class (in assignment order) is mapped
+    ready: list = [[] for _ in range(m)]
+    for e in class_edges:
+        ready[max(e)].append(e)
+    edge_set = set(class_edges)
+    image = [-1] * m
+    used = [False] * m
     count = 0
+    nodes = 0
 
     def backtrack(i: int) -> None:
-        nonlocal count
-        if i == n:
+        nonlocal count, nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise PatternTooLargeError("automorphism search visits too many partial maps")
+        if i == m:
             count += 1
             return
-        v = order[i]
-        for w in range(n):
-            if used[w] or colors[w] != colors[v]:
+        for j in range(m):
+            if used[j] or kind[j] != kind[i]:
                 continue
-            image[v] = w
-            used[w] = True
-            if all(
-                tuple(sorted(image[u] for u in e)) in edge_set for e in ready[i]
-            ):
+            image[i] = j
+            used[j] = True
+            if all(frozenset(image[c] for c in e) in edge_set for e in ready[i]):
                 backtrack(i + 1)
-            used[w] = False
-            image[v] = -1
+            used[j] = False
+            image[i] = -1
 
     backtrack(0)
-    return count
-
-
-def _cell_sizes(colors: Sequence[int]) -> list:
-    sizes: dict = {}
-    for c in colors:
-        sizes[c] = sizes.get(c, 0) + 1
-    return list(sizes.values())
+    return count * math.prod(math.factorial(len(cls)) for cls in members)
 
 
 def generated_group_order(generators: Sequence[Sequence[int]], v: int) -> int:

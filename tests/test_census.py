@@ -15,6 +15,7 @@ from oracles import (
     reference_canonical_form,
     reference_min_cost_cover,
     reference_refine,
+    reference_refine_round,
 )
 
 from hyperlift.census import (
@@ -139,12 +140,19 @@ def test_canonical_form_matches_the_full_tree_reference_on_random_inputs():
         assert canonical_form(relabeled, colors) == key, (edges, colors, perm)
 
 
+def _branched(colors: list, v: int) -> list:
+    """colors with v individualized, as the search tree's children do."""
+    branched = [2 * c for c in colors]
+    branched[v] -= 1
+    return branched
+
+
 def test_refine_matches_the_round_by_round_reference():
-    # seeded random colored hypergraphs from an arbitrary start coloring, and
-    # from every individualized coloring (2c, and 2c - 1 at one vertex) of
-    # their stable coloring, as the search tree's children build them
+    # seeded random colored hypergraphs from an arbitrary start coloring, a
+    # discrete start coloring with gaps, and every individualized coloring
+    # of their stable coloring, as the search tree's children build them
     rng = Stream(1975)
-    starts = 0
+    starts = discrete_after_one_round = 0
     for case in range(300):
         n = 2 + rng.randrange(12)
         edges = []
@@ -155,12 +163,10 @@ def test_refine_matches_the_round_by_round_reference():
         edge_colors = [rng.randrange(1 + case % 3) for _ in edges]
         incident = _incidence(n, edges)
         start = [rng.randrange(1 + case % 4) * 3 for _ in range(n)]
+        gapped = [3 * i for i in range(n)]
+        rng.shuffle(gapped)
         stable = reference_refine(n, edges, edge_colors, incident, [0] * n)
-        colorings = [start, [0] * n]
-        for v in range(n):
-            branched = [2 * c for c in stable]
-            branched[v] -= 1
-            colorings.append(branched)
+        colorings = [start, gapped, [0] * n] + [_branched(stable, v) for v in range(n)]
         for colors in colorings:
             expected = reference_refine(n, edges, edge_colors, incident, list(colors))
             assert _refine(n, edges, edge_colors, incident, list(colors)) == expected, (
@@ -168,8 +174,96 @@ def test_refine_matches_the_round_by_round_reference():
                 edge_colors,
                 colors,
             )
+            once = reference_refine_round(n, edges, edge_colors, incident, colors)
+            if len(set(colors)) < n == len(set(once)):
+                discrete_after_one_round += 1
             starts += 1
     assert starts > 2000
+    assert discrete_after_one_round > 100
+
+
+def _twin_heavy_hypergraphs(count: int, seed: int):
+    """Seeded random hypergraphs, each edge with 2..4 pendant vertices of
+    its own (a twin class), every other one with random edge colors."""
+    rng = Stream(seed)
+    for case in range(count):
+        core = 2 + rng.randrange(5)
+        n, edges = core, []
+        for _ in range(1 + rng.randrange(4)):
+            members = list(range(core))
+            rng.shuffle(members)
+            pendants = 2 + rng.randrange(3)
+            edges.append(tuple(sorted(members[: 1 + rng.randrange(3)])) + tuple(range(n, n + pendants)))
+            n += pendants
+        edge_colors = [rng.randrange(3) if case % 2 else 0 for _ in edges]
+        yield n, edges, edge_colors
+
+
+def test_individualizing_a_twin_cell_needs_no_refinement():
+    # in a stable coloring, a cell whose vertices are all twins of v (same
+    # incident edges) lies inside every edge that meets it; individualizing
+    # v changes those edges' profiles in one injective way, so no class
+    # splits and the refinement of the branched coloring is its dense ranks
+    equal = inside = 0
+    for n, edges, edge_colors in _twin_heavy_hypergraphs(120, 1614):
+        incident = _incidence(n, edges)
+        twins = [frozenset(edge_ids) for edge_ids in incident]
+        root = reference_refine(n, edges, edge_colors, incident, [0] * n)
+        stable = [root] + [
+            reference_refine(n, edges, edge_colors, incident, _branched(root, v))
+            for v in range(n)
+        ]
+        for colors in stable:
+            for v, c in enumerate(colors):
+                cell = {u for u in range(n) if colors[u] == c}
+                twin_class = {u for u in range(n) if twins[u] == twins[v]}
+                if len(cell) < 2 or not cell <= twin_class:
+                    continue
+                ranks = [x + (x > c or (x == c and u != v)) for u, x in enumerate(colors)]
+                branched = _branched(colors, v)
+                assert reference_refine(n, edges, edge_colors, incident, branched) == ranks, (
+                    edges,
+                    edge_colors,
+                    colors,
+                    v,
+                )
+                if cell == twin_class:
+                    equal += 1
+                else:
+                    inside += 1
+    assert equal > 500 and inside > 100
+
+
+def _twin_heavy_pool() -> list:
+    """d=4..6 random patterns full of pendant twins, the ambiguous gadgets
+    for d=4..6 and the map-failure gadgets for d=4, 5."""
+    pool = []
+    for d in (4, 5, 6):
+        n = d + 5
+        p = 3 / math.comb(n, d)
+        for seed in range(40):
+            h = generate_random_hypergraph(DensityParams(d, Fraction(1, 3), n), seed, p_override=p)
+            if 2 <= len(h) <= 5:
+                pool.append(PatternHypergraph.from_edges(h.edges))
+    pool += [build_ambiguous_gadget(d)[0] for d in (4, 5, 6)]
+    pool += [build_map_failure_gadget(d) for d in (4, 5)]
+    return pool
+
+
+def test_twin_heavy_patterns_match_the_references_under_relabeling():
+    rng = Stream(2302)
+    pool = _twin_heavy_pool()
+    assert len(pool) > 40
+    for pat in pool:
+        key = reference_canonical_form(pat.edges)
+        order = reference_automorphism_count(pat)
+        for relabeling in range(4):
+            perm = list(range(pat.v))
+            if relabeling:
+                rng.shuffle(perm)
+            image = pat.relabeled(perm)
+            assert canonical_form(image.edges) == key, (pat.edges, perm)
+            assert automorphism_count(image) == order, (pat.edges, perm)
 
 
 def test_automorphism_examples():

@@ -254,6 +254,26 @@ def test_certificate_counters_and_d3_report_are_pinned(certificates):
         assert hashlib.sha256(payload.encode()).hexdigest() == digest, d
 
 
+def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
+    # a child that individualizes a twin-class cell is built as dense ranks,
+    # so over the three certificates the tree refines 10,117 colorings
+    # (19,476 when every child was refined)
+    from hyperlift import census
+
+    calls = 0
+    refine = census._refine
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return refine(*args)
+
+    monkeypatch.setattr(census, "_refine", counting)
+    for d, delta, depth in CERTIFICATES:
+        assert dfs_search(SearchConfig(d, delta, max_depth=depth)).exhausted
+    assert calls <= 10_200
+
+
 def test_d5_certificate_at_eleven_twentieths_is_pinned():
     # a point inside the open interval (1/2, 2/3) for d=5: no ambiguous
     # class, exhausted at the default depth; the counters and the report
@@ -325,16 +345,15 @@ def test_grow_matches_reference_collection_dfs(certificates, d):
 
 
 def test_automorphism_count_on_expanded_patterns(certificates):
-    # the backtracking reference on the d=3 patterns (it takes minutes on
-    # some d=4 ones), and the order of the group the generators close to
-    # on every pattern of the three certificates
-    for d, (_, expanded, _) in certificates.items():
+    # the backtracking reference over twin classes, and the order of the
+    # group the generators close to, on every pattern of the three
+    # certificates
+    for _, expanded, _ in certificates.values():
         for pattern in expanded:
             pat = PatternHypergraph(pattern)
             order = automorphism_count(pat)
             assert generated_group_order(automorphism_generators(pattern), pat.v) == order
-            if d == 3:
-                assert reference_automorphism_count(pat) == order, pattern
+            assert reference_automorphism_count(pat) == order, pattern
 
 
 @pytest.mark.parametrize("d", [3, 4])
