@@ -151,9 +151,8 @@ def _refine(
     one and that round would return these ranks unchanged; they are the
     fixed point, returned one round early.  A discrete coloring is a fixed
     point up to its dense ranks, since every signature is then (color, ()):
-    a discrete input returns its dense ranks before any profile is built,
-    and a round that leaves the coloring discrete returns at once instead
-    of running a confirming round.
+    a discrete coloring, given or left by a round, returns its dense ranks
+    before any profile is built, so it never runs a confirming round.
     """
     while True:
         size: dict = {}  # class sizes
@@ -172,7 +171,7 @@ def _refine(
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = list(map(rank.__getitem__, sigs))
-        if len(rank) == len(size) or len(rank) == n:
+        if len(rank) == len(size):
             return colors
 
 

@@ -11,10 +11,11 @@ reproduce, the canonical-form candidate dedup and the orbit closure over
 every k-set that the twin-canonical orbit dedup must reproduce, the
 solve-every-component MAP that the singleton rule must reproduce, the
 growth step's own collection DFS that the shared cover enumerator must
-reproduce, the backtracking automorphism count over twin classes that
-the stabilizer chain's orbit-length product must reproduce, and the
-weighted branch and bound whose cheapest covers the least-budget
-enumeration must reproduce for g_k and g_0.
+reproduce, the backtracking automorphism counts (vertex by vertex, and
+over twin classes where that one cannot finish) that the stabilizer
+chain's orbit-length product must reproduce, and the weighted branch and
+bound whose cheapest covers the least-budget enumeration must reproduce
+for g_k and g_0.
 """
 
 import math
@@ -577,7 +578,67 @@ def reference_grow(
     return children, pruned
 
 
-def reference_automorphism_count(pattern, max_nodes: int = 5_000_000) -> int:
+def reference_automorphism_count(pattern) -> int:
+    """|Aut(K)|, by backtracking over the color-refined partition.
+
+    Candidate images of each vertex are its refinement cellmates; partial
+    maps are pruned as soon as a fully-mapped hyperedge leaves the edge set.
+    """
+    n = pattern.v
+    edges = pattern.edges
+    incident: list = [[] for _ in range(n)]
+    for ei, e in enumerate(edges):
+        for u in e:
+            incident[u].append(ei)
+    colors = reference_refine(n, edges, [0] * len(edges), incident, [0] * n)
+    if math.prod(
+        math.factorial(c) for c in _cell_sizes(colors)
+    ) > 20_000_000:
+        raise PatternTooLargeError(
+            "automorphism search space too large after refinement"
+        )
+    order = sorted(range(n), key=lambda v: (colors[v], v))
+    position = {v: i for i, v in enumerate(order)}
+    # edges checkable once their last vertex (in assignment order) is mapped
+    ready: list = [[] for _ in range(n)]
+    for e in edges:
+        last = max(e, key=lambda u: position[u])
+        ready[position[last]].append(e)
+    edge_set = set(edges)
+    image = [-1] * n
+    used = [False] * n
+    count = 0
+
+    def backtrack(i: int) -> None:
+        nonlocal count
+        if i == n:
+            count += 1
+            return
+        v = order[i]
+        for w in range(n):
+            if used[w] or colors[w] != colors[v]:
+                continue
+            image[v] = w
+            used[w] = True
+            if all(
+                tuple(sorted(image[u] for u in e)) in edge_set for e in ready[i]
+            ):
+                backtrack(i + 1)
+            used[w] = False
+            image[v] = -1
+
+    backtrack(0)
+    return count
+
+
+def _cell_sizes(colors: Sequence[int]) -> list:
+    sizes: dict = {}
+    for c in colors:
+        sizes[c] = sizes.get(c, 0) + 1
+    return list(sizes.values())
+
+
+def reference_twin_class_automorphism_count(pattern) -> int:
     """|Aut(K)|, by backtracking over the twin classes of K.
 
     Twins (vertices with the same incident edges) can be permuted freely,
@@ -588,7 +649,10 @@ def reference_automorphism_count(pattern, max_nodes: int = 5_000_000) -> int:
     (as sets of classes) into themselves.  Classes are assigned in the
     order the sorted edge list first meets them, and partial maps are
     pruned as soon as a fully-mapped hyperedge leaves the edge set; more
-    than max_nodes partial maps raise PatternTooLargeError.
+    than 5,000,000 partial maps raise PatternTooLargeError.  It relies on
+    the twin argument that _search_tree also uses, so it stands in for
+    reference_automorphism_count only where that one cannot finish, and is
+    checked against it where it can.
     """
     n = pattern.v
     edges = pattern.edges
@@ -619,7 +683,7 @@ def reference_automorphism_count(pattern, max_nodes: int = 5_000_000) -> int:
     def backtrack(i: int) -> None:
         nonlocal count, nodes
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > 5_000_000:
             raise PatternTooLargeError("automorphism search visits too many partial maps")
         if i == m:
             count += 1

@@ -22,6 +22,7 @@ from oracles import (
     reference_canonical_form,
     reference_grow,
     reference_orbit_candidates,
+    reference_twin_class_automorphism_count,
 )
 
 from hyperlift import search
@@ -345,15 +346,18 @@ def test_grow_matches_reference_collection_dfs(certificates, d):
 
 
 def test_automorphism_count_on_expanded_patterns(certificates):
-    # the backtracking reference over twin classes, and the order of the
-    # group the generators close to, on every pattern of the three
-    # certificates
-    for _, expanded, _ in certificates.values():
+    # the order of the group the generators close to and the twin-class
+    # backtracking reference on every pattern of the three certificates,
+    # and the vertex-level reference on the d=3 ones (it takes minutes on
+    # some d=4 ones)
+    for d, (_, expanded, _) in certificates.items():
         for pattern in expanded:
             pat = PatternHypergraph(pattern)
             order = automorphism_count(pat)
             assert generated_group_order(automorphism_generators(pattern), pat.v) == order
-            assert reference_automorphism_count(pat) == order, pattern
+            assert reference_twin_class_automorphism_count(pat) == order, pattern
+            if d == 3:
+                assert reference_automorphism_count(pat) == order, pattern
 
 
 @pytest.mark.parametrize("d", [3, 4])
