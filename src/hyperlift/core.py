@@ -16,9 +16,10 @@ import functools
 import math
 import operator
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, groupby, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .rng import SIGMA_TAG, bernoulli_ranks, substream
@@ -94,19 +95,26 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
             raise ValueError(f"vertex count n={n} must be >= 0")
-        canon = sorted({(int(a), int(b)) if a < b else (int(b), int(a)) for a, b in edges})
-        adj: list[set] = [set() for _ in range(n)]
-        for a, b in canon:
-            if a == b:
-                raise ValueError(f"self-loop at {a}")
-            if a < 0 or b >= n:
-                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            adj[a].add(b)
-            adj[b].add(a)
+        pairs = {(int(a), int(b)) if a < b else (int(b), int(a)) for a, b in edges}
+        canon = sorted(pairs)
+        adj: list[list] = [[] for _ in range(n)]
+        if canon:
+            # checked a column at a time; only a failed check walks the
+            # edges one by one to name the first bad edge
+            lo, hi = zip(*canon)
+            if not (all(map(operator.lt, lo, hi)) and lo[0] >= 0 and max(hi) < n):
+                for a, b in canon:
+                    if a == b:
+                        raise ValueError(f"self-loop at {a}")
+                    if a < 0 or b >= n:
+                        raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            for a, b in canon:
+                adj[a].append(b)
+                adj[b].append(a)
         self.n = n
         self.edges = tuple(canon)
-        self.edge_set = frozenset(canon)
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.edge_set = frozenset(pairs)
+        self.adj = tuple(map(frozenset, adj))
         self._cliques: dict = {}
 
     def __eq__(self, other) -> bool:
@@ -321,66 +329,61 @@ def generate_hsbm(params: HsbmParams, seed: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def edge_pairs(edges: Iterable[Sequence[int]]):
+    """Every pair of every edge, in edge order, as one iterator; the pairs
+    of a sorted edge come out sorted."""
+    return chain.from_iterable(map(combinations, edges, repeat(2)))
+
+
 def project(h: Hypergraph) -> Graph:
     """The graph with an edge for every pair co-occurring in a hyperedge."""
-    pairs = set()
-    for e in h.edges:
-        pairs.update(combinations(e, 2))
-    return Graph(h.n, pairs)
+    return Graph(h.n, set(edge_pairs(h.edges)))
 
 
 def project_edges(edges: Iterable[Sequence[int]]) -> set:
     """Projection of a bare hyperedge collection, as a set of pairs."""
-    pairs = set()
-    for e in edges:
-        pairs.update(combinations(sorted(e), 2))
-    return pairs
+    return set(edge_pairs(map(sorted, edges)))
 
 
 def clique_hypergraph(g: Graph, d: int) -> Hypergraph:
     """All d-subsets of vertices that are cliques of g, in lexicographic order.
 
-    Enumerated by recursive extension inside common neighborhoods, so the
-    cost is output- and degree-sensitive rather than O(C(n, d)).  The result
-    is memoized on g per d, so every algorithm run on the same graph shares
-    one enumeration.
+    Each clique is listed from its least vertex u by extension inside common
+    neighborhoods (Chiba and Nishizeki 1985): u's higher neighbors are read
+    off the sorted edge list, and a prefix ending in v keeps the candidates
+    after v that are adjacent to v, one set intersection.  A branch is
+    entered only while it holds enough candidates to finish a clique, and
+    the last level is emitted in one step, so the cost is output- and
+    degree-sensitive rather than O(C(n, d)).  The result is memoized on g
+    per d, so every algorithm run on the same graph shares one enumeration.
     """
     if d < 2:
         raise ValueError(f"d={d} must be >= 2")
     if d in g._cliques:
         return g._cliques[d]
-    higher = [sorted(v for v in g.adj[u] if v > u) for u in range(g.n)]
+    adj = g.adj
     out: list[tuple] = []
-    prefix: list[int] = []
 
-    def extend(cands: Sequence[int]) -> None:
-        need = d - len(prefix)
-        if need == 0:
-            out.append(tuple(prefix))
+    def extend(prefix: tuple, cands: list, need: int) -> None:
+        # cands: sorted common neighbors of prefix, all above its last vertex
+        if need == 1:
+            out.extend(map(prefix.__add__, zip(cands)))
             return
-        for idx, v in enumerate(cands):
-            if len(cands) - idx < need:
-                break
-            prefix.append(v)
-            adj_v = g.adj[v]
-            extend([w for w in cands[idx + 1 :] if w in adj_v])
-            prefix.pop()
+        for i in range(len(cands) - need + 1):
+            v = cands[i]
+            common = adj[v].intersection(cands[i + 1 :])
+            if len(common) >= need - 1:
+                extend(prefix + (v,), sorted(common), need - 1)
 
-    for u in range(g.n):
-        prefix.append(u)
-        extend(higher[u])
-        prefix.pop()
+    for u, pairs in groupby(g.edges, operator.itemgetter(0)):
+        extend((u,), list(map(operator.itemgetter(1), pairs)), d - 1)
     g._cliques[d] = Hypergraph(g.n, d, out)
     return g._cliques[d]
 
 
 def similarity_matrix(h: Hypergraph) -> SimilarityMatrix:
     """W[i][j] = number of hyperedges containing both i and j."""
-    counts: dict = {}
-    for e in h.edges:
-        for pair in combinations(e, 2):
-            counts[pair] = counts.get(pair, 0) + 1
-    return SimilarityMatrix(h.n, counts)
+    return SimilarityMatrix(h.n, Counter(edge_pairs(h.edges)))
 
 
 def support_graph(w: SimilarityMatrix) -> Graph:

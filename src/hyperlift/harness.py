@@ -25,6 +25,7 @@ from .core import (
     HsbmParams,
     Hypergraph,
     clique_hypergraph,
+    edge_pairs,
     generate_hsbm,
     generate_random_hypergraph,
     project,
@@ -400,7 +401,7 @@ def planted_gadget_trial(
     truth = base.union(Hypergraph(n, d, variant_edge_sets[variant]))
     g = project(truth)
     gadget_cli = place(clique_hypergraph(gadget_proj, d).edges)
-    gadget_pairs = {pair for c in gadget_cli for pair in combinations(c, 2)}
+    gadget_pairs = set(edge_pairs(gadget_cli))
     isolated = not any(
         c not in gadget_cli and not gadget_pairs.isdisjoint(combinations(c, 2))
         for c in clique_hypergraph(g, d).edges

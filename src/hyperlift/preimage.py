@@ -66,11 +66,15 @@ def cover_masks(universe: Sequence, candidates: Sequence) -> tuple:
 
 def _pair_rate(masks: Sequence[int], costs: Sequence[int]) -> Fraction:
     """The least cost per covered pair over the candidates; with nonnegative
-    costs, covering u more pairs costs at least u times this."""
-    return min(
-        (Fraction(c, m.bit_count()) for m, c in zip(masks, costs) if m),
-        default=Fraction(0),
-    )
+    costs, covering u more pairs costs at least u times this.  Compared by
+    integer cross-multiplication, so one Fraction is built, at the end."""
+    best_cost, best_pairs = 0, 0
+    for m, c in zip(masks, costs):
+        if m:
+            k = m.bit_count()
+            if not best_pairs or c * best_pairs < best_cost * k:
+                best_cost, best_pairs = c, k
+    return Fraction(best_cost, best_pairs) if best_pairs else Fraction(0)
 
 
 def covers_within(

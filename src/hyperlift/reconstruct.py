@@ -7,9 +7,10 @@
   component, and unions the canonical (lexicographically least) minima.
   A one-candidate component is its own unique minimum and skips the
   solver.  It never consults the density p.
-- greedy_reconstruct starts from the clique hypergraph and repeatedly
-  deletes hyperedges all of whose pairs are covered at least twice,
-  scanning in ascending lexicographic order until a fixed point.
+- greedy_reconstruct starts from the clique hypergraph and deletes
+  hyperedges all of whose pairs are covered at least twice, in one
+  ascending lexicographic pass, which is the fixed point: coverage never
+  rises, so a hyperedge kept when scanned keeps a pair covered once.
 
 All three share the clique hypergraph memoized on the input graph, and
 return a ReconstructionResult whose is_preimage flag records whether the
@@ -19,13 +20,14 @@ output actually projects back onto the input graph.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .components import decompose
 # project is not called here; perfbench/layers.py traces reconstruct.project
 # by name, so the name stays importable
-from .core import Graph, Hypergraph, clique_hypergraph, project, project_edges
+from .core import Graph, Hypergraph, clique_hypergraph, edge_pairs, project
 from .preimage import solve_cover
 
 
@@ -55,7 +57,7 @@ def _finish(algorithm: str, g: Graph, output: Hypergraph, t0: float, **kw) -> Re
     return ReconstructionResult(
         algorithm=algorithm,
         output=output,
-        is_preimage=(output.n == g.n and project_edges(output.edges) == g.edge_set),
+        is_preimage=(output.n == g.n and set(edge_pairs(output.edges)) == g.edge_set),
         elapsed=time.perf_counter() - t0,
         **kw,
     )
@@ -96,10 +98,7 @@ def map_reconstruct(
             chosen.append(cli.edges[comp[0]])
             continue
         candidates = [cli.edges[i] for i in comp]
-        universe = set()
-        for c in candidates:
-            universe.update(combinations(c, 2))
-        r, covers, amb = solve_cover(universe, candidates, cap=2)
+        r, covers, amb = solve_cover(set(edge_pairs(candidates)), candidates, cap=2)
         # components are built from their own candidates, so always feasible
         chosen.extend(covers[0])
         ambiguous += bool(amb)
@@ -113,28 +112,24 @@ def greedy_reconstruct(g: Graph, d: int) -> ReconstructionResult:
     """Greedy deletion of redundant hyperedges from the clique hypergraph.
 
     A hyperedge is redundant when every one of its pairs is covered by at
-    least two surviving hyperedges.  Scan order is ascending lexicographic,
-    repeated to a fixed point, so the output is deterministic.
+    least two surviving hyperedges.  One ascending lexicographic pass
+    deletes each hyperedge that is redundant when scanned, so the output is
+    deterministic, and that pass is the fixed point: coverage only falls,
+    so a hyperedge kept when scanned had a pair covered by itself alone and
+    still has, and a second pass would delete nothing.
     """
     t0 = time.perf_counter()
-    candidates = list(clique_hypergraph(g, d).edges)
-    coverage: dict = {}
-    for c in candidates:
-        for pair in combinations(c, 2):
-            coverage[pair] = coverage.get(pair, 0) + 1
-    alive = [True] * len(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(candidates):
-            if not alive[i]:
-                continue
-            if all(coverage[pair] >= 2 for pair in combinations(c, 2)):
-                alive[i] = False
-                changed = True
-                for pair in combinations(c, 2):
-                    coverage[pair] -= 1
-    output = Hypergraph(g.n, d, [c for i, c in enumerate(candidates) if alive[i]])
+    candidates = clique_hypergraph(g, d).edges
+    pairs = list(map(tuple, map(combinations, candidates, repeat(2))))
+    coverage = Counter(chain.from_iterable(pairs))
+    kept = []
+    for c, own in zip(candidates, pairs):
+        if 1 in map(coverage.__getitem__, own):  # a pair only c covers
+            kept.append(c)
+        else:
+            for pair in own:
+                coverage[pair] -= 1
+    output = Hypergraph(g.n, d, kept)
     return _finish("greedy", g, output, t0)
 
 

@@ -229,14 +229,26 @@ def bernoulli_ranks(seed: int, total: int, p: float, keep=None) -> list[int]:
     for b, block_seed in _live_blocks(seed, total, log1mp):
         start = b * BLOCK_SIZE
         stop = min(start + BLOCK_SIZE, total)
-        rng = substream(seed, GEN_TAG, b) if block_seed is None else Stream(block_seed)
+        # the block's SplitMix64 stream, stepped inline: Stream.random's
+        # draws without its three calls per draw
+        state = mix64(seed, GEN_TAG, b) if block_seed is None else block_seed
         pos = start
         while True:
             if log1mp is not None:
-                pos += int(min(log1p(-rng.random()) / log1mp, BLOCK_SIZE))
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                u = ((z ^ (z >> 31)) >> 11) * 2.0**-53
+                pos += int(min(log1p(-u) / log1mp, BLOCK_SIZE))
             if pos >= stop:
                 break
-            if keep is None or keep(pos, rng.random()):
+            if keep is None:
                 out.append(pos)
+            else:
+                state = (state + _GAMMA) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                if keep(pos, ((z ^ (z >> 31)) >> 11) * 2.0**-53):
+                    out.append(pos)
             pos += 1
     return out

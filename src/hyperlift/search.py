@@ -39,7 +39,7 @@ from .census import (
     graph_canonical_form,
     stable_colors,
 )
-from .core import Graph, clique_hypergraph, hypergraph_to_text, Hypergraph, project_edges
+from .core import Graph, clique_hypergraph, edge_pairs, hypergraph_to_text, Hypergraph, project_edges
 from .preimage import covers_within, cover_masks, min_preimage
 
 
@@ -177,9 +177,7 @@ def candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
         raise ValueError("pattern labels must be dense 0..v-1")
     proj = project_edges(edges)
     cli = clique_hypergraph(Graph(v, proj), d).edges
-    cli_pairs = set()
-    for c in cli:
-        cli_pairs.update(combinations(c, 2))
+    cli_pairs = set(edge_pairs(cli))
     classes: dict = {}  # incident edges -> the twin class, ascending
     for u, incident in enumerate(_incidence(v, edges)):
         classes.setdefault(tuple(incident), []).append(u)

@@ -10,12 +10,13 @@ reproduce, the full-tree canonical form that the one-tree search must
 reproduce, the canonical-form candidate dedup and the orbit closure over
 every k-set that the twin-canonical orbit dedup must reproduce, the
 solve-every-component MAP that the singleton rule must reproduce, the
-growth step's own collection DFS that the shared cover enumerator must
-reproduce, the backtracking automorphism counts (vertex by vertex, and
-over twin classes where that one cannot finish) that the stabilizer
-chain's orbit-length product must reproduce, and the weighted branch and
-bound whose cheapest covers the least-budget enumeration must reproduce
-for g_k and g_0.
+greedy deletion repeated to a fixed point that the one-pass greedy must
+reproduce, the growth step's own collection DFS that the shared cover
+enumerator must reproduce, the backtracking automorphism counts (vertex
+by vertex, and over twin classes where that one cannot finish) that the
+stabilizer chain's orbit-length product must reproduce, and the weighted
+branch and bound whose cheapest covers the least-budget enumeration must
+reproduce for g_k and g_0.
 """
 
 import math
@@ -491,6 +492,33 @@ def reference_map_reconstruct(
         ambiguous_components=ambiguous,
         elapsed=time.perf_counter() - t0,
     )
+
+
+def reference_greedy(g: Graph, d: int) -> Hypergraph:
+    """Greedy deletion repeated to a fixed point: ascending passes over the
+    surviving cliques, each deleting every clique all of whose pairs are
+    covered at least twice, until a pass deletes nothing.
+
+    The cliques are enumerated on a fresh copy of g.
+    """
+    candidates = list(clique_hypergraph(Graph(g.n, g.edges), d).edges)
+    coverage: dict = {}
+    for c in candidates:
+        for pair in combinations(c, 2):
+            coverage[pair] = coverage.get(pair, 0) + 1
+    alive = [True] * len(candidates)
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(candidates):
+            if not alive[i]:
+                continue
+            if all(coverage[pair] >= 2 for pair in combinations(c, 2)):
+                alive[i] = False
+                changed = True
+                for pair in combinations(c, 2):
+                    coverage[pair] -= 1
+    return Hypergraph(g.n, d, [c for i, c in enumerate(candidates) if alive[i]])
 
 
 def reference_grow(

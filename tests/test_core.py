@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -254,17 +255,51 @@ def test_clique_hypergraph_k4_and_edgeless():
     assert clique_hypergraph(Graph(5, []), 3).edges == ()
 
 
+def _brute_cliques(g, d):
+    return tuple(
+        t for t in combinations(range(g.n), d) if all(p in g.edge_set for p in combinations(t, 2))
+    )
+
+
 def test_clique_hypergraph_matches_brute_force():
+    rnd = random.Random(18)
     params = DensityParams(3, Fraction(2, 5), 10)
-    for seed in range(10):
-        g = project(generate_random_hypergraph(params, seed))
-        fast = set(clique_hypergraph(g, 3).edges)
-        brute = {
-            t
-            for t in combinations(range(g.n), 3)
-            if all(p in g.edge_set for p in combinations(t, 2))
-        }
-        assert fast == brute
+    graphs = [project(generate_random_hypergraph(params, seed)) for seed in range(10)]
+    # G(n, q) graphs, which are no projection; high n leaves isolated vertices
+    for n, q in [(8, 0.2), (12, 0.5), (14, 0.7), (20, 0.3), (25, 0.15)]:
+        for _ in range(3):
+            graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < q]))
+    # K_7 inside isolated vertices, and the edgeless graph
+    graphs.append(Graph(10, [(a + 2, b + 2) for a, b in combinations(range(7), 2)]))
+    graphs.append(Graph(6, []))
+    assert any(not g.adj[u] for g in graphs for u in range(g.n))
+    for g in graphs:
+        for d in (2, 3, 4, 5):
+            assert clique_hypergraph(g, d).edges == _brute_cliques(g, d), (g.edges, d)
+    k7 = graphs[-2]
+    assert [len(clique_hypergraph(k7, d)) for d in (2, 3, 4, 5)] == [21, 35, 35, 21]
+
+
+def test_graph_names_the_first_bad_edge_in_sorted_order():
+    assert Graph(4, [(3, 1), [0, 2], (1, 3)]).edges == ((0, 2), (1, 3))
+    with pytest.raises(ValueError, match=r"^self-loop at 2$"):
+        Graph(4, [(2, 2)])
+    with pytest.raises(ValueError, match=r"^edge \(1,4\) out of range for n=4$"):
+        Graph(4, [(4, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(-1,0\) out of range for n=4$"):
+        Graph(4, [(0, -1)])
+    # a self-loop is named as one even when it is out of range too
+    with pytest.raises(ValueError, match=r"^self-loop at 0$"):
+        Graph(0, [(1, 1), (0, 0)])
+    # several faults: the bad edge that sorts first is named, whatever its fault
+    with pytest.raises(ValueError, match=r"^self-loop at 1$"):
+        Graph(4, [(2, 9), (0, 1), (1, 1), (3, 3)])
+    with pytest.raises(ValueError, match=r"^edge \(0,7\) out of range for n=4$"):
+        Graph(4, [(1, 1), (0, 1), (7, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(-3,2\) out of range for n=4$"):
+        Graph(4, [(1, 1), (0, 1), (7, 0), (2, -3)])
+    with pytest.raises(ValueError, match=r"^vertex count n=-1 must be >= 0$"):
+        Graph(-1, [])
 
 
 def test_clique_hypergraph_memo_equals_a_fresh_enumeration():

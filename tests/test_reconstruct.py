@@ -1,11 +1,12 @@
 """Reconstruction algorithms: clique cover, MAP, greedy."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from oracles import all_preimages_bitmask, reference_map_reconstruct
+from oracles import all_preimages_bitmask, reference_greedy, reference_map_reconstruct
 
 from hyperlift.census import build_ambiguous_gadget, build_spurious_clique_gadget
 from hyperlift.core import (
@@ -94,6 +95,32 @@ def test_greedy_examples():
     _, _, proj = build_ambiguous_gadget(3)
     res3 = greedy_reconstruct(proj, 3)
     assert res3.is_preimage and len(res3.output) == 5
+
+
+def test_greedy_matches_the_fixed_point_reference():
+    # projections at densities where cliques overlap, so some are
+    # redundant, and G(n, q) graphs, which need not be projections
+    rnd = random.Random(18)
+    graphs = [
+        (d, project(generate_random_hypergraph(DensityParams(d, delta, n), seed)))
+        for d, delta, n in [
+            (3, Fraction(2, 5), 30),
+            (3, Fraction(3, 5), 20),
+            (4, Fraction(3, 5), 24),
+        ]
+        for seed in range(8)
+    ]
+    for n, q in [(12, 0.4), (14, 0.65), (16, 0.5), (20, 0.35)]:
+        for d in (3, 4):
+            graphs.append((d, Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < q])))
+    _, _, proj = build_ambiguous_gadget(3)
+    graphs.append((3, proj))
+    deleted = 0
+    for d, g in graphs:
+        res = greedy_reconstruct(g, d)
+        assert res.output == reference_greedy(g, d), (d, g.edges)
+        deleted += len(clique_hypergraph(g, d)) - len(res.output)
+    assert deleted >= 50
 
 
 def test_verify_exact_examples_and_errors():
