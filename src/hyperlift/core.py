@@ -95,26 +95,19 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
             raise ValueError(f"vertex count n={n} must be >= 0")
-        pairs = {(int(a), int(b)) if a < b else (int(b), int(a)) for a, b in edges}
-        canon = sorted(pairs)
-        adj: list[list] = [[] for _ in range(n)]
-        if canon:
-            # checked a column at a time; only a failed check walks the
-            # edges one by one to name the first bad edge
-            lo, hi = zip(*canon)
-            if not (all(map(operator.lt, lo, hi)) and lo[0] >= 0 and max(hi) < n):
-                for a, b in canon:
-                    if a == b:
-                        raise ValueError(f"self-loop at {a}")
-                    if a < 0 or b >= n:
-                        raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            for a, b in canon:
-                adj[a].append(b)
-                adj[b].append(a)
+        canon = sorted({(int(a), int(b)) if a < b else (int(b), int(a)) for a, b in edges})
+        adj: list[set] = [set() for _ in range(n)]
+        for a, b in canon:
+            if a == b:
+                raise ValueError(f"self-loop at {a}")
+            if a < 0 or b >= n:
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            adj[a].add(b)
+            adj[b].add(a)
         self.n = n
         self.edges = tuple(canon)
-        self.edge_set = frozenset(pairs)
-        self.adj = tuple(map(frozenset, adj))
+        self.edge_set = frozenset(canon)
+        self.adj = tuple(frozenset(s) for s in adj)
         self._cliques: dict = {}
 
     def __eq__(self, other) -> bool:

@@ -229,8 +229,8 @@ def bernoulli_ranks(seed: int, total: int, p: float, keep=None) -> list[int]:
     for b, block_seed in _live_blocks(seed, total, log1mp):
         start = b * BLOCK_SIZE
         stop = min(start + BLOCK_SIZE, total)
-        # the block's SplitMix64 stream, stepped inline: Stream.random's
-        # draws without its three calls per draw
+        # the block's SplitMix64 stream; the skip draw steps it inline,
+        # Stream.random's draw without its three calls per draw
         state = mix64(seed, GEN_TAG, b) if block_seed is None else block_seed
         pos = start
         while True:
@@ -245,10 +245,8 @@ def bernoulli_ranks(seed: int, total: int, p: float, keep=None) -> list[int]:
             if keep is None:
                 out.append(pos)
             else:
-                state = (state + _GAMMA) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                if keep(pos, ((z ^ (z >> 31)) >> 11) * 2.0**-53):
+                state, z = _splitmix64(state)
+                if keep(pos, (z >> 11) * 2.0**-53):
                     out.append(pos)
             pos += 1
     return out
