@@ -145,34 +145,47 @@ def _refine(
     in its class keeps an empty multiset: the color, which no other vertex
     has, already decides every comparison it enters.
 
-    The loop stops at the first round that splits no class.  Such a round's
-    ranks are a strictly increasing relabeling of the colors it started
-    from, so every signature of a further round would compare as in this
-    one and that round would return these ranks unchanged; they are the
-    fixed point, returned one round early.  A discrete coloring is a fixed
-    point up to its dense ranks, since every signature is then (color, ()):
-    a discrete coloring, given or left by a round, returns its dense ranks
-    before any profile is built, so it never runs a confirming round.
+    The colors are first replaced by their dense ranks, which changes no
+    comparison.  The loop stops at the first round that splits no class.
+    Such a round's ranks are a strictly increasing relabeling of the colors
+    it started from, so every signature of a further round would compare as
+    in this one and that round would return these ranks unchanged; they are
+    the fixed point, returned one round early.  A discrete coloring is a
+    fixed point, since every signature is then (color, ()): a coloring that
+    is or becomes discrete is returned before any profile is built, so it
+    never runs a confirming round.
+
+    In the first round from one class, a profile's members all share a
+    color, so the profiles rank as (edge color, edge size) do; when every
+    edge has the same color and size, the signatures rank as the degrees.
     """
-    while True:
-        size: dict = {}  # class sizes
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = list(map(rank.__getitem__, colors))
+    classes = len(rank)
+    while classes < n:
+        size = [0] * classes
         for c in colors:
-            size[c] = size.get(c, 0) + 1
-        if len(size) == n:
-            rank = {c: i for i, c in enumerate(sorted(size))}
-            return list(map(rank.__getitem__, colors))
-        color = colors.__getitem__
-        profiles = [(ec, tuple(sorted(map(color, e)))) for ec, e in zip(edge_colors, edges)]
+            size[c] += 1
+        if classes == 1:
+            profiles = list(zip(edge_colors, map(len, edges)))
+        else:
+            color = colors.__getitem__
+            profiles = [(ec, tuple(sorted(map(color, e)))) for ec, e in zip(edge_colors, edges)]
         profile_rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
-        edge_rank = list(map(profile_rank.__getitem__, profiles)).__getitem__
-        sigs = [
-            (c, tuple(sorted(map(edge_rank, incident[v]))) if size[c] > 1 else ())
-            for v, c in enumerate(colors)
-        ]
+        if classes == len(profile_rank) == 1:
+            sigs = list(map(len, incident))
+        else:
+            edge_rank = list(map(profile_rank.__getitem__, profiles)).__getitem__
+            sigs = [
+                (c, tuple(sorted(map(edge_rank, edge_ids))) if size[c] > 1 else ())
+                for c, edge_ids in zip(colors, incident)
+            ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = list(map(rank.__getitem__, sigs))
-        if len(rank) == len(size):
-            return colors
+        if len(rank) == classes:
+            break
+        classes = len(rank)
+    return colors
 
 
 def stable_colors(edges: Sequence[Sequence[int]]) -> list:
@@ -186,9 +199,74 @@ def stable_colors(edges: Sequence[Sequence[int]]) -> list:
     return _refine(n, edges, [0] * len(edges), _incidence(n, edges), [0] * n)
 
 
+class _Tree:
+    """The individualize-and-refine tree of a colored hypergraph over
+    vertices 0..n-1: its root (the stable refinement of the uniform
+    coloring), a node's children, a node's first non-singleton cell and a
+    leaf's code.
+
+    A child that individualizes v in a cell of twins of v (vertices with
+    the same incident edges) is not refined.  Every edge that meets such a
+    cell contains all of it, so individualizing v changes the profile of
+    each such edge in the same injective way; no two signatures equal
+    before differ after, and _refine would return the dense ranks of the
+    branched coloring from its first round.  The child is built as those
+    ranks.
+    """
+
+    __slots__ = ("n", "edges", "edge_colors", "incident", "twins", "root")
+
+    def __init__(self, n: int, edges: Sequence[tuple], edge_colors: Sequence[int]):
+        self.n, self.edges, self.edge_colors = n, edges, edge_colors
+        self.incident = _incidence(n, edges)
+        ids: dict = {}  # vertices with the same incident edges are twins
+        self.twins = [ids.setdefault(tuple(edge_ids), len(ids)) for edge_ids in self.incident]
+        self.root = _refine(n, edges, edge_colors, self.incident, [0] * n)
+
+    def child(self, colors: list, cell: list, v: int) -> list:
+        # colors: a stable coloring with dense ranks; cell: v's cell in it
+        c = colors[v]
+        twins = self.twins
+        t = twins[v]
+        if all(twins[u] == t for u in cell):
+            # a cell of twins: the branched coloring's dense ranks are stable
+            ranks = [x + (x >= c) for x in colors]
+            ranks[v] = c
+            return ranks
+        branched = [2 * x for x in colors]
+        branched[v] -= 1
+        return _refine(self.n, self.edges, self.edge_colors, self.incident, branched)
+
+    @staticmethod
+    def first_cell(colors: list) -> Optional[list]:
+        # sorted dense ranks read 0, 1, 2, ... up to the first repeated
+        # rank: the first index i holding another rank holds i - 1
+        c = next((i - 1 for i, x in enumerate(sorted(colors)) if x != i), None)
+        return None if c is None else [v for v, x in enumerate(colors) if x == c]
+
+    def encode(self, colors: list) -> bytes:
+        """The sorted (edge color, sorted member colors) list: a leaf's code
+        when colors is discrete, the root's edge profiles at the root."""
+        at = colors.__getitem__
+        return repr(
+            sorted([(ec, tuple(sorted(map(at, e)))) for ec, e in zip(self.edge_colors, self.edges)])
+        ).encode()
+
+    def first_path(self) -> tuple:
+        """(path, base): the nodes from the root to the first leaf, each
+        child individualizing the least vertex of its parent's first
+        non-singleton cell, and those vertices b_0, b_1, ...."""
+        path, base = [self.root], []
+        while (cell := self.first_cell(path[-1])) is not None:
+            base.append(cell[0])
+            path.append(self.child(path[-1], cell, cell[0]))
+        return path, base
+
+
 def _search_tree(n: int, edges: Sequence[tuple], edge_colors: Sequence[int]) -> tuple:
     """(canonical form, strong generating set, |Aut|) of a colored
-    hypergraph over vertices 0..n-1, from one individualize-and-refine tree.
+    hypergraph over vertices 0..n-1, from one individualize-and-refine tree
+    (_Tree).
 
     A node is a refined coloring, its children individualize each vertex of
     its first non-singleton cell, and a leaf (discrete) is coded by its
@@ -204,48 +282,10 @@ def _search_tree(n: int, edges: Sequence[tuple], edge_colors: Sequence[int]) -> 
     is an automorphism fixing b_0..b_{i-1} and sending b_i to w.  When
     level i is done the generators generate the stabilizer of
     b_0..b_{i-1}, so |Aut| is the product of the orbit lengths of the b_i.
-
-    A child that individualizes v in a cell of twins of v is not refined.
-    Every edge that meets such a cell contains all of it, so individualizing
-    v changes the profile of each such edge in the same injective way; no
-    two signatures equal before differ after, and _refine would return the
-    dense ranks of the branched coloring from its first round.  The child
-    is built as those ranks.
     """
-    incident = _incidence(n, edges)
-    ids: dict = {}  # vertices with the same incident edges are twins
-    twins = [ids.setdefault(frozenset(edge_ids), len(ids)) for edge_ids in incident]
-
-    def child(colors: list, cell: list, v: int) -> list:
-        # colors: a stable coloring with dense ranks; cell: v's cell in it
-        c = colors[v]
-        t = twins[v]
-        if all(twins[u] == t for u in cell):
-            # a cell of twins: the branched coloring's dense ranks are stable
-            ranks = [x + (x >= c) for x in colors]
-            ranks[v] = c
-            return ranks
-        branched = [2 * x for x in colors]
-        branched[v] -= 1
-        return _refine(n, edges, edge_colors, incident, branched)
-
-    def first_cell(colors: list) -> Optional[list]:
-        # sorted dense ranks read 0, 1, 2, ... up to the first repeated
-        # rank: the first index i holding another rank holds i - 1
-        c = next((i - 1 for i, x in enumerate(sorted(colors)) if x != i), None)
-        return None if c is None else [v for v, x in enumerate(colors) if x == c]
-
-    def encode(leaf: list) -> bytes:  # a discrete coloring ranks 0..n-1
-        at = leaf.__getitem__
-        return repr(
-            sorted((ec, tuple(sorted(map(at, e)))) for ec, e in zip(edge_colors, edges))
-        ).encode()
-
-    path = [_refine(n, edges, edge_colors, incident, [0] * n)]
-    base: list = []
-    while (cell := first_cell(path[-1])) is not None:
-        base.append(cell[0])
-        path.append(child(path[-1], cell, cell[0]))
+    tree = _Tree(n, edges, edge_colors)
+    child, first_cell, encode, twins = tree.child, tree.first_cell, tree.encode, tree.twins
+    path, base = tree.first_path()
     best = (encode(path[-1]), path[-1])
 
     def explore(colors: list, ref: bytes) -> Optional[list]:
@@ -314,6 +354,47 @@ def canonical_form(
     relabel = {u: i for i, u in enumerate(vertices)}
     edges = [tuple(relabel[u] for u in e) for e in edges]
     return _search_tree(len(vertices), edges, edge_colors)[0]
+
+
+class IsomorphismClasses:
+    """A set of patterns up to isomorphism: add(edges) files a pattern
+    (sorted edges over vertices 0..v-1, no isolated vertex) and tells
+    whether its isomorphism class is new.
+
+    A pattern is keyed by a hash of its root refinement's class sizes and
+    edge profiles (_Tree.root), an isomorphism invariant, so a pattern with
+    a new key starts a new class outright.  Each class under a key keeps
+    its first pattern and the code of that pattern's first leaf
+    (_Tree.first_path), computed once another pattern meets the key.  Two
+    leaves with one code are an explicit isomorphism, so a pattern whose
+    first leaf has a stored code is a duplicate; only when the key is met
+    and no code matches are canonical forms compared.  Every answer is
+    canonical_form's, at the cost of one path of the tree for most
+    patterns.
+    """
+
+    def __init__(self):
+        self._classes: dict = {}  # key -> [(first-leaf code or None, edges)]
+
+    def add(self, edges: Sequence[tuple]) -> bool:
+        tree = _Tree(1 + max(map(max, edges)), edges, [0] * len(edges))
+        path, _ = tree.first_path()
+        profiles = tree.encode(path[0])  # the first leaf's code when the root is discrete
+        classes = self._classes.setdefault(hash((tuple(sorted(path[0])), profiles)), [])
+        code = profiles if len(path) == 1 else tree.encode(path[-1])
+        if any(known == code for known, _ in classes):
+            return False
+        if classes:
+            form = canonical_form(edges)
+            if any(canonical_form(other) == form for _, other in classes):
+                return False
+        classes.append((code, edges))
+        return True
+
+
+def _first_leaf(tree: _Tree) -> bytes:
+    path, _ = tree.first_path()
+    return tree.encode(path[-1])
 
 
 def graph_canonical_form(g: Graph) -> bytes:

@@ -1,8 +1,11 @@
 """Isomorphism-pruned DFS search certifying (non-)existence of ambiguous graphs.
 
 The search walks hypergraph patterns K reachable by growth steps from two
-overlapping hyperedges, one pattern per isomorphism class (canonical_form);
-a step makes a 2-neighbor, a candidate sharing two vertices with one
+overlapping hyperedges, one pattern per isomorphism class
+(census.IsomorphismClasses: a grown child is a duplicate when the first
+leaf of its individualize-and-refine tree has the code of a stored class
+under the same refinement invariant, and canonical forms are compared only
+when the invariant matches and no code does); a step makes a 2-neighbor, a candidate sharing two vertices with one
 clique hyperedge, a clique of the projection.  At each pattern it asks
 the exact preimage engine whether Proj(K) is ambiguous (two minimum
 preimages), and it prunes a branch once the appearance exponent
@@ -29,11 +32,12 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-# stable_colors is not called here; perfbench/layers.py traces
-# search.stable_colors by name, so the name stays importable
+# canonical_form and stable_colors are not called here; perfbench/layers.py
+# traces them as search.canonical_form and search.stable_colors by name, so
+# the names stay importable
 from .census import (
+    IsomorphismClasses,
     _incidence,
-    _normalize,
     automorphism_generators,
     canonical_form,
     graph_canonical_form,
@@ -261,9 +265,15 @@ def grow(
     h with |S| >= 2 and Proj(S) not inside Proj(pattern), whose pairwise
     projections cover Proj(h) \\ Proj(pattern), emit pattern + {h_i} where
     h_i meets h exactly in S_i and takes fresh labels elsewhere.  Results
-    are normalized (densely relabeled); duplicates up to isomorphism are
-    left to the caller.  The collections come from the shared cover
-    enumerator, preimage.covers_within.
+    are sorted edge tuples; duplicates up to isomorphism are left to the
+    caller.  The collections come from the shared cover enumerator,
+    preimage.covers_within.
+
+    With a dense pattern and candidates as candidate_neighbors gives them,
+    the results are normalized (_normalize) as they stand: the fresh labels
+    of h and of each h_i run on from the pattern's, and every fresh vertex
+    of h lies in some member S, since its pairs are all new, so the grown
+    support is dense.
 
     Each member S costs |S| - 1 - delta of exponent, scaled to integers by
     delta's denominator den, against a budget of the parent exponent plus
@@ -304,7 +314,7 @@ def grow(
                 s = tuple(h[p] for p in family[i])
                 new_edges.append(s + tuple(range(nxt, nxt + d - len(s))))
                 nxt += d - len(s)
-            children.append(_normalize(new_edges))
+            children.append(tuple(sorted(new_edges)))
     return children, pruned
 
 
@@ -316,12 +326,18 @@ def dfs_search(config: SearchConfig) -> SearchReport:
     deadline = (
         time.monotonic() + config.time_budget if config.time_budget else None
     )
-    visited: set = set()
+    # exponents scaled by delta's denominator: v*den + e*rate for v
+    # vertices and e edges; below the threshold a child's exponent falls by
+    # at least threshold - delta, which is drop / (den*(d+1))
+    num, den = delta.numerator, delta.denominator
+    rate = num - (d - 1) * den
+    drop = (d - 1) * den - (d + 1) * num if delta <= threshold else None
+    visited = IsomorphismClasses()
     found: dict = {}
     stack: list = []
     for k in range(2, d):  # two hyperedges sharing k vertices: never isomorphic
-        root = _normalize([tuple(range(d)), tuple(range(d - k, 2 * d - k))])
-        visited.add(canonical_form(root))
+        root = (tuple(range(d)), tuple(range(d - k, 2 * d - k)))
+        visited.add(root)
         stack.append((root, 0, pattern_exponent(root, d, delta)))
     while stack:
         if deadline is not None and time.monotonic() > deadline:
@@ -354,17 +370,18 @@ def dfs_search(config: SearchConfig) -> SearchReport:
             continue
         children, pruned = grow(pattern, candidate_neighbors(pattern, d), d, delta)
         report.nodes_pruned_by_exponent += pruned
+        if drop is not None:
+            limit = (d + 1) * int(exp * den) - drop
         for child in children:
-            child_exp = pattern_exponent(child, d, delta)
-            if delta <= threshold and child_exp > exp - (threshold - delta):
+            # a grown child is dense: its greatest vertex is v - 1
+            scaled = (max(e[-1] for e in child) + 1) * den + len(child) * rate
+            if drop is not None and (d + 1) * scaled > limit:
                 raise RuntimeError(
-                    f"growth failed to decrease the exponent: {exp} -> {child_exp}"
+                    f"growth failed to decrease the exponent: {exp} -> {Fraction(scaled, den)}"
                 )
-            key = canonical_form(child)
-            if key in visited:
+            if not visited.add(child):
                 report.nodes_deduped += 1
                 continue
-            visited.add(key)
-            stack.append((child, depth + 1, child_exp))
+            stack.append((child, depth + 1, Fraction(scaled, den)))
     report.ambiguous_found = sorted(found.values(), key=lambda c: c.canonical)
     return report

@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from hyperlift.census import (
     PatternTooLargeError,
     _incidence,
+    _normalize,
     automorphism_generators,
     stable_colors,
 )
@@ -36,7 +37,7 @@ from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project, projec
 from hyperlift.preimage import solve_cover
 from hyperlift.reconstruct import ComponentTooLargeError, ReconstructionResult
 from hyperlift.rng import BLOCK_SIZE, GEN_TAG, substream
-from hyperlift.search import _normalize, pattern_exponent
+from hyperlift.search import pattern_exponent
 
 
 def brute_max_density(edges):

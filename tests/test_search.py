@@ -1,7 +1,7 @@
 """Growth enumeration and the pruned ambiguity search.  The three pilot
 certificates run once per module: their counters and the d=3 report are
 pinned, the patterns they expand feed the candidate-dedup oracle, and the
-patterns they canonicalize feed the canonical-form oracle (the acceptance
+patterns they deduplicate feed the canonical-form oracle (the acceptance
 suite checks their verdicts)."""
 
 import hashlib
@@ -25,9 +25,11 @@ from oracles import (
     reference_twin_class_automorphism_count,
 )
 
-from hyperlift import search
+from hyperlift import census, search
 from hyperlift.census import (
+    IsomorphismClasses,
     PatternHypergraph,
+    _normalize,
     automorphism_count,
     automorphism_generators,
     build_ambiguous_gadget,
@@ -36,6 +38,7 @@ from hyperlift.census import (
 )
 from hyperlift.components import decompose
 from hyperlift.core import Graph, clique_hypergraph, project_edges
+from hyperlift.rng import Stream
 from hyperlift.search import (
     SearchConfig,
     candidate_neighbors,
@@ -63,27 +66,28 @@ REPORT_SHA256 = {
 @pytest.fixture(scope="module")
 def certificates():
     """Each certificate's report, the patterns its search expanded and the
-    patterns it canonicalized."""
+    patterns it deduplicated (its roots and every grown child)."""
     expanded: list = []
-    canonicalized: list = []
+    deduplicated: list = []
 
     def recording(pattern, d):
         expanded.append(pattern)
         return candidate_neighbors(pattern, d)
 
-    def canonicalizing(edges):
-        canonicalized.append(edges)
-        return canonical_form(edges)
+    class Recording(IsomorphismClasses):
+        def add(self, edges):
+            deduplicated.append(edges)
+            return super().add(edges)
 
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "candidate_neighbors", recording)
-        mp.setattr(search, "canonical_form", canonicalizing)
+        mp.setattr(search, "IsomorphismClasses", Recording)
         for d, delta, depth in CERTIFICATES:
             expanded.clear()
-            canonicalized.clear()
+            deduplicated.clear()
             report = dfs_search(SearchConfig(d, delta, max_depth=depth))
-            runs[d] = (report, list(expanded), list(canonicalized))
+            runs[d] = (report, list(expanded), list(deduplicated))
     return runs
 
 
@@ -199,11 +203,15 @@ def test_search_budget_trips_honestly():
 
 
 def test_search_dedup_off_agrees_on_tiny_instance(certificates, monkeypatch):
-    # a key that never repeats turns the isomorphism dedup off: the search
-    # then expands every labeled pattern (1748 nodes become thousands) and
-    # must find the same ambiguous class as the d=3 certificate
-    keys = itertools.count()
-    monkeypatch.setattr(search, "canonical_form", lambda edges: next(keys))
+    # a set that takes every pattern as new turns the isomorphism dedup off:
+    # the search then expands every labeled pattern (1748 nodes become
+    # thousands) and must find the same ambiguous class as the d=3
+    # certificate
+    class Off(IsomorphismClasses):
+        def add(self, edges):
+            return True
+
+    monkeypatch.setattr(search, "IsomorphismClasses", Off)
     off = dfs_search(SearchConfig(3, Fraction(2, 5)))
     on = certificates[3][0]
     assert off.exhausted
@@ -213,6 +221,114 @@ def test_search_dedup_off_agrees_on_tiny_instance(certificates, monkeypatch):
     assert {c.canonical for c in off.ambiguous_found} == {
         c.canonical for c in on.ambiguous_found
     }
+
+
+def test_isomorphism_classes_partition_as_canonical_forms_do(certificates):
+    # every pattern the certificates deduplicated and a seeded relabeling of
+    # each, shuffled together: add() reports a new class exactly when the
+    # pattern's canonical form is new
+    patterns = [p for _, _, deduplicated in certificates.values() for p in deduplicated]
+    assert len(patterns) == 4126
+    rng = Stream(1919)
+    pool = list(patterns)
+    for pattern in patterns:
+        perm = list(range(1 + max(map(max, pattern))))
+        rng.shuffle(perm)
+        pool.append(tuple(sorted(tuple(sorted(perm[u] for u in e)) for e in pattern)))
+    rng.shuffle(pool)
+    classes, forms = IsomorphismClasses(), set()
+    for pattern in pool:
+        form = canonical_form(pattern)
+        assert classes.add(pattern) == (form not in forms), pattern
+        forms.add(form)
+    assert len(forms) == sum(c[0].nodes_visited for c in certificates.values())
+
+
+def _first_leaf(edges) -> bytes:
+    tree = census._Tree(1 + max(map(max, edges)), edges, [0] * len(edges))
+    path, _ = tree.first_path()
+    return tree.encode(path[-1])
+
+
+def _pendant_cycles(lengths, start=0) -> list:
+    """Disjoint cycles of the given lengths from vertex ``start`` on, each
+    cycle edge {a, b} made a hyperedge {a, b, p} with a pendant vertex p of
+    its own after all the cycle vertices."""
+    total = sum(lengths)
+    edges, first = [], start
+    for length in lengths:
+        for i in range(length):
+            a, b = first + i, first + (i + 1) % length
+            edges.append((min(a, b), max(a, b), start + total + len(edges)))
+        first += length
+    return edges
+
+
+def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(monkeypatch):
+    calls = []
+
+    def counting(edges, edge_colors=None):
+        calls.append(edges)
+        return canonical_form(edges, edge_colors)
+
+    monkeypatch.setattr(census, "canonical_form", counting)
+    # C6 and two triangles, a pendant vertex on every edge: the refinement
+    # gives both the classes {cycle vertices}, {pendants} and one edge
+    # profile, so they share a key, and only canonical forms tell them apart
+    hexagon, triangles = _pendant_cycles([6]), _pendant_cycles([3, 3])
+    classes = IsomorphismClasses()
+    assert classes.add(tuple(sorted(hexagon)))
+    assert not calls
+    assert classes.add(tuple(sorted(triangles)))
+    assert len(classes._classes) == 1 and len(calls) == 2
+    # their disjoint union, the hexagon's labels first and then last: the
+    # first path individualizes a vertex of the hexagon in one and of a
+    # triangle in the other, so the first leaves differ, and the canonical
+    # forms find the one class
+    first = tuple(sorted(_pendant_cycles([6, 3, 3])))
+    last = tuple(sorted(_pendant_cycles([3, 3, 6])))
+    assert _first_leaf(first) != _first_leaf(last)
+    assert canonical_form(first) == canonical_form(last)
+    calls.clear()
+    assert classes.add(first)
+    assert not calls
+    assert not classes.add(last)
+    assert len(calls) == 2
+    assert not classes.add(first)  # its own first leaf: no canonical form
+    assert len(calls) == 2
+
+
+def test_search_raises_when_a_child_keeps_the_exponent_up(monkeypatch):
+    # the d=3 root, exponent 4/5, must lose at least 1/2 - 2/5 per step: a
+    # child of exponent 1/5 passes, one of 6/5 is refused in Fraction terms
+    root = ((0, 1, 2), (1, 2, 3))
+    for child, raises in [
+        (((0, 1, 2), (1, 2, 3), (2, 3, 4)), False),
+        (((0, 1, 2), (1, 2, 3), (3, 4, 5)), True),
+    ]:
+        monkeypatch.setattr(
+            search, "grow", lambda p, cands, d, delta, c=child: ([c] if p == root else [], 0)
+        )
+        if raises:
+            with pytest.raises(RuntimeError, match=r"^growth failed to decrease the exponent: 4/5 -> 6/5$"):
+                dfs_search(SearchConfig(3, Fraction(2, 5)))
+        else:
+            report = dfs_search(SearchConfig(3, Fraction(2, 5)))
+            assert report.exhausted and report.nodes_visited == 2
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_grown_children_are_already_normalized(certificates, d):
+    # fresh labels run on from the pattern's and every fresh vertex of h
+    # lies in a cover member, so the grown support is dense and sorting the
+    # edges is the whole normalization, on every child the certificate grows
+    report, expanded, _ = certificates[d]
+    children = 0
+    for pattern in expanded:
+        grown, _ = grow(pattern, candidate_neighbors(pattern, d), d, report.config.delta)
+        assert all(child == _normalize(child) for child in grown), pattern
+        children += len(grown)
+    assert children == report.nodes_visited + report.nodes_deduped - (d - 2)
 
 
 def test_report_serialization_shape():
@@ -307,10 +423,10 @@ def test_orbit_dedup_matches_canonical_form_dedup(certificates, d):
 
 
 def test_canonical_form_matches_the_full_tree_reference(certificates, monkeypatch):
-    # byte for byte on every pattern the certificates canonicalized, and on
+    # byte for byte on every pattern the certificates deduplicated, and on
     # the patterns with one marked hyperedge that the candidate-dedup oracle
     # builds from the expanded patterns of the d=3 and d=5 certificates
-    plain = [p for _, _, canonicalized in certificates.values() for p in canonicalized]
+    plain = [p for _, _, deduplicated in certificates.values() for p in deduplicated]
     assert len(plain) == 4126
     for pattern in plain:
         assert canonical_form(pattern) == reference_canonical_form(pattern), pattern
