@@ -141,9 +141,11 @@ def _refine(
     multiset); ranks are reassigned by sorted signature, which preserves and
     refines the previous class order.  Ranking the profiles first changes no
     comparison: the rank is strictly increasing in the profile, so sorted
-    rank tuples compare as the sorted profile tuples would.  A vertex alone
-    in its class keeps an empty multiset: the color, which no other vertex
-    has, already decides every comparison it enters.
+    rank tuples compare as the sorted profile tuples would.  Profiles and
+    signatures are flat tuples, the head followed by the sorted multiset,
+    which compare as the nested pairs would.  A vertex alone in its class
+    keeps an empty multiset: the color, which no other vertex has, already
+    decides every comparison it enters.
 
     The colors are first replaced by their dense ranks, which changes no
     comparison.  The loop stops at the first round that splits no class.
@@ -151,9 +153,9 @@ def _refine(
     it started from, so every signature of a further round would compare as
     in this one and that round would return these ranks unchanged; they are
     the fixed point, returned one round early.  A discrete coloring is a
-    fixed point, since every signature is then (color, ()): a coloring that
-    is or becomes discrete is returned before any profile is built, so it
-    never runs a confirming round.
+    fixed point, since every signature is then its color alone: a coloring
+    that is or becomes discrete is returned before any profile is built, so
+    it never runs a confirming round.
 
     In the first round from one class, a profile's members all share a
     color, so the profiles rank as (edge color, edge size) do; when every
@@ -170,14 +172,14 @@ def _refine(
             profiles = list(zip(edge_colors, map(len, edges)))
         else:
             color = colors.__getitem__
-            profiles = [(ec, tuple(sorted(map(color, e)))) for ec, e in zip(edge_colors, edges)]
+            profiles = [(ec, *sorted(map(color, e))) for ec, e in zip(edge_colors, edges)]
         profile_rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
         if classes == len(profile_rank) == 1:
             sigs = list(map(len, incident))
         else:
             edge_rank = list(map(profile_rank.__getitem__, profiles)).__getitem__
             sigs = [
-                (c, tuple(sorted(map(edge_rank, edge_ids))) if size[c] > 1 else ())
+                (c, *sorted(map(edge_rank, edge_ids))) if size[c] > 1 else (c,)
                 for c, edge_ids in zip(colors, incident)
             ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -246,7 +248,7 @@ class _Tree:
 
     def encode(self, colors: list) -> bytes:
         """The sorted (edge color, sorted member colors) list: a leaf's code
-        when colors is discrete, the root's edge profiles at the root."""
+        when colors is discrete; at the root, its edge profiles."""
         at = colors.__getitem__
         return repr(
             sorted([(ec, tuple(sorted(map(at, e)))) for ec, e in zip(self.edge_colors, self.edges)])
@@ -362,19 +364,17 @@ class IsomorphismClasses:
     whether its isomorphism class is new.
 
     A pattern is keyed by a hash of its root refinement's class sizes and
-    edge profiles (_Tree.root), an isomorphism invariant, so a pattern with
-    a new key starts a new class outright.  Each class under a key keeps
-    its first pattern and the code of that pattern's first leaf
-    (_Tree.first_path), computed once another pattern meets the key.  Two
-    leaves with one code are an explicit isomorphism, so a pattern whose
-    first leaf has a stored code is a duplicate; only when the key is met
-    and no code matches are canonical forms compared.  Every answer is
-    canonical_form's, at the cost of one path of the tree for most
-    patterns.
+    edge profiles (_Tree.root), an isomorphism invariant, and each class
+    under a key keeps its first pattern and the code of that pattern's
+    first leaf (_Tree.first_path).  Two leaves with one code are an
+    explicit isomorphism, so a pattern whose first leaf has a stored code
+    is a duplicate; only when the key is met and no code matches are
+    canonical forms compared.  Every answer is canonical_form's, at the
+    cost of one path of the tree for most patterns.
     """
 
     def __init__(self):
-        self._classes: dict = {}  # key -> [(first-leaf code or None, edges)]
+        self._classes: dict = {}  # key -> [(first-leaf code, edges)]
 
     def add(self, edges: Sequence[tuple]) -> bool:
         tree = _Tree(1 + max(map(max, edges)), edges, [0] * len(edges))
@@ -390,11 +390,6 @@ class IsomorphismClasses:
                 return False
         classes.append((code, edges))
         return True
-
-
-def _first_leaf(tree: _Tree) -> bytes:
-    path, _ = tree.first_path()
-    return tree.encode(path[-1])
 
 
 def graph_canonical_form(g: Graph) -> bytes:

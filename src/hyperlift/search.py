@@ -1,16 +1,18 @@
 """Isomorphism-pruned DFS search certifying (non-)existence of ambiguous graphs.
 
 The search walks hypergraph patterns K reachable by growth steps from two
-overlapping hyperedges, one pattern per isomorphism class
-(census.IsomorphismClasses: a grown child is a duplicate when the first
+overlapping hyperedges, one pattern per isomorphism class; a step makes a
+2-neighbor, a candidate sharing two vertices with one clique hyperedge, a
+clique of the projection.  A grown child is a duplicate when the first
 leaf of its individualize-and-refine tree has the code of a stored class
-under the same refinement invariant, and canonical forms are compared only
-when the invariant matches and no code does); a step makes a 2-neighbor, a candidate sharing two vertices with one
-clique hyperedge, a clique of the projection.  At each pattern it asks
-the exact preimage engine whether Proj(K) is ambiguous (two minimum
-preimages), and it prunes a branch once the appearance exponent
-v + e*(delta - d + 1) drops to zero, because every growth step strictly
-decreases the exponent below the 2-connectivity threshold.  A pattern is
+under the same refinement invariant (census.IsomorphismClasses); canonical
+forms are compared only when the invariant matches and no code does.
+
+At each pattern the search asks the exact preimage engine whether Proj(K)
+is ambiguous (two minimum preimages), and it prunes a branch once the
+appearance exponent v + e*(delta - d + 1) drops to zero, because every
+growth step strictly decreases the exponent below the 2-connectivity
+threshold.  A pattern is
 only *reported* when its exponent is nonnegative: patterns with negative
 exponent appear with vanishing probability and say nothing about the
 recovery threshold.

@@ -298,23 +298,27 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     assert len(calls) == 2
 
 
-def test_search_raises_when_a_child_keeps_the_exponent_up(monkeypatch):
-    # the d=3 root, exponent 4/5, must lose at least 1/2 - 2/5 per step: a
-    # child of exponent 1/5 passes, one of 6/5 is refused in Fraction terms
+@pytest.mark.parametrize(
+    "delta, child, message",
+    [
+        (Fraction(2, 5), ((0, 1, 2), (1, 2, 3), (2, 3, 4)), None),
+        (Fraction(1, 4), ((0, 1, 2), (0, 7, 8), (1, 2, 3), (3, 4, 5), (5, 6, 7)), None),
+        (Fraction(2, 5), ((0, 1, 2), (1, 2, 3), (3, 4, 5)), "4/5 -> 6/5"),
+    ],
+    ids=["drops", "drops-exactly-the-least", "rises"],
+)
+def test_search_checks_that_each_child_lowers_the_exponent(monkeypatch, delta, child, message):
+    # below the threshold a child must lose at least 1/2 - delta of the
+    # d=3 root's exponent: at delta=2/5 the root's 4/5 may fall to 1/5 but
+    # not rise to 6/5, and at delta=1/4 its 1/2 may fall to exactly 1/4
     root = ((0, 1, 2), (1, 2, 3))
-    for child, raises in [
-        (((0, 1, 2), (1, 2, 3), (2, 3, 4)), False),
-        (((0, 1, 2), (1, 2, 3), (3, 4, 5)), True),
-    ]:
-        monkeypatch.setattr(
-            search, "grow", lambda p, cands, d, delta, c=child: ([c] if p == root else [], 0)
-        )
-        if raises:
-            with pytest.raises(RuntimeError, match=r"^growth failed to decrease the exponent: 4/5 -> 6/5$"):
-                dfs_search(SearchConfig(3, Fraction(2, 5)))
-        else:
-            report = dfs_search(SearchConfig(3, Fraction(2, 5)))
-            assert report.exhausted and report.nodes_visited == 2
+    monkeypatch.setattr(search, "grow", lambda p, cands, d, delta: ([child] if p == root else [], 0))
+    if message:
+        with pytest.raises(RuntimeError, match=f"^growth failed to decrease the exponent: {message}$"):
+            dfs_search(SearchConfig(3, delta))
+    else:
+        report = dfs_search(SearchConfig(3, delta))
+        assert report.exhausted and report.nodes_visited == 2
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -373,10 +377,9 @@ def test_certificate_counters_and_d3_report_are_pinned(certificates):
 
 def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
     # a child that individualizes a twin-class cell is built as dense ranks,
-    # so over the three certificates the tree refines 10,117 colorings
-    # (19,476 when every child was refined)
-    from hyperlift import census
-
+    # and the dedup walks one path of each grown child's tree, so over the
+    # three certificates 6,935 colorings are refined (10,117 when each child
+    # got a whole canonical form, 19,476 when every child was refined)
     calls = 0
     refine = census._refine
 
@@ -388,7 +391,7 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
     monkeypatch.setattr(census, "_refine", counting)
     for d, delta, depth in CERTIFICATES:
         assert dfs_search(SearchConfig(d, delta, max_depth=depth)).exhausted
-    assert calls <= 10_200
+    assert calls <= 7_000
 
 
 def test_d5_certificate_at_eleven_twentieths_is_pinned():
