@@ -136,16 +136,13 @@ def _refine(
 ) -> list:
     """Refine vertex colors to a stable equitable partition.
 
-    A vertex's signature is its color plus the sorted multiset of the ranks
-    of its incident edges' profiles (edge color, sorted member-color
-    multiset); ranks are reassigned by sorted signature, which preserves and
-    refines the previous class order.  Ranking the profiles first changes no
-    comparison: the rank is strictly increasing in the profile, so sorted
-    rank tuples compare as the sorted profile tuples would.  Profiles and
-    signatures are flat tuples, the head followed by the sorted multiset,
-    which compare as the nested pairs would.  A vertex alone in its class
-    keeps an empty multiset: the color, which no other vertex has, already
-    decides every comparison it enters.
+    A vertex's signature is its color plus the sorted multiset of its
+    incident edges' profiles (edge color, sorted member-color multiset);
+    ranks are reassigned by sorted signature, which preserves and refines
+    the previous class order.  Profiles and signatures are flat tuples, the
+    head followed by the sorted multiset, which compare as the nested pairs
+    would.  A vertex alone in its class keeps an empty multiset: the color,
+    which no other vertex has, already decides every comparison it enters.
 
     The colors are first replaced by their dense ranks, which changes no
     comparison.  The loop stops at the first round that splits no class.
@@ -158,8 +155,9 @@ def _refine(
     it never runs a confirming round.
 
     In the first round from one class, a profile's members all share a
-    color, so the profiles rank as (edge color, edge size) do; when every
-    edge has the same color and size, the signatures rank as the degrees.
+    color, so a profile compares as its (edge color, edge size) pair does;
+    when every edge has the same color and size, the signatures rank as the
+    degrees.
     """
     rank = {c: i for i, c in enumerate(sorted(set(colors)))}
     colors = list(map(rank.__getitem__, colors))
@@ -173,13 +171,12 @@ def _refine(
         else:
             color = colors.__getitem__
             profiles = [(ec, *sorted(map(color, e))) for ec, e in zip(edge_colors, edges)]
-        profile_rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
-        if classes == len(profile_rank) == 1:
+        if classes == 1 and len(set(profiles)) == 1:
             sigs = list(map(len, incident))
         else:
-            edge_rank = list(map(profile_rank.__getitem__, profiles)).__getitem__
+            profile = profiles.__getitem__
             sigs = [
-                (c, *sorted(map(edge_rank, edge_ids))) if size[c] > 1 else (c,)
+                (c, *sorted(map(profile, edge_ids))) if size[c] > 1 else (c,)
                 for c, edge_ids in zip(colors, incident)
             ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
