@@ -12,10 +12,9 @@ At each pattern the search asks the exact preimage engine whether Proj(K)
 is ambiguous (two minimum preimages), and it prunes a branch once the
 appearance exponent v + e*(delta - d + 1) drops to zero, because every
 growth step strictly decreases the exponent below the 2-connectivity
-threshold.  A pattern is
-only *reported* when its exponent is nonnegative: patterns with negative
-exponent appear with vanishing probability and say nothing about the
-recovery threshold.
+threshold.  A pattern is only *reported* when its exponent is
+nonnegative: patterns with negative exponent appear with vanishing
+probability and say nothing about the recovery threshold.
 
 A report with exhausted=True is a certificate: every pattern with
 2-connected clique structure and nonnegative exponent was checked up to

@@ -250,16 +250,16 @@ def _first_leaf(edges) -> bytes:
     return tree.encode(path[-1])
 
 
-def _pendant_cycles(lengths, start=0) -> list:
-    """Disjoint cycles of the given lengths from vertex ``start`` on, each
+def _pendant_cycles(lengths) -> list:
+    """Disjoint cycles of the given lengths, in order from vertex 0, each
     cycle edge {a, b} made a hyperedge {a, b, p} with a pendant vertex p of
     its own after all the cycle vertices."""
     total = sum(lengths)
-    edges, first = [], start
+    edges, first = [], 0
     for length in lengths:
         for i in range(length):
             a, b = first + i, first + (i + 1) % length
-            edges.append((min(a, b), max(a, b), start + total + len(edges)))
+            edges.append((min(a, b), max(a, b), total + len(edges)))
         first += length
     return edges
 
