@@ -14,7 +14,8 @@ minimum preimages min_preimage found for it.
     python3 scripts/run_frontier.py --out /tmp/frontier.json
 
 The ladder lies inside the intervals the threshold table leaves open:
-d=4 between 1/2 and 4/7, d=5 between 1/2 and 2/3.
+d=4 between 1/2 and 4/7, d=5 between 1/2 and 2/3, d=6 between 1/2 and
+7/8, d=7 between 4/7 and 10/11.
 """
 
 import argparse
@@ -32,6 +33,8 @@ from hyperlift.search import SearchConfig, dfs_search
 LADDER = {
     4: ("21/40", "17/32", "43/80", "11/20"),
     5: ("11/20", "23/40", "3/5", "5/8"),
+    6: ("11/20", "3/5", "13/20"),
+    7: ("3/5", "5/8", "13/20"),
 }
 BUDGET_S = 60.0  # seconds per point
 

@@ -83,7 +83,6 @@ def covers_within(
     costs: Sequence[int],
     budget: int,
     stop_after: Optional[int] = None,
-    rate: Optional[Fraction] = None,
 ) -> tuple:
     """Every candidate subset covering ``full`` at total cost <= budget.
 
@@ -91,17 +90,16 @@ def covers_within(
     as sorted index tuples, each index taken before it is left out, which
     is lexicographic order among covers of one size; it stops once
     ``stop_after`` covers are found.  An include step is cut when the budget
-    left is below ``rate`` (default: the cheapest cost per pair) times the
-    pairs still uncovered; a branch that can no longer reach every pair is
-    dropped without counting.  Returns (covers, cut), cut being the number
-    of cut steps, the root included.
+    left is below the cheapest cost per pair times the pairs still uncovered
+    (no cover within budget is cut); a branch that can no longer reach every
+    pair is dropped without counting.  Returns (covers, cut), cut being the
+    number of cut steps, the root included.
     """
     m = len(masks)
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] | masks[i]
-    if rate is None:
-        rate = _pair_rate(masks, costs)
+    rate = _pair_rate(masks, costs)
     num, den = rate.numerator, rate.denominator
     covers: list = []
     chosen: list = []
@@ -153,7 +151,7 @@ def least_covers(
     rate = _pair_rate(masks, costs)
     budget = -(-rate.numerator * full.bit_count() // rate.denominator)
     while True:
-        covers, _ = covers_within(full, masks, costs, budget, stop_after, rate)
+        covers, _ = covers_within(full, masks, costs, budget, stop_after)
         if covers:
             return budget, covers
         budget += 1

@@ -48,12 +48,6 @@ from .core import Graph, clique_hypergraph, edge_pairs, hypergraph_to_text, Hype
 from .preimage import covers_within, cover_masks, min_preimage
 
 
-def pattern_exponent(edges: Sequence[tuple], d: int, delta: Fraction) -> Fraction:
-    """Exponent of the expected appearance count of the pattern."""
-    v = len({u for e in edges for u in e})
-    return Fraction(v) + len(edges) * (Fraction(delta) - d + 1)
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one ambiguity search.
@@ -251,8 +245,7 @@ def _growth_covers(d: int, size: int, known: tuple, delta: tuple, budget: int) -
     masks, full = cover_masks(universe, family)
     num, den = delta
     costs = [den * (len(s) - 1) - num for s in family]
-    # a zero per-pair rate: only the members already chosen count
-    covers, cut = covers_within(full, masks, costs, budget, rate=Fraction(0))
+    covers, cut = covers_within(full, masks, costs, budget)
     return tuple(family), tuple(covers), cut
 
 
@@ -280,8 +273,10 @@ def grow(
     delta's denominator den, against a budget of the parent exponent plus
     the fresh vertices of h, that is v*den + e*(num - (d-1)*den) with v the
     vertices of pattern and h together: a child's exponent is never
-    negative.  A branch is skipped once its members overrun the budget, and
-    the number of skipped branches is summed over the candidates.
+    negative.  A branch is skipped once the budget left is below the
+    cheapest cost per pair of any member (never negative, as delta <= 1)
+    times the pairs still uncovered; the number of skipped branches is
+    summed over the candidates.
     Returns (children, pruned), children in candidate order.
 
     The pattern's edges, support and projection are read once per call.
@@ -327,9 +322,9 @@ def dfs_search(config: SearchConfig) -> SearchReport:
     deadline = (
         time.monotonic() + config.time_budget if config.time_budget else None
     )
-    # exponents scaled by delta's denominator: v*den + e*rate for v
-    # vertices and e edges; below the threshold a child's exponent falls by
-    # at least threshold - delta, which is drop / (den*(d+1))
+    # the stack holds exponents scaled by delta's denominator: v*den + e*rate
+    # for v vertices and e edges; below the threshold a child's exponent
+    # falls by at least threshold - delta, which is drop / (den*(d+1))
     num, den = delta.numerator, delta.denominator
     rate = num - (d - 1) * den
     drop = (d - 1) * den - (d + 1) * num if delta <= threshold else None
@@ -339,7 +334,7 @@ def dfs_search(config: SearchConfig) -> SearchReport:
     for k in range(2, d):  # two hyperedges sharing k vertices: never isomorphic
         root = (tuple(range(d)), tuple(range(d - k, 2 * d - k)))
         visited.add(root)
-        stack.append((root, 0, pattern_exponent(root, d, delta)))
+        stack.append((root, 0, (2 * d - k) * den + 2 * rate))
     while stack:
         if deadline is not None and time.monotonic() > deadline:
             report.exhausted = False
@@ -360,7 +355,7 @@ def dfs_search(config: SearchConfig) -> SearchReport:
                         preimage_a=rep.min_covers[0],
                         preimage_b=rep.min_covers[1],
                         min_size=rep.min_size,
-                        exponent=exp,
+                        exponent=Fraction(exp, den),
                         canonical=key,
                     )
         if exp <= 0:
@@ -372,17 +367,18 @@ def dfs_search(config: SearchConfig) -> SearchReport:
         children, pruned = grow(pattern, candidate_neighbors(pattern, d), d, delta)
         report.nodes_pruned_by_exponent += pruned
         if drop is not None:
-            limit = (d + 1) * int(exp * den) - drop
+            limit = (d + 1) * exp - drop
         for child in children:
             # a grown child is dense: its greatest vertex is v - 1
             scaled = (max(e[-1] for e in child) + 1) * den + len(child) * rate
             if drop is not None and (d + 1) * scaled > limit:
                 raise RuntimeError(
-                    f"growth failed to decrease the exponent: {exp} -> {Fraction(scaled, den)}"
+                    "growth failed to decrease the exponent: "
+                    f"{Fraction(exp, den)} -> {Fraction(scaled, den)}"
                 )
             if not visited.add(child):
                 report.nodes_deduped += 1
                 continue
-            stack.append((child, depth + 1, Fraction(scaled, den)))
+            stack.append((child, depth + 1, scaled))
     report.ambiguous_found = sorted(found.values(), key=lambda c: c.canonical)
     return report

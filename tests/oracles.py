@@ -37,7 +37,6 @@ from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project, projec
 from hyperlift.preimage import solve_cover
 from hyperlift.reconstruct import ComponentTooLargeError, ReconstructionResult
 from hyperlift.rng import BLOCK_SIZE, GEN_TAG, substream
-from hyperlift.search import pattern_exponent
 
 
 def brute_max_density(edges):
@@ -523,11 +522,7 @@ def reference_greedy(g: Graph, d: int) -> Hypergraph:
 
 
 def reference_grow(
-    pattern: Sequence[tuple],
-    h: Sequence[int],
-    d: int,
-    delta: Fraction,
-    min_child_exponent: Fraction,
+    pattern: Sequence[tuple], h: Sequence[int], d: int, delta: Fraction
 ) -> tuple:
     """search.grow with its own collection DFS: the bitmask walk that the
     shared cover enumerator must reproduce, children and pruned count alike.
@@ -541,8 +536,11 @@ def reference_grow(
     (densely relabeled); duplicates up to isomorphism are left to the
     caller.
 
-    Collections whose every completion falls below min_child_exponent are
-    skipped; the number of such skipped branches is returned alongside.
+    Each member S costs |S| - 1 - delta of the exponent v + e*(delta - d + 1)
+    that pattern and h's fresh vertices leave, and no child may go below 0.
+    A branch is skipped once the exponent left is below the cheapest cost
+    per new pair of any member times the new pairs still uncovered; the
+    number of skipped branches is returned alongside.
     Returns (children, pruned).
     """
     edges = [tuple(sorted(e)) for e in pattern]
@@ -567,12 +565,12 @@ def reference_grow(
     suffix = [0] * (len(family) + 1)
     for i in range(len(family) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | masks[i]
-    fresh_bonus = len(set(h) - support)  # the most new vertices h itself brings
-    # exponent pruning in integers scaled by delta's denominator
     delta = Fraction(delta)
-    scale = delta.denominator
-    per_member = [delta.numerator + scale * (1 - len(s)) for s in family]
-    floor_scaled = math.ceil(Fraction(min_child_exponent) * scale)
+    cost = [len(s) - 1 - delta for s in family]
+    per_pair = min(
+        (c / bin(m).count("1") for c, m in zip(cost, masks)), default=Fraction(0)
+    )
+    v = len(support | set(h))  # with every fresh vertex h itself brings
     children: list = []
     pruned = 0
     chosen: list = []
@@ -587,9 +585,9 @@ def reference_grow(
             new_edges.append(tuple(sorted(s + extra)))
         children.append(_normalize(new_edges))
 
-    def dfs(i: int, covered: int, bound_scaled: int) -> None:
+    def dfs(i: int, covered: int, left: Fraction) -> None:
         nonlocal pruned
-        if bound_scaled < floor_scaled:
+        if left < per_pair * bin(full & ~covered).count("1"):
             pruned += 1
             return
         if i == len(family):
@@ -599,11 +597,11 @@ def reference_grow(
         if covered | suffix[i] != full:
             return
         chosen.append(i)
-        dfs(i + 1, covered | masks[i], bound_scaled + per_member[i])
+        dfs(i + 1, covered | masks[i], left - cost[i])
         chosen.pop()
-        dfs(i + 1, covered, bound_scaled)
+        dfs(i + 1, covered, left)
 
-    dfs(0, 0, int((pattern_exponent(edges, d, delta) + fresh_bonus) * scale))
+    dfs(0, 0, v + len(edges) * (delta - d + 1))
     return children, pruned
 
 

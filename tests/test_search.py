@@ -35,6 +35,7 @@ from hyperlift.census import (
     build_ambiguous_gadget,
     build_map_failure_gadget,
     canonical_form,
+    expected_count_exponent,
 )
 from hyperlift.components import decompose
 from hyperlift.core import Graph, clique_hypergraph, project_edges
@@ -44,22 +45,22 @@ from hyperlift.search import (
     candidate_neighbors,
     dfs_search,
     grow,
-    pattern_exponent,
 )
 
 # the pilot certificates: (d, delta, max_depth) -> (nodes_visited,
-# nodes_deduped, nodes_pruned_by_exponent), as recorded before the orbit
-# dedup replaced canonical forms in candidate_neighbors
+# nodes_deduped, nodes_pruned_by_exponent); visited and deduped as recorded
+# before the orbit dedup replaced canonical forms in candidate_neighbors,
+# pruned under the growth step's per-pair cut
 CERTIFICATES = {
-    (3, Fraction(2, 5), None): (1748, 1437, 72885),
-    (4, Fraction(1, 2), 12): (563, 320, 153586),
-    (5, Fraction(1, 2), 14): (24, 34, 1166229),
+    (3, Fraction(2, 5), None): (1748, 1437, 34718),
+    (4, Fraction(1, 2), 12): (563, 320, 32480),
+    (5, Fraction(1, 2), 14): (24, 34, 14797),
 }
-D3_REPORT_SHA256 = "100a1d96661f74780f2e860f89deedf85cb510b511968531eb6c180f87d12048"
+D3_REPORT_SHA256 = "c17df9a9e91dea9c2a3895fc0e0d376d0cbcf2dac006001aadbfbd76f2504e67"
 REPORT_SHA256 = {
     3: D3_REPORT_SHA256,
-    4: "39a6b9d75102a3bcd003eadf08c2529213d12a63b284d804de421496a17969b8",
-    5: "dd0b8f4601c0901f4f47496841608fa10c987419f87af999b4b31150aaeb2020",
+    4: "69f58bb89cc3554cb7f78a6800012ef5440a1912f740495459c4a237c3918401",
+    5: "f000d60e9c00234ddba0ea5547852a2d64a2c5d7ad88fbcec2395ae9d5436edd",
 }
 
 
@@ -122,7 +123,7 @@ def test_candidate_neighbors_strict_vs_loose():
 def test_grow_children_for_single_hyperedge():
     delta = Fraction(2, 5)
     kids, pruned = grow([(0, 1, 2)], [(0, 1, 3)], 3, delta)
-    assert (kids, pruned) == reference_grow([(0, 1, 2)], (0, 1, 3), 3, delta, Fraction(0))
+    assert (kids, pruned) == reference_grow([(0, 1, 2)], (0, 1, 3), 3, delta)
     kid_sets = {k for k in kids}
     # h itself
     assert ((0, 1, 2), (0, 1, 3)) in kid_sets
@@ -139,7 +140,7 @@ def test_grow_children_have_two_connected_clique_structure():
     delta = Fraction(2, 5)
     for h in candidate_neighbors(pattern, 3):
         kids, pruned = grow(pattern, [h], 3, delta)
-        assert (kids, pruned) == reference_grow(pattern, h, 3, delta, Fraction(0))
+        assert (kids, pruned) == reference_grow(pattern, h, 3, delta)
         for child in kids:
             v = len({u for e in child for u in e})
             cli = clique_hypergraph(Graph(v, project_edges(child)), 3)
@@ -150,12 +151,12 @@ def test_grow_exponent_decrease_is_at_least_the_gap():
     d, delta = 3, Fraction(2, 5)
     threshold = Fraction(d - 1, d + 1)
     pattern = ((0, 1, 2), (0, 1, 3))
-    parent = pattern_exponent(pattern, d, delta)
+    parent = expected_count_exponent(PatternHypergraph(pattern), d, delta)
     for h in candidate_neighbors(pattern, d):
         kids, pruned = grow(pattern, [h], d, delta)
-        assert (kids, pruned) == reference_grow(pattern, h, d, delta, Fraction(0))
+        assert (kids, pruned) == reference_grow(pattern, h, d, delta)
         for child in kids:
-            child_exp = pattern_exponent(child, d, delta)
+            child_exp = expected_count_exponent(PatternHypergraph(child), d, delta)
             assert child_exp <= parent - (threshold - delta)
 
 
@@ -350,7 +351,8 @@ def test_pattern_exponent_root_values():
             e1 = tuple(range(d))
             e2 = tuple(range(d - k, 2 * d - k))
             for delta in (Fraction(0), Fraction(2, 5), Fraction(1, 2)):
-                assert pattern_exponent([e1, e2], d, delta) == 2 - k + 2 * delta
+                root = PatternHypergraph([e1, e2])
+                assert expected_count_exponent(root, d, delta) == 2 - k + 2 * delta
 
 
 def test_search_d5_at_one_half_certifies_no_ambiguity(certificates):
@@ -394,22 +396,32 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
     assert calls <= 7_000
 
 
-def test_d5_certificate_at_eleven_twentieths_is_pinned():
-    # a point inside the open interval (1/2, 2/3) for d=5: no ambiguous
-    # class, exhausted at the default depth; the counters and the report
-    # bytes are those of walking every k-set of every expanded pattern
+@pytest.mark.parametrize(
+    "d, delta, depth, counters, digest",
+    [
+        (5, Fraction(11, 20), 18, (27, 34, 85_834),
+         "9e31fe9e69d3df92e065c086b5b5b7494e989c8fed6b35be41b96e332a861eea"),
+        (7, Fraction(3, 5), 14, (77, 1035, 20_698_950),
+         "c633da4614d6efa572f6a6588de543dfdc57ad03a3288bd3317ecf6183e0576c"),
+    ],
+    ids=["d5-11/20", "d7-3/5"],
+)
+def test_d5_certificate_at_eleven_twentieths_is_pinned(d, delta, depth, counters, digest):
+    # points inside the open intervals (1/2, 2/3) for d=5 and (4/7, 10/11)
+    # for d=7: no ambiguous class, exhausted at the default depth; the
+    # counters and the report bytes are those of walking every k-set of
+    # every expanded pattern
     start = time.perf_counter()
-    report = dfs_search(SearchConfig(5, Fraction(11, 20)))
+    report = dfs_search(SearchConfig(d, delta))
     elapsed = time.perf_counter() - start
-    assert report.config.max_depth == 18
+    assert report.config.max_depth == depth
     assert report.exhausted
     assert report.ambiguous_found == []
-    counters = (report.nodes_visited, report.nodes_deduped, report.nodes_pruned_by_exponent)
-    assert counters == (27, 34, 15_318_824)
+    assert (
+        report.nodes_visited, report.nodes_deduped, report.nodes_pruned_by_exponent
+    ) == counters
     payload = json.dumps(report.to_dict(), sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == (
-        "021150ed07172d6a226bde27738cb8ce48c94e402bcef8fbb1e612a57897b147"
-    )
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
     assert elapsed < 10.0
 
 
@@ -449,19 +461,21 @@ def test_canonical_form_matches_the_full_tree_reference(certificates, monkeypatc
         assert canonical_form(edges, colors) == key, (edges, colors)
 
 
-@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("d", [3, 4, 5])
 def test_grow_matches_reference_collection_dfs(certificates, d):
     # the same children in the same order and the same pruned count as the
-    # growth step's own bitmask DFS, for every candidate of every pattern
-    # the certificate expanded, with the search's exponent floor of 0; the
-    # budget keeps every child's exponent >= 0, which dfs_search relies on
+    # growth step's own bitmask DFS with its per-pair cut, for every
+    # candidate of every pattern the certificate expanded; the budget keeps
+    # every child's exponent >= 0, which dfs_search relies on
     report, expanded, _ = certificates[d]
     delta = report.config.delta
     for pattern in expanded:
         for h in candidate_neighbors(pattern, d):
             grown = grow(pattern, [h], d, delta)
-            assert grown == reference_grow(pattern, h, d, delta, Fraction(0)), (pattern, h)
-            assert all(pattern_exponent(c, d, delta) >= 0 for c in grown[0]), (pattern, h)
+            assert grown == reference_grow(pattern, h, d, delta), (pattern, h)
+            assert all(
+                expected_count_exponent(PatternHypergraph(c), d, delta) >= 0 for c in grown[0]
+            ), (pattern, h)
 
 
 def test_automorphism_count_on_expanded_patterns(certificates):
