@@ -4,6 +4,9 @@ Everything here is exact: densities, optimization values and thresholds are
 Fractions, isomorphism is decided by a canonical form, and floating point
 is banned.  The pieces:
 
+- the pattern type, the search's node record: it memoizes its projection,
+  its individualize-and-refine tree and, from one search of that tree,
+  its canonical form, a strong generating set of Aut(K) and |Aut(K)|;
 - one individualize-and-refine search tree over iterative color
   refinement, giving the canonical form of a colored hypergraph (its least
   leaf), a strong generating set of its automorphism group (pruning the
@@ -56,10 +59,14 @@ class PatternHypergraph:
     """An unlabeled hypergraph pattern: edges over vertices 0..v-1, no isolates.
 
     Identified with its edge set; equality of canonical forms is equality up
-    to isomorphism.
+    to isomorphism.  The search's node record: each of the projection (a
+    Graph over 0..v-1, on which clique_hypergraph memoizes), the
+    individualize-and-refine tree (_Tree) and the canonical form, strong
+    generating set and |Aut| of that tree's one search (_search_tree) is
+    built on first use and kept.
     """
 
-    __slots__ = ("edges", "v", "_canon", "_aut")
+    __slots__ = ("edges", "v", "_canon", "_aut", "_generators", "_projection", "_tree")
 
     def __init__(self, edges: Iterable[Sequence[int]]):
         canon = sorted({tuple(sorted(e)) for e in edges})
@@ -75,6 +82,9 @@ class PatternHypergraph:
         self.v = len(support)
         self._canon: Optional[bytes] = None
         self._aut: Optional[int] = None
+        self._generators: Optional[list] = None
+        self._projection: Optional[Graph] = None
+        self._tree: Optional[_Tree] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Sequence[int]]) -> "PatternHypergraph":
@@ -91,9 +101,29 @@ class PatternHypergraph:
             self._search()
         return self._canon
 
+    @property
+    def generators(self) -> list:
+        """A strong generating set of Aut(K) on the base of tree's first
+        path, each generator an image list (u maps to g[u])."""
+        if self._generators is None:
+            self._search()
+        return self._generators
+
     def _search(self) -> None:
-        # the canonical form and |Aut| come from one search tree
-        self._canon, _, self._aut = _search_tree(self.v, self.edges, [0] * self.e)
+        # the canonical form, the generators and |Aut| come from one search
+        self._canon, self._generators, self._aut = _search_tree(self.tree)
+
+    @property
+    def projection(self) -> Graph:
+        if self._projection is None:
+            self._projection = Graph(self.v, project_edges(self.edges))
+        return self._projection
+
+    @property
+    def tree(self) -> _Tree:
+        if self._tree is None:
+            self._tree = _Tree(self.v, self.edges, [0] * self.e)
+        return self._tree
 
     def is_uniform(self, d: int) -> bool:
         return all(len(e) == d for e in self.edges)
@@ -200,9 +230,13 @@ def stable_colors(edges: Sequence[Sequence[int]]) -> list:
 
 class _Tree:
     """The individualize-and-refine tree of a colored hypergraph over
-    vertices 0..n-1: its root (the stable refinement of the uniform
-    coloring), a node's children, a node's first non-singleton cell and a
-    leaf's code.
+    vertices 0..n-1: its first path, a node's children, a node's first
+    non-singleton cell and a leaf's code.
+
+    The first path is stored: path runs from the root (the stable
+    refinement of the uniform coloring) to the first leaf, each child
+    individualizing the least vertex of its parent's first non-singleton
+    cell, and base lists those vertices b_0, b_1, ....
 
     A child that individualizes v in a cell of twins of v (vertices with
     the same incident edges) is not refined.  Every edge that meets such a
@@ -213,14 +247,18 @@ class _Tree:
     ranks.
     """
 
-    __slots__ = ("n", "edges", "edge_colors", "incident", "twins", "root")
+    __slots__ = ("n", "edges", "edge_colors", "incident", "twins", "path", "base")
 
     def __init__(self, n: int, edges: Sequence[tuple], edge_colors: Sequence[int]):
         self.n, self.edges, self.edge_colors = n, edges, edge_colors
         self.incident = _incidence(n, edges)
         ids: dict = {}  # vertices with the same incident edges are twins
         self.twins = [ids.setdefault(tuple(edge_ids), len(ids)) for edge_ids in self.incident]
-        self.root = _refine(n, edges, edge_colors, self.incident, [0] * n)
+        self.path = [_refine(n, edges, edge_colors, self.incident, [0] * n)]
+        self.base: list = []
+        while (cell := self.first_cell(self.path[-1])) is not None:
+            self.base.append(cell[0])
+            self.path.append(self.child(self.path[-1], cell, cell[0]))
 
     def child(self, colors: list, cell: list, v: int) -> list:
         # colors: a stable coloring with dense ranks; cell: v's cell in it
@@ -251,21 +289,11 @@ class _Tree:
             sorted([(ec, tuple(sorted(map(at, e)))) for ec, e in zip(self.edge_colors, self.edges)])
         ).encode()
 
-    def first_path(self) -> tuple:
-        """(path, base): the nodes from the root to the first leaf, each
-        child individualizing the least vertex of its parent's first
-        non-singleton cell, and those vertices b_0, b_1, ...."""
-        path, base = [self.root], []
-        while (cell := self.first_cell(path[-1])) is not None:
-            base.append(cell[0])
-            path.append(self.child(path[-1], cell, cell[0]))
-        return path, base
 
-
-def _search_tree(n: int, edges: Sequence[tuple], edge_colors: Sequence[int]) -> tuple:
-    """(canonical form, strong generating set, |Aut|) of a colored
-    hypergraph over vertices 0..n-1, from one individualize-and-refine tree
-    (_Tree).
+def _search_tree(tree: _Tree) -> tuple:
+    """(canonical form, strong generating set, |Aut|) of the colored
+    hypergraph of an individualize-and-refine tree, searched from its
+    stored first path.
 
     A node is a refined coloring, its children individualize each vertex of
     its first non-singleton cell, and a leaf (discrete) is coded by its
@@ -282,9 +310,8 @@ def _search_tree(n: int, edges: Sequence[tuple], edge_colors: Sequence[int]) -> 
     level i is done the generators generate the stabilizer of
     b_0..b_{i-1}, so |Aut| is the product of the orbit lengths of the b_i.
     """
-    tree = _Tree(n, edges, edge_colors)
+    n, path, base = tree.n, tree.path, tree.base
     child, first_cell, encode, twins = tree.child, tree.first_cell, tree.encode, tree.twins
-    path, base = tree.first_path()
     best = (encode(path[-1]), path[-1])
 
     def explore(colors: list, ref: bytes) -> Optional[list]:
@@ -352,40 +379,40 @@ def canonical_form(
         return b"empty"
     relabel = {u: i for i, u in enumerate(vertices)}
     edges = [tuple(relabel[u] for u in e) for e in edges]
-    return _search_tree(len(vertices), edges, edge_colors)[0]
+    return _search_tree(_Tree(len(vertices), edges, edge_colors))[0]
 
 
 class IsomorphismClasses:
-    """A set of patterns up to isomorphism: add(edges) files a pattern
-    (sorted edges over vertices 0..v-1, no isolated vertex) and tells
-    whether its isomorphism class is new.
+    """A set of patterns up to isomorphism: add(pattern) files a
+    PatternHypergraph and tells whether its isomorphism class is new.
 
     A pattern is keyed by a hash of its root refinement's class sizes and
-    edge profiles (_Tree.root), an isomorphism invariant, and each class
-    under a key keeps its first pattern and the code of that pattern's
-    first leaf (_Tree.first_path).  Two leaves with one code are an
-    explicit isomorphism, so a pattern whose first leaf has a stored code
-    is a duplicate; only when the key is met and no code matches are
+    edge profiles (the first node of pattern.tree's path), an isomorphism
+    invariant, and each class under a key keeps its first pattern's edges
+    and the code of that pattern's first leaf.  Two leaves with one code
+    are an explicit isomorphism, so a pattern whose first leaf has a stored
+    code is a duplicate; only when the key is met and no code matches are
     canonical forms compared.  Every answer is canonical_form's, at the
-    cost of one path of the tree for most patterns.
+    cost of one path of the tree for most patterns; the tree is left on
+    the pattern for its later search.
     """
 
     def __init__(self):
         self._classes: dict = {}  # key -> [(first-leaf code, edges)]
 
-    def add(self, edges: Sequence[tuple]) -> bool:
-        tree = _Tree(1 + max(map(max, edges)), edges, [0] * len(edges))
-        path, _ = tree.first_path()
+    def add(self, pattern: PatternHypergraph) -> bool:
+        tree = pattern.tree
+        path = tree.path
         profiles = tree.encode(path[0])  # the first leaf's code when the root is discrete
         classes = self._classes.setdefault(hash((tuple(sorted(path[0])), profiles)), [])
         code = profiles if len(path) == 1 else tree.encode(path[-1])
         if any(known == code for known, _ in classes):
             return False
         if classes:
-            form = canonical_form(edges)
+            form = canonical_form(pattern.edges)
             if any(canonical_form(other) == form for _, other in classes):
                 return False
-        classes.append((code, edges))
+        classes.append((code, pattern.edges))
         return True
 
 
@@ -399,24 +426,12 @@ def graph_canonical_form(g: Graph) -> bytes:
 
 def automorphism_count(pattern: PatternHypergraph) -> int:
     """|Aut(K)|: the product of the basic orbit lengths of the strong
-    generating set automorphism_generators builds, memoized on the pattern
-    with its canonical form.
+    generating set pattern.generators, memoized on the pattern with its
+    canonical form.
     """
     if pattern._aut is None:
         pattern._search()
     return pattern._aut
-
-
-def automorphism_generators(edges: Sequence[Sequence[int]]) -> list:
-    """A strong generating set of Aut(K) for edges over vertices 0..v-1.
-
-    Each generator is an image list g (vertex u maps to g[u]); the base is
-    the first path of _search_tree, and the generators found at levels >= i
-    generate the stabilizer of b_0..b_{i-1}.
-    """
-    edges = [tuple(sorted(e)) for e in edges]
-    n = max((u for e in edges for u in e), default=-1) + 1
-    return _search_tree(n, edges, [0] * len(edges))[1]
 
 
 def _orbit(point: int, generators: Sequence[Sequence[int]]) -> set:

@@ -27,19 +27,20 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-# canonical_form and stable_colors are not called here; perfbench/layers.py
-# traces them as search.canonical_form and search.stable_colors by name, so
-# the names stay importable
+# canonical_form, stable_colors and project_edges are not called here;
+# perfbench/layers.py traces them as search.canonical_form,
+# search.stable_colors and search.project_edges by name, so the names stay
+# importable
 from .census import (
     IsomorphismClasses,
-    _incidence,
-    automorphism_generators,
+    PatternHypergraph,
     canonical_form,
     graph_canonical_form,
     stable_colors,
@@ -144,7 +145,7 @@ class SearchReport:
         }
 
 
-def candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
+def candidate_neighbors(pattern: PatternHypergraph, d: int) -> list:
     """Candidate hyperedges h that could join the pattern's clique structure,
     up to symmetry of (pattern, h).
 
@@ -157,7 +158,7 @@ def candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
     (pattern, h') are isomorphic with h marked exactly when their k-sets
     lie in one orbit of Aut(pattern); both filters above are invariant
     under Aut(pattern).  The result is the lex-least k-set of each orbit,
-    k by k in lex order, orbits closed under automorphism_generators.
+    k by k in lex order, orbits closed under pattern.generators.
 
     Only twin-canonical k-sets are walked: twins are vertices with the same
     incident edges, and a twin-canonical set takes the least members of
@@ -169,17 +170,11 @@ def candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
     order are those of walking every k-set, at a cost that follows the
     number of twin-canonical k-sets, not C(v, k).
     """
-    edges = [tuple(sorted(e)) for e in pattern]
-    support = sorted({u for e in edges for u in e})
-    v = len(support)
-    if support != list(range(v)):
-        raise ValueError("pattern labels must be dense 0..v-1")
-    proj = project_edges(edges)
-    cli = clique_hypergraph(Graph(v, proj), d).edges
-    cli_pairs = set(edge_pairs(cli))
-    classes: dict = {}  # incident edges -> the twin class, ascending
-    for u, incident in enumerate(_incidence(v, edges)):
-        classes.setdefault(tuple(incident), []).append(u)
+    v, proj = pattern.v, pattern.projection
+    cli_pairs = set(edge_pairs(clique_hypergraph(proj, d).edges))
+    classes: dict = {}  # twin class id -> the twin class, ascending
+    for u, t in enumerate(pattern.tree.twins):
+        classes.setdefault(t, []).append(u)
     twins: list = [None] * v  # u -> u's twin class
     rank = [0] * v  # u -> u's index in its class
     for group in classes.values():
@@ -190,7 +185,7 @@ def candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
     # twin-canonical set with g's image counts per class.  Twin swaps act
     # as the identity, and only distinct actions are kept.
     actions: list = []
-    for g in automorphism_generators(edges):
+    for g in pattern.generators:
         action = [twins[g[u]][rank[u]] for u in range(v)]
         if action != list(range(v)) and action not in actions:
             actions.append(action)
@@ -210,7 +205,7 @@ def candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
         for chosen in level:
             if cli_pairs.isdisjoint(combinations(chosen, 2)):
                 continue
-            if k == d and proj.issuperset(combinations(chosen, 2)):
+            if k == d and proj.edge_set.issuperset(combinations(chosen, 2)):
                 continue  # already a clique of the projection
             if chosen in seen:
                 continue
@@ -250,7 +245,7 @@ def _growth_covers(d: int, size: int, known: tuple, delta: tuple, budget: int) -
 
 
 def grow(
-    pattern: Sequence[tuple], candidates: Sequence[Sequence[int]], d: int, delta: Fraction
+    pattern: PatternHypergraph, candidates: Sequence[Sequence[int]], d: int, delta: Fraction
 ) -> tuple:
     """All ways to make each candidate h a clique of the grown pattern's
     projection.
@@ -263,11 +258,11 @@ def grow(
     caller.  The collections come from the shared cover enumerator,
     preimage.covers_within.
 
-    With a dense pattern and candidates as candidate_neighbors gives them,
-    the results are normalized (_normalize) as they stand: the fresh labels
-    of h and of each h_i run on from the pattern's, and every fresh vertex
-    of h lies in some member S, since its pairs are all new, so the grown
-    support is dense.
+    With candidates as candidate_neighbors gives them, the results are
+    normalized (_normalize) as they stand: the fresh labels of h and of
+    each h_i run on from the pattern's, and every fresh vertex of h lies in
+    some member S, since its pairs are all new, so the grown support is
+    dense.
 
     Each member S costs |S| - 1 - delta of exponent, scaled to integers by
     delta's denominator den, against a budget of the parent exponent plus
@@ -279,28 +274,24 @@ def grow(
     summed over the candidates.
     Returns (children, pruned), children in candidate order.
 
-    The pattern's edges, support and projection are read once per call.
     The family, the masks and the enumeration read nothing of h but its
     size, which of its pairs lie in Proj(pattern), delta and the integer
     budget, so they are computed once per such shape (_growth_covers) with
     members as positions in sorted h; mapping positions back to h gives the
     same collections in the same order as enumerating h's own subsets.
     """
-    edges = [tuple(sorted(e)) for e in pattern]
-    support = {u for e in edges for u in e}
-    top = max(support)
-    proj = project_edges(edges)
+    edges, n, proj = pattern.edges, pattern.v, pattern.projection.edge_set
     num, den = delta.numerator, delta.denominator
     children: list = []
     pruned = 0
     for h in candidates:
         h = tuple(sorted(h))
         known = tuple(map(proj.__contains__, combinations(h, 2)))
-        v = len(support.union(h))  # the most new vertices h itself brings
+        v = n + len(h) - bisect_left(h, n)  # the vertices of pattern and h together
         budget = v * den + len(edges) * (num - (d - 1) * den)
         family, covers, cut = _growth_covers(d, len(h), known, (num, den), budget)
         pruned += cut
-        first = max(h[-1], top) + 1
+        first = max(h[-1] + 1, n)
         for cover in covers:
             if not cover:
                 continue
@@ -332,7 +323,7 @@ def dfs_search(config: SearchConfig) -> SearchReport:
     found: dict = {}
     stack: list = []
     for k in range(2, d):  # two hyperedges sharing k vertices: never isomorphic
-        root = (tuple(range(d)), tuple(range(d - k, 2 * d - k)))
+        root = PatternHypergraph((tuple(range(d)), tuple(range(d - k, 2 * d - k))))
         visited.add(root)
         stack.append((root, 0, (2 * d - k) * den + 2 * rate))
     while stack:
@@ -345,7 +336,7 @@ def dfs_search(config: SearchConfig) -> SearchReport:
         pattern, depth, exp = stack.pop()
         report.nodes_visited += 1
         if exp >= 0:
-            g = Graph(len({u for e in pattern for u in e}), project_edges(pattern))
+            g = pattern.projection
             rep = min_preimage(g, d, cap=2)
             if rep.feasible and rep.ambiguous:
                 key = graph_canonical_form(g)
@@ -368,9 +359,8 @@ def dfs_search(config: SearchConfig) -> SearchReport:
         report.nodes_pruned_by_exponent += pruned
         if drop is not None:
             limit = (d + 1) * exp - drop
-        for child in children:
-            # a grown child is dense: its greatest vertex is v - 1
-            scaled = (max(e[-1] for e in child) + 1) * den + len(child) * rate
+        for child in map(PatternHypergraph, children):
+            scaled = child.v * den + child.e * rate
             if drop is not None and (d + 1) * scaled > limit:
                 raise RuntimeError(
                     "growth failed to decrease the exponent: "

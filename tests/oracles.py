@@ -26,10 +26,10 @@ from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
 from hyperlift.census import (
+    PatternHypergraph,
     PatternTooLargeError,
     _incidence,
     _normalize,
-    automorphism_generators,
     stable_colors,
 )
 from hyperlift.components import decompose
@@ -420,7 +420,7 @@ def reference_candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
 def reference_orbit_candidates(pattern: Sequence[tuple], d: int) -> list:
     """reference_candidate_neighbors by orbit closure over every k-set: the
     first k-set of each Aut(pattern) orbit in combinations order, each
-    orbit closed under automorphism_generators vertex by vertex.  The walk
+    orbit closed under PatternHypergraph(pattern).generators vertex by vertex.  The walk
     that candidate_neighbors' twin-canonical walk must reproduce, and far
     cheaper than canonical forms on patterns with large groups.
     """
@@ -430,7 +430,7 @@ def reference_orbit_candidates(pattern: Sequence[tuple], d: int) -> list:
     cli_pairs = set()
     for c in clique_hypergraph(Graph(v, proj), d).edges:
         cli_pairs.update(combinations(c, 2))
-    generators = automorphism_generators(edges)
+    generators = PatternHypergraph(edges).generators
     seen: set = set()
     out: list = []
     for k in range(2, d + 1):

@@ -26,7 +26,6 @@ from hyperlift.census import (
     cover_bound_min,
     PatternHypergraph,
     automorphism_count,
-    automorphism_generators,
     build_ambiguous_gadget,
     build_map_failure_gadget,
     build_spurious_clique_gadget,
@@ -317,7 +316,7 @@ def test_automorphism_count_against_orbit_size():
 
 def test_automorphism_generators_generate_the_automorphism_group():
     for pat in _small_d3_patterns():
-        generators = automorphism_generators(pat.edges)
+        generators = PatternHypergraph(pat.edges).generators
         edge_set = set(pat.edges)
         for g in generators:
             assert sorted(g) == list(range(pat.v))

@@ -25,13 +25,12 @@ from oracles import (
     reference_twin_class_automorphism_count,
 )
 
-from hyperlift import census, search
+from hyperlift import census, preimage, search
 from hyperlift.census import (
     IsomorphismClasses,
     PatternHypergraph,
     _normalize,
     automorphism_count,
-    automorphism_generators,
     build_ambiguous_gadget,
     build_map_failure_gadget,
     canonical_form,
@@ -72,13 +71,13 @@ def certificates():
     deduplicated: list = []
 
     def recording(pattern, d):
-        expanded.append(pattern)
+        expanded.append(pattern.edges)
         return candidate_neighbors(pattern, d)
 
     class Recording(IsomorphismClasses):
-        def add(self, edges):
-            deduplicated.append(edges)
-            return super().add(edges)
+        def add(self, pattern):
+            deduplicated.append(pattern.edges)
+            return super().add(pattern)
 
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -93,12 +92,12 @@ def certificates():
 
 
 def test_candidate_neighbors_single_hyperedge_collapses_to_one_class():
-    cands = candidate_neighbors([(0, 1, 2)], 3)
+    cands = candidate_neighbors(PatternHypergraph([(0, 1, 2)]), 3)
     assert cands == [(0, 1, 3)]
 
 
 def test_candidate_neighbors_diamond_includes_closing_triple():
-    cands = candidate_neighbors([(0, 1, 2), (0, 1, 3)], 3)
+    cands = candidate_neighbors(PatternHypergraph([(0, 1, 2), (0, 1, 3)]), 3)
     # the k=3 candidate closing the diamond into K4 must be present
     assert (2, 3) in {tuple(sorted(h[:2])) for h in cands if max(h) <= 3} or any(
         set(h) == {0, 2, 3} or set(h) == {1, 2, 3} for h in cands
@@ -116,13 +115,13 @@ def test_candidate_neighbors_strict_vs_loose():
     pattern = [(0, 1, 2), (0, 1, 3)]
     assert not any(
         set(h) & {2, 3} == {2, 3} and not set(h) & {0, 1}
-        for h in candidate_neighbors(pattern, 3)
+        for h in candidate_neighbors(PatternHypergraph(pattern), 3)
     )
 
 
 def test_grow_children_for_single_hyperedge():
     delta = Fraction(2, 5)
-    kids, pruned = grow([(0, 1, 2)], [(0, 1, 3)], 3, delta)
+    kids, pruned = grow(PatternHypergraph([(0, 1, 2)]), [(0, 1, 3)], 3, delta)
     assert (kids, pruned) == reference_grow([(0, 1, 2)], (0, 1, 3), 3, delta)
     kid_sets = {k for k in kids}
     # h itself
@@ -138,8 +137,9 @@ def test_grow_children_for_single_hyperedge():
 def test_grow_children_have_two_connected_clique_structure():
     pattern = [(0, 1, 2), (0, 1, 3)]
     delta = Fraction(2, 5)
-    for h in candidate_neighbors(pattern, 3):
-        kids, pruned = grow(pattern, [h], 3, delta)
+    pat = PatternHypergraph(pattern)
+    for h in candidate_neighbors(pat, 3):
+        kids, pruned = grow(pat, [h], 3, delta)
         assert (kids, pruned) == reference_grow(pattern, h, 3, delta)
         for child in kids:
             v = len({u for e in child for u in e})
@@ -151,9 +151,10 @@ def test_grow_exponent_decrease_is_at_least_the_gap():
     d, delta = 3, Fraction(2, 5)
     threshold = Fraction(d - 1, d + 1)
     pattern = ((0, 1, 2), (0, 1, 3))
-    parent = expected_count_exponent(PatternHypergraph(pattern), d, delta)
-    for h in candidate_neighbors(pattern, d):
-        kids, pruned = grow(pattern, [h], d, delta)
+    pat = PatternHypergraph(pattern)
+    parent = expected_count_exponent(pat, d, delta)
+    for h in candidate_neighbors(pat, d):
+        kids, pruned = grow(pat, [h], d, delta)
         assert (kids, pruned) == reference_grow(pattern, h, d, delta)
         for child in kids:
             child_exp = expected_count_exponent(PatternHypergraph(child), d, delta)
@@ -164,7 +165,7 @@ def test_pruned_grow_lists_the_child_of_a_large_family():
     # nine of the ten pairs of h are new: 25 subsets, up to 2**25 collections,
     # of which the exponent budget leaves few
     pattern, h = ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)), (0, 1, 8, 9, 10)
-    kids, _ = grow(pattern, [h], 5, Fraction(1, 2))
+    kids, _ = grow(PatternHypergraph(pattern), [h], 5, Fraction(1, 2))
     assert ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (0, 1, 8, 9, 10)) in kids
 
 
@@ -209,7 +210,7 @@ def test_search_dedup_off_agrees_on_tiny_instance(certificates, monkeypatch):
     # thousands) and must find the same ambiguous class as the d=3
     # certificate
     class Off(IsomorphismClasses):
-        def add(self, edges):
+        def add(self, pattern):
             return True
 
     monkeypatch.setattr(search, "IsomorphismClasses", Off)
@@ -240,15 +241,14 @@ def test_isomorphism_classes_partition_as_canonical_forms_do(certificates):
     classes, forms = IsomorphismClasses(), set()
     for pattern in pool:
         form = canonical_form(pattern)
-        assert classes.add(pattern) == (form not in forms), pattern
+        assert classes.add(PatternHypergraph(pattern)) == (form not in forms), pattern
         forms.add(form)
     assert len(forms) == sum(c[0].nodes_visited for c in certificates.values())
 
 
 def _first_leaf(edges) -> bytes:
     tree = census._Tree(1 + max(map(max, edges)), edges, [0] * len(edges))
-    path, _ = tree.first_path()
-    return tree.encode(path[-1])
+    return tree.encode(tree.path[-1])
 
 
 def _pendant_cycles(lengths) -> list:
@@ -278,9 +278,9 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     # profile, so they share a key, and only canonical forms tell them apart
     hexagon, triangles = _pendant_cycles([6]), _pendant_cycles([3, 3])
     classes = IsomorphismClasses()
-    assert classes.add(tuple(sorted(hexagon)))
+    assert classes.add(PatternHypergraph(hexagon))
     assert not calls
-    assert classes.add(tuple(sorted(triangles)))
+    assert classes.add(PatternHypergraph(triangles))
     assert len(classes._classes) == 1 and len(calls) == 2
     # their disjoint union, the hexagon's labels first and then last: the
     # first path individualizes a vertex of the hexagon in one and of a
@@ -291,11 +291,11 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     assert _first_leaf(first) != _first_leaf(last)
     assert canonical_form(first) == canonical_form(last)
     calls.clear()
-    assert classes.add(first)
+    assert classes.add(PatternHypergraph(first))
     assert not calls
-    assert not classes.add(last)
+    assert not classes.add(PatternHypergraph(last))
     assert len(calls) == 2
-    assert not classes.add(first)  # its own first leaf: no canonical form
+    assert not classes.add(PatternHypergraph(first))  # its own first leaf: no canonical form
     assert len(calls) == 2
 
 
@@ -313,7 +313,7 @@ def test_search_checks_that_each_child_lowers_the_exponent(monkeypatch, delta, c
     # d=3 root's exponent: at delta=2/5 the root's 4/5 may fall to 1/5 but
     # not rise to 6/5, and at delta=1/4 its 1/2 may fall to exactly 1/4
     root = ((0, 1, 2), (1, 2, 3))
-    monkeypatch.setattr(search, "grow", lambda p, cands, d, delta: ([child] if p == root else [], 0))
+    monkeypatch.setattr(search, "grow", lambda p, cands, d, delta: ([child] if p.edges == root else [], 0))
     if message:
         with pytest.raises(RuntimeError, match=f"^growth failed to decrease the exponent: {message}$"):
             dfs_search(SearchConfig(3, delta))
@@ -330,7 +330,8 @@ def test_grown_children_are_already_normalized(certificates, d):
     report, expanded, _ = certificates[d]
     children = 0
     for pattern in expanded:
-        grown, _ = grow(pattern, candidate_neighbors(pattern, d), d, report.config.delta)
+        pat = PatternHypergraph(pattern)
+        grown, _ = grow(pat, candidate_neighbors(pat, d), d, report.config.delta)
         assert all(child == _normalize(child) for child in grown), pattern
         children += len(grown)
     assert children == report.nodes_visited + report.nodes_deduped - (d - 2)
@@ -379,21 +380,46 @@ def test_certificate_counters_and_d3_report_are_pinned(certificates):
 
 def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
     # a child that individualizes a twin-class cell is built as dense ranks,
-    # and the dedup walks one path of each grown child's tree, so over the
-    # three certificates 6,935 colorings are refined (10,117 when each child
-    # got a whole canonical form, 19,476 when every child was refined)
-    calls = 0
-    refine = census._refine
+    # the dedup walks one path of each grown child's tree, and the pattern
+    # keeps that tree for its generators, so over the three certificates
+    # 6,663 colorings are refined (6,935 when the generators rebuilt the
+    # tree, 10,117 when each child got a whole canonical form, 19,476 when
+    # every child was refined); each pattern with exponent >= 0 builds one
+    # projection and enumerates its cliques once, and each filed pattern
+    # builds one tree, plus one per canonical form of the dedup's fallback
+    counts = dict.fromkeys(["refine", "trees", "graphs", "cliques", "preimages", "forms"], 0)
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return refine(*args)
+    def counting(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
 
-    monkeypatch.setattr(census, "_refine", counting)
+        return call
+
+    def enumerating(g, d):
+        counts["cliques"] += d not in g._cliques
+        return clique_hypergraph(g, d)
+
+    class Tree(census._Tree):
+        def __init__(self, *args):
+            counts["trees"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(census, "_refine", counting("refine", census._refine))
+    monkeypatch.setattr(census, "_Tree", Tree)
+    monkeypatch.setattr(Graph, "__init__", counting("graphs", Graph.__init__))
+    monkeypatch.setattr(preimage, "clique_hypergraph", enumerating)
+    monkeypatch.setattr(search, "clique_hypergraph", enumerating)
+    monkeypatch.setattr(search, "min_preimage", counting("preimages", search.min_preimage))
+    monkeypatch.setattr(census, "canonical_form", counting("forms", census.canonical_form))
+    filed = 0
     for d, delta, depth in CERTIFICATES:
-        assert dfs_search(SearchConfig(d, delta, max_depth=depth)).exhausted
-    assert calls <= 7_000
+        report = dfs_search(SearchConfig(d, delta, max_depth=depth))
+        assert report.exhausted
+        filed += report.nodes_visited + report.nodes_deduped
+    assert counts["graphs"] == counts["cliques"] == counts["preimages"] == 2_334
+    assert counts["trees"] == filed + counts["forms"] == 4_131
+    assert counts["refine"] == 6_663
 
 
 @pytest.mark.parametrize(
@@ -432,7 +458,7 @@ def test_orbit_dedup_matches_canonical_form_dedup(certificates, d):
     expanded = certificates[d][1]
     assert expanded
     for pattern in expanded:
-        assert candidate_neighbors(pattern, d) == (
+        assert candidate_neighbors(PatternHypergraph(pattern), d) == (
             reference_candidate_neighbors(pattern, d)
         ), pattern
 
@@ -470,8 +496,9 @@ def test_grow_matches_reference_collection_dfs(certificates, d):
     report, expanded, _ = certificates[d]
     delta = report.config.delta
     for pattern in expanded:
-        for h in candidate_neighbors(pattern, d):
-            grown = grow(pattern, [h], d, delta)
+        pat = PatternHypergraph(pattern)
+        for h in candidate_neighbors(pat, d):
+            grown = grow(pat, [h], d, delta)
             assert grown == reference_grow(pattern, h, d, delta), (pattern, h)
             assert all(
                 expected_count_exponent(PatternHypergraph(c), d, delta) >= 0 for c in grown[0]
@@ -487,7 +514,7 @@ def test_automorphism_count_on_expanded_patterns(certificates):
         for pattern in expanded:
             pat = PatternHypergraph(pattern)
             order = automorphism_count(pat)
-            assert generated_group_order(automorphism_generators(pattern), pat.v) == order
+            assert generated_group_order(PatternHypergraph(pattern).generators, pat.v) == order
             assert reference_twin_class_automorphism_count(pat) == order, pattern
             if d == 3:
                 assert reference_automorphism_count(pat) == order, pattern
@@ -502,7 +529,7 @@ def test_twin_canonical_walk_matches_the_references_on_the_gadgets(d):
     for pattern in patterns + [preimage_b.edges] * (d == 3):
         expected = reference_candidate_neighbors(pattern, d)
         assert reference_orbit_candidates(pattern, d) == expected
-        assert candidate_neighbors(pattern, d) == expected, pattern
+        assert candidate_neighbors(PatternHypergraph(pattern), d) == expected, pattern
 
 
 @pytest.mark.parametrize(
@@ -513,7 +540,7 @@ def test_twin_canonical_walk_matches_the_references_on_the_gadgets(d):
 def test_twin_canonical_walk_matches_the_orbit_walk_on_the_d5_gadgets(pattern):
     # 30 and 35 vertices: canonical forms of every marked k-set take minutes,
     # the orbit closure over every k-set a few seconds
-    assert candidate_neighbors(pattern, 5) == reference_orbit_candidates(pattern, 5)
+    assert candidate_neighbors(PatternHypergraph(pattern), 5) == reference_orbit_candidates(pattern, 5)
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -523,13 +550,14 @@ def test_grow_over_a_candidate_list_concatenates_the_single_candidate_calls(cert
     report, expanded, _ = certificates[d]
     delta = report.config.delta
     for pattern in expanded:
-        candidates = candidate_neighbors(pattern, d)
+        pat = PatternHypergraph(pattern)
+        candidates = candidate_neighbors(pat, d)
         children, pruned = [], 0
         for h in candidates:
-            kids, cut = grow(pattern, [h], d, delta)
+            kids, cut = grow(pat, [h], d, delta)
             children += kids
             pruned += cut
-        assert grow(pattern, candidates, d, delta) == (children, pruned), pattern
+        assert grow(pat, candidates, d, delta) == (children, pruned), pattern
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -538,7 +566,8 @@ def test_grow_is_the_same_on_a_cold_and_a_warm_cache(certificates, d):
     # pass over all of them has filled it
     report, expanded, _ = certificates[d]
     delta = report.config.delta
-    calls = [(p, h) for p in expanded for h in candidate_neighbors(p, d)]
+    patterns = map(PatternHypergraph, expanded)
+    calls = [(p, h) for p in patterns for h in candidate_neighbors(p, d)]
     cold = []
     for pattern, h in calls:
         search._growth_covers.cache_clear()
