@@ -2,15 +2,16 @@
 """Probe the open threshold intervals with the ambiguity search.
 
 Walks a ladder of delta values per d, each point at the search's default
-(provably sufficient) depth under the strict neighbor rule and a per-point
-time budget, and writes pilot/frontier.json: for every point its d, delta,
-depth, node counters, whether the search was exhausted, the number of
-ambiguous classes found and the wall time.  An exhausted point with no class
-is a certificate; a point that runs out of time certifies nothing.  Every
-class found is recorded as a witness: a projection together with the two
-minimum preimages min_preimage found for it.
+(provably sufficient) depth under the strict neighbor rule and a node budget
+per d, and writes pilot/frontier.json: for every point its d, delta, depth,
+node counters, whether the search was exhausted, the number of ambiguous
+classes found and the wall time.  An exhausted point with no class is a
+certificate; a point that runs out of nodes certifies nothing.  Every class
+found is recorded as a witness: a projection together with the two minimum
+preimages min_preimage found for it.  A budget in nodes, not seconds, makes
+every field but wall_s the same on every rerun, whatever the machine load.
 
-    python3 scripts/run_frontier.py                       # LADDER, BUDGET_S a point
+    python3 scripts/run_frontier.py                       # LADDER, NODE_BUDGET per d
     python3 scripts/run_frontier.py --out /tmp/frontier.json
 
 The ladder lies inside the intervals the threshold table leaves open:
@@ -36,13 +37,13 @@ LADDER = {
     6: ("11/20", "3/5", "13/20"),
     7: ("3/5", "5/8", "13/20"),
 }
-BUDGET_S = 60.0  # seconds per point
+NODE_BUDGET = {4: 1300, 5: 2300, 6: 120, 7: 100}  # nodes per point, by d
 
 
 def probe(d: int, delta: Fraction) -> dict:
     """One point of the ladder."""
     start = time.monotonic()
-    report = dfs_search(SearchConfig(d, delta, time_budget=BUDGET_S))
+    report = dfs_search(SearchConfig(d, delta, node_budget=NODE_BUDGET[d]))
     wall = time.monotonic() - start
     return {
         "d": d,
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
     args.out.parent.mkdir(exist_ok=True)
-    args.out.write_text(json.dumps({"budget_s": BUDGET_S, "points": points}, indent=2) + "\n")
+    args.out.write_text(json.dumps({"node_budget": NODE_BUDGET, "points": points}, indent=2) + "\n")
     return 0
 
 

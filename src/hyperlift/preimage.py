@@ -10,7 +10,8 @@ covers_within enumerates every candidate set covering the universe within
 a cost budget (all preimages up to a size, the growth step of the search),
 and least_covers raises that budget from a per-pair lower bound to the
 least one at which covers_within finds a cover: minimum preimages with
-unit costs, g_k and g_0 with the census costs.
+unit costs, g_k and g_0 with the census costs.  covers_within returns the
+covers alone, so how it prunes shows in no caller's result or counter.
 
 It is meant for component-scale inputs (tens of candidate hyperedges), not
 whole projected graphs.
@@ -83,17 +84,16 @@ def covers_within(
     costs: Sequence[int],
     budget: int,
     stop_after: Optional[int] = None,
-) -> tuple:
+) -> list:
     """Every candidate subset covering ``full`` at total cost <= budget.
 
     One include-before-exclude DFS over candidate indices: covers come out
     as sorted index tuples, each index taken before it is left out, which
     is lexicographic order among covers of one size; it stops once
-    ``stop_after`` covers are found.  An include step is cut when the budget
-    left is below the cheapest cost per pair times the pairs still uncovered
-    (no cover within budget is cut); a branch that can no longer reach every
-    pair is dropped without counting.  Returns (covers, cut), cut being the
-    number of cut steps, the root included.
+    ``stop_after`` covers are found.  An index is included only while the
+    budget left is at least the cheapest cost per pair times the pairs still
+    uncovered, so no cover within budget is lost, and a branch that can no
+    longer reach every pair is dropped.  Returns the list of covers.
     """
     m = len(masks)
     suffix = [0] * (m + 1)
@@ -103,18 +103,14 @@ def covers_within(
     num, den = rate.numerator, rate.denominator
     covers: list = []
     chosen: list = []
-    cut = 0
 
     def dfs(i: int, covered: int, left: int) -> bool:
-        nonlocal cut
         while i < m:
             if covered | suffix[i] != full:
                 return False
             grown = covered | masks[i]
             rest = left - costs[i]
-            if rest * den < num * (full ^ grown).bit_count():
-                cut += 1
-            else:
+            if rest * den >= num * (full ^ grown).bit_count():
                 chosen.append(i)
                 if dfs(i + 1, grown, rest):
                     return True
@@ -125,10 +121,9 @@ def covers_within(
             return len(covers) == stop_after
         return False
 
-    if budget * den < num * full.bit_count():
-        return covers, 1
-    dfs(0, 0, budget)
-    return covers, cut
+    if budget * den >= num * full.bit_count():
+        dfs(0, 0, budget)
+    return covers
 
 
 def least_covers(
@@ -151,7 +146,7 @@ def least_covers(
     rate = _pair_rate(masks, costs)
     budget = -(-rate.numerator * full.bit_count() // rate.denominator)
     while True:
-        covers, _ = covers_within(full, masks, costs, budget, stop_after)
+        covers = covers_within(full, masks, costs, budget, stop_after)
         if covers:
             return budget, covers
         budget += 1
@@ -194,7 +189,7 @@ def enumerate_preimages(g: Graph, d: int, size_limit: int) -> list:
     """All preimages of g with at most size_limit hyperedges, sorted."""
     candidates = clique_hypergraph(g, d).edges
     masks, full = cover_masks(g.edges, candidates)
-    subsets, _ = covers_within(full, masks, [1] * len(masks), size_limit)
+    subsets = covers_within(full, masks, [1] * len(masks), size_limit)
     hypergraphs = [
         Hypergraph(g.n, d, [candidates[i] for i in ic]) for ic in subsets
     ]

@@ -223,11 +223,11 @@ def candidate_neighbors(pattern: PatternHypergraph, d: int) -> list:
 
 @lru_cache(maxsize=4096)
 def _growth_covers(d: int, size: int, known: tuple, delta: tuple, budget: int) -> tuple:
-    """(family, covers, cut) of growing a candidate of ``size`` vertices,
+    """(family, covers) of growing a candidate of ``size`` vertices,
     known[i] telling whether its i-th pair in combinations order already
     lies in Proj(pattern), with delta given as (numerator, denominator):
-    family members are tuples of positions in the sorted candidate, covers
-    index the family, and cut is covers_within's count of cut steps."""
+    family members are tuples of positions in the sorted candidate, and
+    covers index the family."""
     pairs = combinations(range(size), 2)
     universe = [p for p, old in zip(pairs, known) if not old]
     new = set(universe)
@@ -240,13 +240,12 @@ def _growth_covers(d: int, size: int, known: tuple, delta: tuple, budget: int) -
     masks, full = cover_masks(universe, family)
     num, den = delta
     costs = [den * (len(s) - 1) - num for s in family]
-    covers, cut = covers_within(full, masks, costs, budget)
-    return tuple(family), tuple(covers), cut
+    return tuple(family), tuple(covers_within(full, masks, costs, budget))
 
 
 def grow(
     pattern: PatternHypergraph, candidates: Sequence[Sequence[int]], d: int, delta: Fraction
-) -> tuple:
+) -> list:
     """All ways to make each candidate h a clique of the grown pattern's
     projection.
 
@@ -268,11 +267,7 @@ def grow(
     delta's denominator den, against a budget of the parent exponent plus
     the fresh vertices of h, that is v*den + e*(num - (d-1)*den) with v the
     vertices of pattern and h together: a child's exponent is never
-    negative.  A branch is skipped once the budget left is below the
-    cheapest cost per pair of any member (never negative, as delta <= 1)
-    times the pairs still uncovered; the number of skipped branches is
-    summed over the candidates.
-    Returns (children, pruned), children in candidate order.
+    negative.  Returns the children in candidate order.
 
     The family, the masks and the enumeration read nothing of h but its
     size, which of its pairs lie in Proj(pattern), delta and the integer
@@ -283,14 +278,12 @@ def grow(
     edges, n, proj = pattern.edges, pattern.v, pattern.projection.edge_set
     num, den = delta.numerator, delta.denominator
     children: list = []
-    pruned = 0
     for h in candidates:
         h = tuple(sorted(h))
         known = tuple(map(proj.__contains__, combinations(h, 2)))
         v = n + len(h) - bisect_left(h, n)  # the vertices of pattern and h together
         budget = v * den + len(edges) * (num - (d - 1) * den)
-        family, covers, cut = _growth_covers(d, len(h), known, (num, den), budget)
-        pruned += cut
+        family, covers = _growth_covers(d, len(h), known, (num, den), budget)
         first = max(h[-1] + 1, n)
         for cover in covers:
             if not cover:
@@ -302,11 +295,17 @@ def grow(
                 new_edges.append(s + tuple(range(nxt, nxt + d - len(s))))
                 nxt += d - len(s)
             children.append(tuple(sorted(new_edges)))
-    return children, pruned
+    return children
 
 
 def dfs_search(config: SearchConfig) -> SearchReport:
-    """Run the ambiguity search; see the module docstring for semantics."""
+    """Run the ambiguity search; see the module docstring for semantics.
+
+    nodes_pruned_by_exponent counts the search tree's leaves: the visited
+    nodes with exponent <= 0, never expanded, and the expanded nodes that
+    grow gives no child, so a pruning inside grow that keeps every child
+    leaves it as it is.
+    """
     d, delta = config.d, Fraction(config.delta)
     threshold = Fraction(d - 1, d + 1)
     report = SearchReport(config=config)
@@ -350,13 +349,14 @@ def dfs_search(config: SearchConfig) -> SearchReport:
                         canonical=key,
                     )
         if exp <= 0:
+            report.nodes_pruned_by_exponent += 1
             continue  # children can only be smaller; nothing left to certify
         if depth >= config.max_depth:
             # a positive-exponent node we are not allowed to expand
             report.exhausted = False
             continue
-        children, pruned = grow(pattern, candidate_neighbors(pattern, d), d, delta)
-        report.nodes_pruned_by_exponent += pruned
+        children = grow(pattern, candidate_neighbors(pattern, d), d, delta)
+        report.nodes_pruned_by_exponent += not children
         if drop is not None:
             limit = (d + 1) * exp - drop
         for child in map(PatternHypergraph, children):

@@ -523,9 +523,10 @@ def reference_greedy(g: Graph, d: int) -> Hypergraph:
 
 def reference_grow(
     pattern: Sequence[tuple], h: Sequence[int], d: int, delta: Fraction
-) -> tuple:
-    """search.grow with its own collection DFS: the bitmask walk that the
-    shared cover enumerator must reproduce, children and pruned count alike.
+) -> list:
+    """search.grow with its own collection DFS and no bound but the budget:
+    the children the shared cover enumerator, with whatever pruning it
+    does, must reproduce.
 
     All ways to make candidate h a clique of the grown pattern's projection.
 
@@ -538,10 +539,10 @@ def reference_grow(
 
     Each member S costs |S| - 1 - delta of the exponent v + e*(delta - d + 1)
     that pattern and h's fresh vertices leave, and no child may go below 0.
-    A branch is skipped once the exponent left is below the cheapest cost
-    per new pair of any member times the new pairs still uncovered; the
-    number of skipped branches is returned alongside.
-    Returns (children, pruned).
+    Costs are nonnegative (delta <= 1), so a member is taken only when it
+    fits in the budget left, and a branch stops once the members left cannot
+    cover every new pair; every other collection is listed, each member
+    taken before it is left out.  Returns the children.
     """
     edges = [tuple(sorted(e)) for e in pattern]
     support = {u for e in edges for u in e}
@@ -565,14 +566,12 @@ def reference_grow(
     suffix = [0] * (len(family) + 1)
     for i in range(len(family) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | masks[i]
+    # costs and the exponent in units of 1/den, so the DFS compares integers
     delta = Fraction(delta)
-    cost = [len(s) - 1 - delta for s in family]
-    per_pair = min(
-        (c / bin(m).count("1") for c, m in zip(cost, masks)), default=Fraction(0)
-    )
+    den = delta.denominator
+    cost = [int((len(s) - 1 - delta) * den) for s in family]
     v = len(support | set(h))  # with every fresh vertex h itself brings
     children: list = []
-    pruned = 0
     chosen: list = []
 
     def emit() -> None:
@@ -585,24 +584,21 @@ def reference_grow(
             new_edges.append(tuple(sorted(s + extra)))
         children.append(_normalize(new_edges))
 
-    def dfs(i: int, covered: int, left: Fraction) -> None:
-        nonlocal pruned
-        if left < per_pair * bin(full & ~covered).count("1"):
-            pruned += 1
-            return
-        if i == len(family):
-            if covered == full and chosen:
-                emit()
-            return
+    def dfs(i: int, covered: int, left: int) -> None:
         if covered | suffix[i] != full:
             return
-        chosen.append(i)
-        dfs(i + 1, covered | masks[i], left - cost[i])
-        chosen.pop()
+        if i == len(family):
+            if chosen:
+                emit()
+            return
+        if left >= cost[i]:
+            chosen.append(i)
+            dfs(i + 1, covered | masks[i], left - cost[i])
+            chosen.pop()
         dfs(i + 1, covered, left)
 
-    dfs(0, 0, v + len(edges) * (delta - d + 1))
-    return children, pruned
+    dfs(0, 0, int((v + len(edges) * (delta - d + 1)) * den))
+    return children
 
 
 def reference_automorphism_count(pattern) -> int:

@@ -192,12 +192,11 @@ def test_covers_within_matches_exhaustive_subsets():
     for full, masks, costs in _random_instances(400, 11):
         for budget in (-1, 0, 2, 5, 30):
             expected = _exhaustive_covers(full, masks, costs, budget)
-            covers, cut = covers_within(full, masks, costs, budget)
+            covers = covers_within(full, masks, costs, budget)
             assert covers == expected, (full, masks, costs, budget)
-            assert cut >= 0
             # stop_after takes a prefix
             for stop in (1, 2):
-                assert covers_within(full, masks, costs, budget, stop_after=stop)[0] == (
+                assert covers_within(full, masks, costs, budget, stop_after=stop) == (
                     expected[:stop]
                 )
             checked += bool(expected)
@@ -206,14 +205,14 @@ def test_covers_within_matches_exhaustive_subsets():
 
 def test_covers_within_edge_cases():
     # empty universe: every subset within budget covers it, () last
-    assert covers_within(0, [0, 0], [1, 0], 0)[0] == [(1,), ()]
-    assert covers_within(0, [], [], 0) == ([()], 0)
+    assert covers_within(0, [0, 0], [1, 0], 0) == [(1,), ()]
+    assert covers_within(0, [], [], 0) == [()]
     # infeasible: a pair no candidate covers
-    assert covers_within(0b11, [0b01, 0b01], [1, 1], 9)[0] == []
+    assert covers_within(0b11, [0b01, 0b01], [1, 1], 9) == []
     # a budget below the cheapest per-pair cost is cut at the root
-    assert covers_within(0b11, [0b11], [4], 3) == ([], 1)
+    assert covers_within(0b11, [0b11], [4], 3) == []
     # zero-cost candidates can always be added
-    assert covers_within(0b1, [0b1, 0b1], [0, 0], 0)[0] == [(0, 1), (0,), (1,)]
+    assert covers_within(0b1, [0b1, 0b1], [0, 0], 0) == [(0, 1), (0,), (1,)]
 
 
 def test_least_covers_matches_exhaustive_subsets():

@@ -49,17 +49,18 @@ from hyperlift.search import (
 # the pilot certificates: (d, delta, max_depth) -> (nodes_visited,
 # nodes_deduped, nodes_pruned_by_exponent); visited and deduped as recorded
 # before the orbit dedup replaced canonical forms in candidate_neighbors,
-# pruned under the growth step's per-pair cut
+# pruned counting the search tree's leaves: the visited nodes with exponent
+# <= 0 and the expanded nodes that grow gives no child
 CERTIFICATES = {
-    (3, Fraction(2, 5), None): (1748, 1437, 34718),
-    (4, Fraction(1, 2), 12): (563, 320, 32480),
-    (5, Fraction(1, 2), 14): (24, 34, 14797),
+    (3, Fraction(2, 5), None): (1748, 1437, 1590),
+    (4, Fraction(1, 2), 12): (563, 320, 549),
+    (5, Fraction(1, 2), 14): (24, 34, 20),
 }
-D3_REPORT_SHA256 = "c17df9a9e91dea9c2a3895fc0e0d376d0cbcf2dac006001aadbfbd76f2504e67"
+D3_REPORT_SHA256 = "cd3b7bf19a07927793af0ee87ee5785b2bc6a567c19edb03ff4fab3bac8fe871"
 REPORT_SHA256 = {
     3: D3_REPORT_SHA256,
-    4: "69f58bb89cc3554cb7f78a6800012ef5440a1912f740495459c4a237c3918401",
-    5: "f000d60e9c00234ddba0ea5547852a2d64a2c5d7ad88fbcec2395ae9d5436edd",
+    4: "d6de3f365eb01f75d48013f2fec5ecd19a9be9b5de72e59ef653706b914d6fc1",
+    5: "429e4fdf42fd1af339fc329d8c05976a6c2bc05b88a3a5ebc7712f6d09f78399",
 }
 
 
@@ -121,8 +122,8 @@ def test_candidate_neighbors_strict_vs_loose():
 
 def test_grow_children_for_single_hyperedge():
     delta = Fraction(2, 5)
-    kids, pruned = grow(PatternHypergraph([(0, 1, 2)]), [(0, 1, 3)], 3, delta)
-    assert (kids, pruned) == reference_grow([(0, 1, 2)], (0, 1, 3), 3, delta)
+    kids = grow(PatternHypergraph([(0, 1, 2)]), [(0, 1, 3)], 3, delta)
+    assert kids == reference_grow([(0, 1, 2)], (0, 1, 3), 3, delta)
     kid_sets = {k for k in kids}
     # h itself
     assert ((0, 1, 2), (0, 1, 3)) in kid_sets
@@ -131,7 +132,7 @@ def test_grow_children_for_single_hyperedge():
                sum(1 for e in k if 3 in e) >= 2 for k in kid_sets)
     # of the 5 covering collections, {03, 13, 013} costs 14/5 against a
     # budget of 12/5 (the parent's 7/5 plus h's one fresh vertex)
-    assert (len(kids), pruned) == (4, 1)
+    assert len(kids) == 4
 
 
 def test_grow_children_have_two_connected_clique_structure():
@@ -139,8 +140,8 @@ def test_grow_children_have_two_connected_clique_structure():
     delta = Fraction(2, 5)
     pat = PatternHypergraph(pattern)
     for h in candidate_neighbors(pat, 3):
-        kids, pruned = grow(pat, [h], 3, delta)
-        assert (kids, pruned) == reference_grow(pattern, h, 3, delta)
+        kids = grow(pat, [h], 3, delta)
+        assert kids == reference_grow(pattern, h, 3, delta)
         for child in kids:
             v = len({u for e in child for u in e})
             cli = clique_hypergraph(Graph(v, project_edges(child)), 3)
@@ -154,8 +155,8 @@ def test_grow_exponent_decrease_is_at_least_the_gap():
     pat = PatternHypergraph(pattern)
     parent = expected_count_exponent(pat, d, delta)
     for h in candidate_neighbors(pat, d):
-        kids, pruned = grow(pat, [h], d, delta)
-        assert (kids, pruned) == reference_grow(pattern, h, d, delta)
+        kids = grow(pat, [h], d, delta)
+        assert kids == reference_grow(pattern, h, d, delta)
         for child in kids:
             child_exp = expected_count_exponent(PatternHypergraph(child), d, delta)
             assert child_exp <= parent - (threshold - delta)
@@ -165,7 +166,7 @@ def test_pruned_grow_lists_the_child_of_a_large_family():
     # nine of the ten pairs of h are new: 25 subsets, up to 2**25 collections,
     # of which the exponent budget leaves few
     pattern, h = ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7)), (0, 1, 8, 9, 10)
-    kids, _ = grow(PatternHypergraph(pattern), [h], 5, Fraction(1, 2))
+    kids = grow(PatternHypergraph(pattern), [h], 5, Fraction(1, 2))
     assert ((0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (0, 1, 8, 9, 10)) in kids
 
 
@@ -313,7 +314,7 @@ def test_search_checks_that_each_child_lowers_the_exponent(monkeypatch, delta, c
     # d=3 root's exponent: at delta=2/5 the root's 4/5 may fall to 1/5 but
     # not rise to 6/5, and at delta=1/4 its 1/2 may fall to exactly 1/4
     root = ((0, 1, 2), (1, 2, 3))
-    monkeypatch.setattr(search, "grow", lambda p, cands, d, delta: ([child] if p.edges == root else [], 0))
+    monkeypatch.setattr(search, "grow", lambda p, cands, d, delta: [child] if p.edges == root else [])
     if message:
         with pytest.raises(RuntimeError, match=f"^growth failed to decrease the exponent: {message}$"):
             dfs_search(SearchConfig(3, delta))
@@ -331,7 +332,7 @@ def test_grown_children_are_already_normalized(certificates, d):
     children = 0
     for pattern in expanded:
         pat = PatternHypergraph(pattern)
-        grown, _ = grow(pat, candidate_neighbors(pat, d), d, report.config.delta)
+        grown = grow(pat, candidate_neighbors(pat, d), d, report.config.delta)
         assert all(child == _normalize(child) for child in grown), pattern
         children += len(grown)
     assert children == report.nodes_visited + report.nodes_deduped - (d - 2)
@@ -366,13 +367,22 @@ def test_search_d5_at_one_half_certifies_no_ambiguity(certificates):
 
 def test_certificate_counters_and_d3_report_are_pinned(certificates):
     for (d, _, _), counters in CERTIFICATES.items():
-        report = certificates[d][0]
+        report, expanded, _ = certificates[d]
         assert report.exhausted
         assert (
             report.nodes_visited,
             report.nodes_deduped,
             report.nodes_pruned_by_exponent,
         ) == counters, d
+        # the leaves: every visited node left unexpanded, and every expanded
+        # node that grow gives no child
+        childless = sum(
+            not grow(p, candidate_neighbors(p, d), d, report.config.delta)
+            for p in map(PatternHypergraph, expanded)
+        )
+        assert report.nodes_pruned_by_exponent == (
+            report.nodes_visited - len(expanded) + childless
+        ), d
     for d, digest in REPORT_SHA256.items():
         payload = json.dumps(certificates[d][0].to_dict(), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == digest, d
@@ -425,18 +435,27 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
 @pytest.mark.parametrize(
     "d, delta, depth, counters, digest",
     [
-        (5, Fraction(11, 20), 18, (27, 34, 85_834),
-         "9e31fe9e69d3df92e065c086b5b5b7494e989c8fed6b35be41b96e332a861eea"),
-        (7, Fraction(3, 5), 14, (77, 1035, 20_698_950),
-         "c633da4614d6efa572f6a6588de543dfdc57ad03a3288bd3317ecf6183e0576c"),
+        (5, Fraction(11, 20), 18, (27, 34, 23),
+         "2762d3af63a01281c490e483ad9b08ea3454b9ac652e506d8174cd790958e104"),
+        (7, Fraction(3, 5), 14, (77, 1035, 61),
+         "bb00567b765a8917ff3d665f50e227e42d60d75fef2e2487f918ec8758aa2da8"),
     ],
     ids=["d5-11/20", "d7-3/5"],
 )
-def test_d5_certificate_at_eleven_twentieths_is_pinned(d, delta, depth, counters, digest):
+def test_d5_certificate_at_eleven_twentieths_is_pinned(monkeypatch, d, delta, depth, counters, digest):
     # points inside the open intervals (1/2, 2/3) for d=5 and (4/7, 10/11)
     # for d=7: no ambiguous class, exhausted at the default depth; the
     # counters and the report bytes are those of walking every k-set of
-    # every expanded pattern
+    # every expanded pattern, and the leaves are the visited nodes never
+    # expanded plus the expanded ones grow gives no child
+    broods = []
+
+    def recording(*args):
+        children = grow(*args)
+        broods.append(len(children))
+        return children
+
+    monkeypatch.setattr(search, "grow", recording)
     start = time.perf_counter()
     report = dfs_search(SearchConfig(d, delta))
     elapsed = time.perf_counter() - start
@@ -446,6 +465,9 @@ def test_d5_certificate_at_eleven_twentieths_is_pinned(d, delta, depth, counters
     assert (
         report.nodes_visited, report.nodes_deduped, report.nodes_pruned_by_exponent
     ) == counters
+    assert report.nodes_pruned_by_exponent == (
+        report.nodes_visited - len(broods) + broods.count(0)
+    )
     payload = json.dumps(report.to_dict(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
     assert elapsed < 10.0
@@ -489,10 +511,10 @@ def test_canonical_form_matches_the_full_tree_reference(certificates, monkeypatc
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_grow_matches_reference_collection_dfs(certificates, d):
-    # the same children in the same order and the same pruned count as the
-    # growth step's own bitmask DFS with its per-pair cut, for every
-    # candidate of every pattern the certificate expanded; the budget keeps
-    # every child's exponent >= 0, which dfs_search relies on
+    # the same children in the same order as listing every collection
+    # within the budget, for every candidate of every pattern the
+    # certificate expanded; the budget keeps every child's exponent >= 0,
+    # which dfs_search relies on
     report, expanded, _ = certificates[d]
     delta = report.config.delta
     for pattern in expanded:
@@ -501,7 +523,7 @@ def test_grow_matches_reference_collection_dfs(certificates, d):
             grown = grow(pat, [h], d, delta)
             assert grown == reference_grow(pattern, h, d, delta), (pattern, h)
             assert all(
-                expected_count_exponent(PatternHypergraph(c), d, delta) >= 0 for c in grown[0]
+                expected_count_exponent(PatternHypergraph(c), d, delta) >= 0 for c in grown
             ), (pattern, h)
 
 
@@ -545,19 +567,14 @@ def test_twin_canonical_walk_matches_the_orbit_walk_on_the_d5_gadgets(pattern):
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_grow_over_a_candidate_list_concatenates_the_single_candidate_calls(certificates, d):
-    # children in candidate order and the cut counts summed, on every
-    # pattern the certificate expanded
+    # children in candidate order, on every pattern the certificate expanded
     report, expanded, _ = certificates[d]
     delta = report.config.delta
     for pattern in expanded:
         pat = PatternHypergraph(pattern)
         candidates = candidate_neighbors(pat, d)
-        children, pruned = [], 0
-        for h in candidates:
-            kids, cut = grow(pat, [h], d, delta)
-            children += kids
-            pruned += cut
-        assert grow(pat, candidates, d, delta) == (children, pruned), pattern
+        children = [kid for h in candidates for kid in grow(pat, [h], d, delta)]
+        assert grow(pat, candidates, d, delta) == children, pattern
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -586,12 +603,23 @@ def test_run_frontier_records_each_point(tmp_path, monkeypatch):
     run_frontier = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_frontier)
     monkeypatch.setattr(run_frontier, "LADDER", {3: ("1/5", "2/5")})
-    out = tmp_path / "frontier.json"
-    assert run_frontier.main(["--out", str(out)]) == 0
-    points = json.loads(out.read_text())["points"]
+    # the d=3 delta=2/5 certificate visits 1748 nodes, so exactly that many
+    # exhaust it
+    monkeypatch.setattr(run_frontier, "NODE_BUDGET", {3: 1748})
+    records = []
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.json"
+        assert run_frontier.main(["--out", str(out)]) == 0
+        records.append(json.loads(out.read_text()))
+    points = records[0]["points"]
     assert [(p["delta"], p["max_depth"], p["exhausted"], p["classes"]) for p in points] == [
         ("1/5", 7, True, 0),
         ("2/5", 20, True, 1),
     ]
     assert points[1]["nodes_visited"] == 1748
     assert len(points[1]["witnesses"]) == 1
+    # a node budget, not a clock: a rerun records the same but the wall time
+    for record in records:
+        for point in record["points"]:
+            del point["wall_s"]
+    assert records[0] == records[1]
