@@ -409,7 +409,7 @@ class IsomorphismClasses:
         if any(known == code for known, _ in classes):
             return False
         if classes:
-            form = canonical_form(pattern.edges)
+            form = pattern.canonical_form
             if any(canonical_form(other) == form for _, other in classes):
                 return False
         classes.append((code, pattern.edges))

@@ -17,8 +17,9 @@ and --threads (sweep worker processes, at most one per replicate and per
 CPU; the CSV bytes do not depend on it).
 
 Malformed input (a bad file, config or parameter), a file that cannot be
-read or written, a MAP abort on a giant component and an input too large
-for the exact engine's recursion print one line to stderr and exit 1.
+read or written and an input too large for the exact engine (a MAP component
+or a preimage graph over COMPONENT_LIMIT candidate hyperedges, or one too
+deep for its recursion) print one line to stderr and exit 1.
 
 Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5;
 one that does not parse, or has a zero denominator, is a bad parameter.
@@ -59,6 +60,7 @@ from .core import (
     DensityParams,
     FormatError,
     HsbmParams,
+    clique_hypergraph,
     generate_random_hypergraph,
     graph_from_text,
     graph_to_text,
@@ -70,7 +72,7 @@ from .core import (
 )
 from .harness import SweepSpec, hsbm_pipeline, write_sweep_csv
 from .preimage import min_preimage
-from .reconstruct import ALGORITHMS, ComponentTooLargeError
+from .reconstruct import ALGORITHMS, COMPONENT_LIMIT, ComponentTooLargeError
 from .search import SearchConfig, dfs_search
 
 
@@ -130,8 +132,9 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_preimage(args) -> int:
     g = _load(args.input, graph_from_text)
-    if g.n > args.vertex_bound:
-        raise ValueError(f"{g.n} vertices exceed --vertex-bound={args.vertex_bound}")
+    count = len(clique_hypergraph(g, args.d))  # memoized on g for min_preimage
+    if count > COMPONENT_LIMIT:  # min_preimage does not decompose: the whole graph counts
+        raise ComponentTooLargeError(f"{count} candidates: too large (limit {COMPONENT_LIMIT})")
     report = min_preimage(g, args.d, cap=args.cap)
     _emit(args, json.dumps(report.to_dict(), indent=2))
     return 0
@@ -238,7 +241,7 @@ def parse_sweep_config(text: str) -> SweepSpec:
     )
     num_seeds = field("seeds", int)
     check("seeds", num_seeds >= 1, "need at least 1 seed")
-    algorithms = field("algorithms", many(str), ("cc", "map", "greedy"))
+    algorithms = field("algorithms", many(str), SweepSpec.algorithms)
     if "algorithms" in values:
         check(
             "algorithms",
@@ -305,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preimage", help="exact minimum-preimage report")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--cap", type=int, default=16)
-    p.add_argument("--vertex-bound", type=int, default=64, dest="vertex_bound")
     p.add_argument("input")
     p.set_defaults(func=_cmd_preimage)
 
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--max-depth", type=int, default=None, dest="max_depth")
-    p.add_argument("--node-budget", type=int, default=1_000_000, dest="node_budget")
+    p.add_argument("--node-budget", type=int, default=SearchConfig.node_budget, dest="node_budget")
     p.add_argument("--time-budget", type=float, default=None, dest="time_budget")
     p.set_defaults(func=_cmd_search)
 

@@ -13,8 +13,8 @@ least one at which covers_within finds a cover: minimum preimages with
 unit costs, g_k and g_0 with the census costs.  covers_within returns the
 covers alone, so how it prunes shows in no caller's result or counter.
 
-It is meant for component-scale inputs (tens of candidate hyperedges), not
-whole projected graphs.
+It is meant for component-scale inputs, not whole projected graphs: MAP and
+`hyperlift preimage` refuse more than reconstruct.COMPONENT_LIMIT candidates.
 """
 
 from __future__ import annotations

@@ -31,8 +31,11 @@ from .core import Graph, Hypergraph, clique_hypergraph, edge_pairs, project
 from .preimage import solve_cover
 
 
+COMPONENT_LIMIT = 40  # candidates per exact cover search: a MAP component, a preimage graph
+
+
 class ComponentTooLargeError(RuntimeError):
-    """A 2-connected component exceeded the exact-search abort threshold."""
+    """An exact cover search would get more than its limit of candidates."""
 
 
 @dataclass
@@ -70,7 +73,7 @@ def clique_cover(g: Graph, d: int) -> ReconstructionResult:
 
 
 def map_reconstruct(
-    g: Graph, d: int, component_limit: int = 40
+    g: Graph, d: int, component_limit: int = COMPONENT_LIMIT
 ) -> ReconstructionResult:
     """Exact MAP: minimum preimage, decomposed over 2-connected components.
 

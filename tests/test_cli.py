@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from hyperlift import cli
 from hyperlift.cli import build_parser, main, parse_sweep_config
 from hyperlift.core import (
     FormatError,
@@ -18,6 +19,7 @@ from hyperlift.core import (
     project,
 )
 from hyperlift.census import build_ambiguous_gadget
+from hyperlift.reconstruct import COMPONENT_LIMIT, ComponentTooLargeError, map_reconstruct
 from hyperlift.search import SearchConfig
 
 
@@ -92,15 +94,48 @@ def test_preimage_cap_below_one_exits_1_with_one_stderr_line(tmp_path, capsys, c
     assert captured.err.count("\n") == 1 and f"cap={cap}" in captured.err
 
 
-def test_vertex_bound_guard(tmp_path, capsys):
+def test_preimage_bounds_candidates_not_vertices(tmp_path, capsys):
+    # 80 vertices and no triangle: no candidate, so nothing to refuse
     el = tmp_path / "g.el"
     el.write_text(graph_to_text(Graph(80, [(0, 1)])))
-    assert main(["preimage", "--d", "3", str(el)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "80 vertices" in captured.err
-    assert main(["preimage", "--d", "3", "--vertex-bound", "100", str(el)]) == 0
+    assert main(["preimage", "--d", "3", str(el)]) == 0
     assert json.loads(capsys.readouterr().out)["feasible"] is False
+
+
+def _triangle_strip(k: int) -> Graph:
+    # k triangles (i, i+1, i+2) on k + 2 vertices: k candidates in one component
+    return Graph(k + 2, [p for i in range(k) for p in combinations((i, i + 1, i + 2), 2)])
+
+
+@pytest.mark.parametrize(
+    "g, solved",
+    [
+        (_triangle_strip(40), True),
+        (_triangle_strip(41), False),
+        (Graph(10, list(combinations(range(10), 2))), False),  # K_10: 120 candidates
+    ],
+    ids=["strip40", "strip41", "K10"],
+)
+def test_preimage_and_map_share_one_candidate_limit(tmp_path, capsys, monkeypatch, g, solved):
+    if solved:
+        assert map_reconstruct(g, 3).is_preimage
+    else:
+        with pytest.raises(ComponentTooLargeError):
+            map_reconstruct(g, 3)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("min_preimage called on a graph over the limit")
+
+        monkeypatch.setattr(cli, "min_preimage", unreachable)
+    el = tmp_path / "g.el"
+    el.write_text(graph_to_text(g))
+    assert main(["preimage", "--d", "3", str(el)]) == (0 if solved else 1)
+    captured = capsys.readouterr()
+    if solved:
+        assert json.loads(captured.out)["feasible"] is True
+    else:
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "too large" in captured.err and f"limit {COMPONENT_LIMIT}" in captured.err
 
 
 def test_preimage_too_deep_for_the_engine_exits_1_with_one_stderr_line(tmp_path, capsys):
@@ -172,6 +207,8 @@ def test_top_level_and_gen_options():
     assert top == {"seed", "out", "threads"}
     gen = {a.dest for a in subparsers.choices["gen"]._actions} - {"help"}
     assert gen == {"d", "n", "delta", "p_override"}
+    preimage = {a.dest for a in subparsers.choices["preimage"]._actions} - {"help"}
+    assert preimage == {"d", "cap", "input"}
 
 
 def test_sweep_config_and_run(tmp_path, capsys):

@@ -277,12 +277,16 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     # C6 and two triangles, a pendant vertex on every edge: the refinement
     # gives both the classes {cycle vertices}, {pendants} and one edge
     # profile, so they share a key, and only canonical forms tell them apart
+    # the stored pattern is canonicalized, and the new one's form is its
+    # own, kept on the node record
     hexagon, triangles = _pendant_cycles([6]), _pendant_cycles([3, 3])
     classes = IsomorphismClasses()
     assert classes.add(PatternHypergraph(hexagon))
     assert not calls
-    assert classes.add(PatternHypergraph(triangles))
-    assert len(classes._classes) == 1 and len(calls) == 2
+    pattern = PatternHypergraph(triangles)
+    assert classes.add(pattern)
+    assert len(classes._classes) == 1 and calls == [PatternHypergraph(hexagon).edges]
+    assert pattern._canon == canonical_form(triangles)
     # their disjoint union, the hexagon's labels first and then last: the
     # first path individualizes a vertex of the hexagon in one and of a
     # triangle in the other, so the first leaves differ, and the canonical
@@ -295,9 +299,9 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     assert classes.add(PatternHypergraph(first))
     assert not calls
     assert not classes.add(PatternHypergraph(last))
-    assert len(calls) == 2
+    assert calls == [first]
     assert not classes.add(PatternHypergraph(first))  # its own first leaf: no canonical form
-    assert len(calls) == 2
+    assert calls == [first]
 
 
 @pytest.mark.parametrize(
@@ -392,11 +396,12 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
     # a child that individualizes a twin-class cell is built as dense ranks,
     # the dedup walks one path of each grown child's tree, and the pattern
     # keeps that tree for its generators, so over the three certificates
-    # 6,663 colorings are refined (6,935 when the generators rebuilt the
-    # tree, 10,117 when each child got a whole canonical form, 19,476 when
-    # every child was refined); each pattern with exponent >= 0 builds one
-    # projection and enumerates its cliques once, and each filed pattern
-    # builds one tree, plus one per canonical form of the dedup's fallback
+    # 6,657 colorings are refined (6,663 when the dedup's fallback rebuilt
+    # the new pattern's tree, 6,935 when the generators rebuilt it, 10,117
+    # when each child got a whole canonical form, 19,476 when every child
+    # was refined); each pattern with exponent >= 0 builds one projection
+    # and enumerates its cliques once, and each filed pattern builds one
+    # tree, plus one per stored pattern the dedup's fallback canonicalizes
     counts = dict.fromkeys(["refine", "trees", "graphs", "cliques", "preimages", "forms"], 0)
 
     def counting(name, f):
@@ -428,8 +433,9 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
         assert report.exhausted
         filed += report.nodes_visited + report.nodes_deduped
     assert counts["graphs"] == counts["cliques"] == counts["preimages"] == 2_334
-    assert counts["trees"] == filed + counts["forms"] == 4_131
-    assert counts["refine"] == 6_663
+    assert counts["trees"] == filed + counts["forms"] == 4_129
+    assert counts["forms"] == 3
+    assert counts["refine"] == 6_657
 
 
 @pytest.mark.parametrize(
