@@ -42,7 +42,6 @@ from .reconstruct import (
 )
 from .census import (
     PatternHypergraph,
-    appearance_exponent,
     automorphism_count,
     build_ambiguous_gadget,
     build_map_failure_gadget,
@@ -58,7 +57,6 @@ from .census import (
 
 __all__ = [
     "ComponentPartition",
-    "appearance_exponent",
     "ComponentTooLargeError",
     "DensityParams",
     "FormatError",

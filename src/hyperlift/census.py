@@ -37,10 +37,6 @@ from .core import Graph, project_edges
 from .preimage import cover_masks, least_covers
 
 
-class PatternTooLargeError(ValueError):
-    """Exact routine invoked beyond its guaranteed-exact size range."""
-
-
 # ---------------------------------------------------------------------------
 # Pattern type
 # ---------------------------------------------------------------------------
@@ -530,31 +526,6 @@ def expected_count_exponent(
     if not pattern.is_uniform(d):
         raise ValueError(f"pattern is not {d}-uniform")
     return Fraction(pattern.v) + pattern.e * (Fraction(delta) - d + 1)
-
-
-def appearance_exponent(
-    pattern: PatternHypergraph, d: int, delta: Fraction
-) -> Fraction:
-    """min over nonempty-edge sub-patterns K' of v' + e'*(delta - d + 1).
-
-    Nonnegative iff p = n**(-d+1+delta) is at or above the pattern's
-    appearance threshold n**(-1/m(K)); the whole-pattern exponent alone
-    decides this only when the pattern itself attains m(K).  Exhaustive
-    over hyperedge subsets, so capped at e <= 24.
-    """
-    if not pattern.is_uniform(d):
-        raise ValueError(f"pattern is not {d}-uniform")
-    if pattern.e > 24:
-        raise PatternTooLargeError("appearance_exponent enumerates subsets; e <= 24")
-    slope = Fraction(delta) - d + 1
-    best = None
-    for r in range(1, pattern.e + 1):
-        for subset in combinations(pattern.edges, r):
-            v = len({u for e in subset for u in e})
-            value = Fraction(v) + r * slope
-            if best is None or value < best:
-                best = value
-    return best
 
 
 def exact_expected_count(pattern: PatternHypergraph, n: int, p: Fraction) -> Fraction:

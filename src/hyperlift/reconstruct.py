@@ -72,16 +72,14 @@ def clique_cover(g: Graph, d: int) -> ReconstructionResult:
     return _finish("cc", g, clique_hypergraph(g, d), t0)
 
 
-def map_reconstruct(
-    g: Graph, d: int, component_limit: int = COMPONENT_LIMIT
-) -> ReconstructionResult:
+def map_reconstruct(g: Graph, d: int) -> ReconstructionResult:
     """Exact MAP: minimum preimage, decomposed over 2-connected components.
 
     On a non-unique component minimum the canonical lexicographically-least
     cover is chosen and the component counted in ambiguous_components.  A
     component with a single candidate takes it without calling the solver:
     it is the unique minimum cover of its own pairs.  Components larger
-    than component_limit raise ComponentTooLargeError rather than searching
+    than COMPONENT_LIMIT raise ComponentTooLargeError rather than searching
     without bound.
     """
     t0 = time.perf_counter()
@@ -91,10 +89,10 @@ def map_reconstruct(
     ambiguous = 0
     sizes = []
     for comp in partition.components:
-        if len(comp) > component_limit:
+        if len(comp) > COMPONENT_LIMIT:
             raise ComponentTooLargeError(
                 f"component with {len(comp)} candidate hyperedges exceeds "
-                f"abort threshold {component_limit}"
+                f"abort threshold {COMPONENT_LIMIT}"
             )
         sizes.append(len(comp))
         if len(comp) == 1:

@@ -8,13 +8,20 @@ leaf of its individualize-and-refine tree has the code of a stored class
 under the same refinement invariant (census.IsomorphismClasses); canonical
 forms are compared only when the invariant matches and no code does.
 
-At each pattern the search asks the exact preimage engine whether Proj(K)
-is ambiguous (two minimum preimages), and it prunes a branch once the
-appearance exponent v + e*(delta - d + 1) drops to zero, because every
-growth step strictly decreases the exponent below the 2-connectivity
-threshold.  A pattern is only *reported* when its exponent is
-nonnegative: patterns with negative exponent appear with vanishing
-probability and say nothing about the recovery threshold.
+At each pattern K with a nonnegative exponent the search decides whether
+Proj(K) is ambiguous (two minimum preimages).  K is itself a preimage, so
+when each of its hyperedges owns a private pair, a pair of Proj(K) that no
+other d-clique covers, every preimage contains K and K is the unique
+minimum: the private-pair certificate (_owns_private_pairs).  Only a
+pattern without it goes to the exact preimage engine.  A node builds its
+projection only then or when it is expanded.
+
+The search prunes a branch once the appearance exponent
+v + e*(delta - d + 1) drops to zero, because every growth step strictly
+decreases the exponent below the 2-connectivity threshold.  A pattern is
+only *reported* when its exponent is nonnegative: patterns with negative
+exponent appear with vanishing probability and say nothing about the
+recovery threshold.
 
 A report with exhausted=True is a certificate: every pattern with
 2-connected clique structure and nonnegative exponent was checked up to
@@ -298,6 +305,29 @@ def grow(
     return children
 
 
+def _owns_private_pairs(pattern: PatternHypergraph, d: int) -> bool:
+    """True when every hyperedge e of the pattern has a pair {a, b} with
+    N[a] & N[b] = e, N[u] being the union of the hyperedges through u.
+
+    A d-clique of Proj(pattern) through a and b lies in N[a] & N[b], which
+    always contains e, so a meet of d vertices leaves e the only d-clique
+    covering that pair, and e lies in every preimage of Proj(pattern)."""
+    closed = [0] * pattern.v  # u -> N[u] as a vertex bitmask
+    for e in pattern.edges:
+        m = 0
+        for u in e:
+            m |= 1 << u
+        for u in e:
+            closed[u] |= m
+    for e in pattern.edges:
+        for a, b in combinations(e, 2):
+            if (closed[a] & closed[b]).bit_count() == d:
+                break
+        else:
+            return False
+    return True
+
+
 def dfs_search(config: SearchConfig) -> SearchReport:
     """Run the ambiguity search; see the module docstring for semantics.
 
@@ -334,7 +364,7 @@ def dfs_search(config: SearchConfig) -> SearchReport:
             break
         pattern, depth, exp = stack.pop()
         report.nodes_visited += 1
-        if exp >= 0:
+        if exp >= 0 and not _owns_private_pairs(pattern, d):
             g = pattern.projection
             rep = min_preimage(g, d, cap=2)
             if rep.feasible and rep.ambiguous:

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used to check the exact engines.
 
 Deliberately dumb: subset enumeration and bitmask ORs only, no shared code
-with the branch-and-bound / flow paths they verify.  Also the Pasch-trade
-witness and the effective density exponent behind acceptance criterion 9,
-the block-by-block rank samplers that the fast one must reproduce, the
-inverse of unrank_combination for its round trip, the
-round-by-round color refinement that the early-stopping one must
+with the branch-and-bound / flow paths they verify.  Also the appearance
+exponent over every hyperedge subset that the max-density threshold test
+must agree with, the Pasch-trade witness and the effective density
+exponent behind acceptance criterion 9, the block-by-block rank samplers
+that the fast one must reproduce, the inverse of unrank_combination for
+its round trip, the round-by-round color refinement that the early-stopping one must
 reproduce, the full-tree canonical form that the one-tree search must
 reproduce, the canonical-form candidate dedup and the orbit closure over
 every k-set that the twin-canonical orbit dedup must reproduce, the
@@ -27,7 +28,6 @@ from typing import Optional, Sequence
 
 from hyperlift.census import (
     PatternHypergraph,
-    PatternTooLargeError,
     _incidence,
     _normalize,
     stable_colors,
@@ -37,6 +37,35 @@ from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project, projec
 from hyperlift.preimage import solve_cover
 from hyperlift.reconstruct import ComponentTooLargeError, ReconstructionResult
 from hyperlift.rng import BLOCK_SIZE, GEN_TAG, substream
+
+
+class PatternTooLargeError(ValueError):
+    """An oracle invoked beyond the size it can enumerate."""
+
+
+def appearance_exponent(
+    pattern: PatternHypergraph, d: int, delta: Fraction
+) -> Fraction:
+    """min over nonempty-edge sub-patterns K' of v' + e'*(delta - d + 1).
+
+    Nonnegative iff p = n**(-d+1+delta) is at or above the pattern's
+    appearance threshold n**(-1/m(K)); the whole-pattern exponent alone
+    decides this only when the pattern itself attains m(K).  Exhaustive
+    over hyperedge subsets, so capped at e <= 24.
+    """
+    if not pattern.is_uniform(d):
+        raise ValueError(f"pattern is not {d}-uniform")
+    if pattern.e > 24:
+        raise PatternTooLargeError("appearance_exponent enumerates subsets; e <= 24")
+    slope = Fraction(delta) - d + 1
+    best = None
+    for r in range(1, pattern.e + 1):
+        for subset in combinations(pattern.edges, r):
+            v = len({u for e in subset for u in e})
+            value = Fraction(v) + r * slope
+            if best is None or value < best:
+                best = value
+    return best
 
 
 def brute_max_density(edges):

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 
 from oracles import (
+    appearance_exponent,
     brute_force_isomorphic,
     brute_max_density,
     generated_group_order,
@@ -610,8 +611,6 @@ def test_automorphism_count_of_a_14_vertex_hyperedge_is_14_factorial():
 
 
 def test_appearance_exponent_matches_density_threshold_test():
-    from hyperlift.census import appearance_exponent
-
     cases = [
         PatternHypergraph([(0, 1, 2)]),
         PatternHypergraph([(0, 1, 2), (0, 1, 3)]),

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import all_preimages_bitmask, reference_greedy, reference_map_reconstruct
 
+from hyperlift import reconstruct
 from hyperlift.census import build_ambiguous_gadget, build_spurious_clique_gadget
 from hyperlift.core import (
     DensityParams,
@@ -77,10 +78,11 @@ def test_map_on_gadget_returns_lex_least_and_flags_ambiguity():
     assert list(res.output.edges) == expect
 
 
-def test_map_component_abort_threshold():
+def test_map_component_abort_threshold(monkeypatch):
     g = project(Hypergraph(8, 3, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)]))
+    monkeypatch.setattr(reconstruct, "COMPONENT_LIMIT", 2)
     with pytest.raises(ComponentTooLargeError):
-        map_reconstruct(g, 3, component_limit=2)
+        map_reconstruct(g, 3)
 
 
 def test_greedy_examples():
@@ -178,7 +180,7 @@ def _map_or_abort(fn, g, d, **kwargs):
     return (res.output, res.is_preimage, res.component_sizes, res.ambiguous_components)
 
 
-def test_map_matches_the_solve_every_component_reference():
+def test_map_matches_the_solve_every_component_reference(monkeypatch):
     # (3, 60, 2/5) seeds 0..19 hold singleton and multi-candidate components,
     # two ambiguous ones (seeds 13 and 16) and eight aborts at the default limit
     cases = [(3, DensityParams(3, Fraction(2, 5), 60), s) for s in range(20)]
@@ -187,7 +189,8 @@ def test_map_matches_the_solve_every_component_reference():
     for d, params, seed in cases:
         g = project(generate_random_hypergraph(params, seed))
         for limit in (40, 1, 0):
-            new = _map_or_abort(map_reconstruct, g, d, component_limit=limit)
+            monkeypatch.setattr(reconstruct, "COMPONENT_LIMIT", limit)
+            new = _map_or_abort(map_reconstruct, g, d)
             old = _map_or_abort(reference_map_reconstruct, g, d, component_limit=limit)
             assert new == old, (d, seed, limit)
             if isinstance(new, str):
@@ -196,6 +199,7 @@ def test_map_matches_the_solve_every_component_reference():
                 seen["singleton"] += new[2].count(1)
                 seen["multi"] += sum(size > 1 for size in new[2])
                 seen["ambiguous"] += new[3]
+    monkeypatch.undo()
     _, _, proj = build_ambiguous_gadget(3)
     assert _map_or_abort(map_reconstruct, proj, 3) == _map_or_abort(
         reference_map_reconstruct, proj, 3

@@ -399,9 +399,12 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
     # 6,657 colorings are refined (6,663 when the dedup's fallback rebuilt
     # the new pattern's tree, 6,935 when the generators rebuilt it, 10,117
     # when each child got a whole canonical form, 19,476 when every child
-    # was refined); each pattern with exponent >= 0 builds one projection
-    # and enumerates its cliques once, and each filed pattern builds one
-    # tree, plus one per stored pattern the dedup's fallback canonicalizes
+    # was refined); a pattern with exponent >= 0 builds one projection and
+    # enumerates its cliques once when it lacks the private-pair certificate
+    # (240 patterns, the only ones to ask min_preimage) or is expanded
+    # (2,334 each when every such pattern asked min_preimage), and each
+    # filed pattern builds one tree, plus one per stored pattern the
+    # dedup's fallback canonicalizes
     counts = dict.fromkeys(["refine", "trees", "graphs", "cliques", "preimages", "forms"], 0)
 
     def counting(name, f):
@@ -432,10 +435,74 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
         report = dfs_search(SearchConfig(d, delta, max_depth=depth))
         assert report.exhausted
         filed += report.nodes_visited + report.nodes_deduped
-    assert counts["graphs"] == counts["cliques"] == counts["preimages"] == 2_334
+    assert counts["graphs"] == counts["cliques"] == 402
+    assert counts["preimages"] == 240
     assert counts["trees"] == filed + counts["forms"] == 4_129
     assert counts["forms"] == 3
     assert counts["refine"] == 6_657
+
+
+def test_private_pair_certificate_agrees_with_min_preimage(certificates, monkeypatch):
+    # every pattern the three pilots and the d=5 11/20 and d=7 3/5 runs file:
+    # their roots and every grown child, duplicates too, so every node visited
+    runs = [(d, set(certificates[d][2])) for d in certificates]
+    filed: set = set()
+
+    class Recording(IsomorphismClasses):
+        def add(self, pattern):
+            filed.add(pattern.edges)
+            return super().add(pattern)
+
+    monkeypatch.setattr(search, "IsomorphismClasses", Recording)
+    for d, delta in ((5, Fraction(11, 20)), (7, Fraction(3, 5))):
+        filed.clear()
+        assert dfs_search(SearchConfig(d, delta)).exhausted
+        runs.append((d, set(filed)))
+    certified = []
+    for d, patterns in runs:
+        certified.append(0)
+        for pattern in map(PatternHypergraph, sorted(patterns)):
+            if search._owns_private_pairs(pattern, d):
+                # the pattern's own edges are the one minimum preimage
+                rep = preimage.min_preimage(pattern.projection, d, cap=2)
+                assert rep.feasible and not rep.ambiguous, pattern.edges
+                assert rep.min_size == pattern.e, pattern.edges
+                assert rep.min_covers[0] == pattern.edges
+                certified[-1] += 1
+    # the search itself resolves 1,515 of the 1,748 nodes visited at d=3
+    assert min(certified) > 0 and certified[0] >= 1515, certified
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_private_pair_certificate_agrees_with_the_preimage_oracle(d):
+    # random d-uniform patterns over few vertices, kept while their clique
+    # hypergraph is small enough to enumerate every preimage
+    rng = Stream(2600 + d)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        v = d + 2 + rng.randrange(3)
+        edges = []
+        for _ in range(2 + rng.randrange(4)):
+            vertices = list(range(v))
+            rng.shuffle(vertices)
+            edges.append(vertices[:d])
+        pattern = PatternHypergraph.from_edges(edges)
+        if len(clique_hypergraph(pattern.projection, d)) > 16:
+            continue
+        certified = search._owns_private_pairs(pattern, d)
+        seen[certified] += 1
+        if certified:
+            minima = oracles.all_preimages_bitmask(pattern.projection, d)
+            best = min(map(len, minima))
+            assert [s for s in minima if len(s) == best] == [frozenset(pattern.edges)]
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_gadgets_lack_the_private_pair_certificate(d):
+    preimage_a, preimage_b, _ = build_ambiguous_gadget(d)
+    for pattern in (preimage_a, preimage_b, build_map_failure_gadget(d)):
+        assert not search._owns_private_pairs(pattern, d)
 
 
 @pytest.mark.parametrize(
