@@ -74,8 +74,19 @@ class PatternHypergraph:
                 "vertices must be exactly 0..v-1 with no isolated vertices; "
                 "use PatternHypergraph.from_edges to relabel"
             )
-        self.edges = tuple(canon)
-        self.v = len(support)
+        self._set(tuple(canon), len(support))
+
+    @classmethod
+    def from_normalized(cls, edges: tuple) -> "PatternHypergraph":
+        """A pattern from a sorted tuple of distinct sorted edges over
+        exactly 0..v-1, as search.grow returns them; nothing is checked."""
+        pattern = cls.__new__(cls)
+        pattern._set(edges, 1 + max([e[-1] for e in edges]))
+        return pattern
+
+    def _set(self, edges: tuple, v: int) -> None:
+        self.edges = edges
+        self.v = v
         self._canon: Optional[bytes] = None
         self._aut: Optional[int] = None
         self._generators: Optional[list] = None
@@ -151,6 +162,13 @@ def _incidence(n: int, edges: Sequence[tuple]) -> list:
         for u in e:
             incident[u].append(ei)
     return incident
+
+
+def _twin_ids(incident: Sequence[Sequence[int]]) -> list:
+    """u -> an id shared exactly by u's twins, the vertices with the same
+    incident edges; ids are numbered in order of first vertex."""
+    ids: dict = {}
+    return [ids.setdefault(tuple(edge_ids), len(ids)) for edge_ids in incident]
 
 
 def _refine(
@@ -230,7 +248,8 @@ class _Tree:
     non-singleton cell and a leaf's code.
 
     The first path is stored: path runs from the root (the stable
-    refinement of the uniform coloring) to the first leaf, each child
+    refinement of the initial vertex coloring, uniform unless given) to
+    the first leaf, each child
     individualizing the least vertex of its parent's first non-singleton
     cell, and base lists those vertices b_0, b_1, ....
 
@@ -245,12 +264,18 @@ class _Tree:
 
     __slots__ = ("n", "edges", "edge_colors", "incident", "twins", "path", "base")
 
-    def __init__(self, n: int, edges: Sequence[tuple], edge_colors: Sequence[int]):
+    def __init__(
+        self,
+        n: int,
+        edges: Sequence[tuple],
+        edge_colors: Sequence[int],
+        colors: Optional[Sequence[int]] = None,
+    ):
         self.n, self.edges, self.edge_colors = n, edges, edge_colors
         self.incident = _incidence(n, edges)
-        ids: dict = {}  # vertices with the same incident edges are twins
-        self.twins = [ids.setdefault(tuple(edge_ids), len(ids)) for edge_ids in self.incident]
-        self.path = [_refine(n, edges, edge_colors, self.incident, [0] * n)]
+        self.twins = _twin_ids(self.incident)
+        root = [0] * n if colors is None else colors
+        self.path = [_refine(n, edges, edge_colors, self.incident, root)]
         self.base: list = []
         while (cell := self.first_cell(self.path[-1])) is not None:
             self.base.append(cell[0])
@@ -278,8 +303,8 @@ class _Tree:
         return None if c is None else [v for v, x in enumerate(colors) if x == c]
 
     def encode(self, colors: list) -> bytes:
-        """The sorted (edge color, sorted member colors) list: a leaf's code
-        when colors is discrete; at the root, its edge profiles."""
+        """The sorted (edge color, sorted member colors) list as bytes: a
+        leaf's code when colors is discrete, ordered as canonical forms are."""
         at = colors.__getitem__
         return repr(
             sorted([(ec, tuple(sorted(map(at, e)))) for ec, e in zip(self.edge_colors, self.edges)])
@@ -382,14 +407,21 @@ class IsomorphismClasses:
     """A set of patterns up to isomorphism: add(pattern) files a
     PatternHypergraph and tells whether its isomorphism class is new.
 
-    A pattern is keyed by a hash of its root refinement's class sizes and
-    edge profiles (the first node of pattern.tree's path), an isomorphism
-    invariant, and each class under a key keeps its first pattern's edges
-    and the code of that pattern's first leaf.  Two leaves with one code
-    are an explicit isomorphism, so a pattern whose first leaf has a stored
-    code is a duplicate; only when the key is met and no code matches are
-    canonical forms compared.  Every answer is canonical_form's, at the
-    cost of one path of the tree for most patterns; the tree is left on
+    A pattern K is filed by its twin quotient Q(K) (_twin_quotient): one
+    vertex per twin class, colored by the class size, and one hyperedge
+    per hyperedge of K.  Every hyperedge that meets a twin class contains
+    it, and an isomorphism maps twin classes onto twin classes of the same
+    size, so K and K' are isomorphic exactly when Q(K) and Q(K') are with
+    the sizes kept.  K is keyed by a hash of the root refinement of Q(K)
+    (its cells with their class sizes, and its edge profiles), an
+    isomorphism invariant, and each class under a key keeps its first
+    pattern's edges and the code of its first leaf: the relabeled edge list
+    and the class sizes in leaf order.  Two leaves with one code are an
+    explicit isomorphism, so a pattern whose first leaf has a stored code
+    is a duplicate; only when the key is met and no code matches are the
+    canonical forms of K compared.  Every answer is canonical_form's, at
+    the cost of one path of the quotient's tree for most patterns.  A
+    pattern without twins is its own quotient, and its tree is left on
     the pattern for its later search.
     """
 
@@ -397,11 +429,13 @@ class IsomorphismClasses:
         self._classes: dict = {}  # key -> [(first-leaf code, edges)]
 
     def add(self, pattern: PatternHypergraph) -> bool:
-        tree = pattern.tree
-        path = tree.path
-        profiles = tree.encode(path[0])  # the first leaf's code when the root is discrete
-        classes = self._classes.setdefault(hash((tuple(sorted(path[0])), profiles)), [])
-        code = profiles if len(path) == 1 else tree.encode(path[-1])
+        tree, sizes = _twin_quotient(pattern)
+        root = tree.path[0]
+        at = root.__getitem__
+        profiles = tuple(sorted([tuple(sorted(map(at, e))) for e in tree.edges]))
+        key = hash((tuple(sorted(zip(root, sizes))), profiles))
+        classes = self._classes.setdefault(key, [])
+        code = _leaf_code(tree.edges, tree.path[-1], sizes)
         if any(known == code for known, _ in classes):
             return False
         if classes:
@@ -410,6 +444,41 @@ class IsomorphismClasses:
                 return False
         classes.append((code, pattern.edges))
         return True
+
+
+def _twin_quotient(pattern: PatternHypergraph) -> tuple:
+    """(tree, sizes): the individualize-and-refine tree of the pattern's twin
+    quotient, its vertices colored by sizes, the size of each twin class.
+    A pattern without twins is its own quotient, and the tree is its own."""
+    edges, v = pattern.edges, pattern.v
+    twins = _twin_ids(_incidence(v, edges))
+    q = max(twins) + 1
+    if q == v:
+        return pattern.tree, [1] * v
+    sizes = [0] * q
+    for t in twins:
+        sizes[t] += 1
+    quotient = [tuple(sorted({twins[u] for u in e})) for e in edges]
+    return _Tree(q, quotient, [0] * len(edges), sizes), sizes
+
+
+def _leaf_code(edges: Sequence[tuple], leaf: list, sizes: list) -> tuple:
+    """A first leaf's code, for equality tests: (vertices, classes, the
+    edges relabeled by the discrete leaf coloring as bitmasks, sorted, then
+    the class sizes in leaf order, packed at fixed widths into one int
+    below a leading 1), so that equal codes are equal lists."""
+    q, v = len(leaf), sum(sizes)
+    bit = [1 << c for c in leaf]
+    code = 1
+    for m in sorted([sum(map(bit.__getitem__, e)) for e in edges]):
+        code = code << q | m
+    by_color = [0] * q
+    for c, size in zip(leaf, sizes):
+        by_color[c] = size
+    width = v.bit_length()
+    for size in by_color:
+        code = code << width | size
+    return v, q, code
 
 
 def graph_canonical_form(g: Graph) -> bytes:

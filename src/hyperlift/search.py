@@ -3,10 +3,15 @@
 The search walks hypergraph patterns K reachable by growth steps from two
 overlapping hyperedges, one pattern per isomorphism class; a step makes a
 2-neighbor, a candidate sharing two vertices with one clique hyperedge, a
-clique of the projection.  A grown child is a duplicate when the first
-leaf of its individualize-and-refine tree has the code of a stored class
-under the same refinement invariant (census.IsomorphismClasses); canonical
-forms are compared only when the invariant matches and no code does.
+clique of the projection.  The candidates are walked only while the
+growth budget can pay for their new pairs (candidate_neighbors), so every
+candidate listed is one whose cover search grow runs past its root.  A
+grown child is a duplicate when the first leaf of the individualize-and-
+refine tree of its twin quotient (one vertex per class of vertices with
+the same incident edges, colored by the class size) has the code of a
+stored class under the same refinement invariant
+(census.IsomorphismClasses); canonical forms are compared only when the
+invariant matches and no code does.
 
 At each pattern K with a nonnegative exponent the search decides whether
 Proj(K) is ambiguous (two minimum preimages).  K is itself a preimage, so
@@ -39,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 # canonical_form, stable_colors and project_edges are not called here;
 # perfbench/layers.py traces them as search.canonical_form,
@@ -152,9 +157,10 @@ class SearchReport:
         }
 
 
-def candidate_neighbors(pattern: PatternHypergraph, d: int) -> list:
+def candidate_neighbors(pattern: PatternHypergraph, d: int, delta: Fraction) -> list:
     """Candidate hyperedges h that could join the pattern's clique structure,
-    up to symmetry of (pattern, h).
+    up to symmetry of (pattern, h), leaving out those that grow(pattern,
+    [h], d, delta) cuts at the root of its cover search.
 
     h takes k in [2, d] vertices from the pattern and d - k fresh labels,
     and the k chosen vertices must contain a pair lying inside some clique
@@ -176,9 +182,38 @@ def candidate_neighbors(pattern: PatternHypergraph, d: int) -> list:
     so the lex-least k-set of an orbit is twin-canonical: the list and its
     order are those of walking every k-set, at a cost that follows the
     number of twin-canonical k-sets, not C(v, k).
+
+    Only k-sets that can afford their new pairs are walked (the growth
+    budget).  A member S of a cover costs |S| - 1 - delta and covers at
+    most C(|S|, 2) pairs, so no pair costs less than r, the least of
+    (s - 1 - delta) / C(s, 2) over s = 2..d, and grow's cover search,
+    whose per-pair bound is at least r, lists nothing for a candidate
+    whose budget (the pattern's exponent plus its d - k fresh vertices)
+    is below r times its new pairs: the q pairs of its k-set outside
+    Proj(pattern) and the C(d, 2) - C(k, 2) pairs through its fresh
+    vertices.  q is invariant under Aut(pattern) and only grows as a set
+    is extended, so a partial set is dropped once no size it can reach
+    affords its q, and the list is the unbounded one less those
+    candidates, in the same order.
     """
     v, proj = pattern.v, pattern.projection
-    cli_pairs = set(edge_pairs(clique_hypergraph(proj, d).edges))
+    num, den = delta.numerator, delta.denominator
+    rate = min(Fraction(den * (s - 1) - num, s * (s - 1) // 2) for s in range(2, d + 1))
+    exponent = v * den + pattern.e * (num - (d - 1) * den)
+    room = [-1] * (d + 2)  # room[k]: the most new pairs a k-set may hold
+    for k in range(2, d + 1):
+        budget = exponent + (d - k) * den
+        if budget >= 0:
+            fresh = (d * (d - 1) - k * (k - 1)) // 2
+            room[k] = budget // rate - fresh if rate else math.inf
+    reach = room[:]  # reach[k]: the most new pairs a set extended to k or more may hold
+    for k in range(d - 1, 1, -1):
+        reach[k] = max(reach[k], reach[k + 1])
+    adj = [sum(1 << w for w in nbrs) for nbrs in proj.adj]
+    linked = [0] * v  # u -> the vertices sharing a clique hyperedge with u
+    for a, b in edge_pairs(clique_hypergraph(proj, d).edges):
+        linked[a] |= 1 << b
+        linked[b] |= 1 << a
     classes: dict = {}  # twin class id -> the twin class, ascending
     for u, t in enumerate(pattern.tree.twins):
         classes.setdefault(t, []).append(u)
@@ -187,6 +222,7 @@ def candidate_neighbors(pattern: PatternHypergraph, d: int) -> list:
     for group in classes.values():
         for i, u in enumerate(group):
             twins[u], rank[u] = group, i
+    after = [1 << twins[u][rank[u] - 1] if rank[u] else 0 for u in range(v)]
     # g maps u's class onto g(u)'s; sending the i-th member of a class to
     # the i-th member of its image maps a twin-canonical set onto the
     # twin-canonical set with g's image counts per class.  Twin swaps act
@@ -198,33 +234,38 @@ def candidate_neighbors(pattern: PatternHypergraph, d: int) -> list:
             actions.append(action)
     seen: set = set()
     out: list = []
-    level: Iterable = [(u,) for u in range(v) if not rank[u]]
+    # (k-set, its vertex mask, its pairs outside Proj(pattern), whether it
+    # holds a pair of a clique hyperedge)
+    level: list = [((u,), 1 << u, 0, False) for u in range(v) if not rank[u]]
     for k in range(2, d + 1):
         # twin-canonical k-sets in lex order: u joins only after its
         # smaller twin, and extending a lex-ordered level keeps the order
-        grown = (
-            s + (u,)
-            for s in level
-            for u in range(s[-1] + 1, v)
-            if not rank[u] or twins[u][rank[u] - 1] in s
-        )
-        level = list(grown) if k < d else grown  # the last level is walked once
-        for chosen in level:
-            if cli_pairs.isdisjoint(combinations(chosen, 2)):
-                continue
-            if k == d and proj.edge_set.issuperset(combinations(chosen, 2)):
-                continue  # already a clique of the projection
-            if chosen in seen:
-                continue
-            orbit = [chosen]
-            seen.add(chosen)
-            for s in orbit:
-                for a in actions:
-                    image = tuple(sorted([a[u] for u in s]))
-                    if image not in seen:
-                        seen.add(image)
-                        orbit.append(image)
-            out.append(chosen + tuple(range(v, v + d - k)))
+        grown: list = []
+        for s, mask, q, linking in level:
+            for u in range(s[-1] + 1, v):
+                if mask & after[u] != after[u]:
+                    continue
+                outside = q + k - 1 - (adj[u] & mask).bit_count()
+                if outside > reach[k]:
+                    continue
+                chosen = s + (u,)
+                joined = linking or bool(linked[u] & mask)
+                if k < d and outside <= reach[k + 1]:
+                    grown.append((chosen, mask | 1 << u, outside, joined))
+                if outside > room[k] or not joined or chosen in seen:
+                    continue
+                if k == d and not outside:
+                    continue  # already a clique of the projection
+                orbit = [chosen]
+                seen.add(chosen)
+                for t in orbit:
+                    for a in actions:
+                        image = tuple(sorted([a[w] for w in t]))
+                        if image not in seen:
+                            seen.add(image)
+                            orbit.append(image)
+                out.append(chosen + tuple(range(v, v + d - k)))
+        level = grown
     return out
 
 
@@ -385,11 +426,11 @@ def dfs_search(config: SearchConfig) -> SearchReport:
             # a positive-exponent node we are not allowed to expand
             report.exhausted = False
             continue
-        children = grow(pattern, candidate_neighbors(pattern, d), d, delta)
+        children = grow(pattern, candidate_neighbors(pattern, d, delta), d, delta)
         report.nodes_pruned_by_exponent += not children
         if drop is not None:
             limit = (d + 1) * exp - drop
-        for child in map(PatternHypergraph, children):
+        for child in map(PatternHypergraph.from_normalized, children):
             scaled = child.v * den + child.e * rate
             if drop is not None and (d + 1) * scaled > limit:
                 raise RuntimeError(

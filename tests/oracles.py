@@ -817,3 +817,30 @@ def reference_min_cost_cover(
 
     dfs(full, 0, 0)
     return best
+
+
+def reference_root_cuts(
+    pattern: Sequence[tuple], candidates: Sequence[Sequence[int]], d: int, delta: Fraction
+) -> list:
+    """The candidates h whose growth budget cannot pay for their new pairs
+    at the least cost per pair of any member, (s - 1 - delta) / C(s, 2)
+    over member sizes s = 2..d: the budget is the exponent
+    v + e*(delta - d + 1) that pattern and h's fresh vertices leave, and
+    the new pairs are h's pairs outside Proj(pattern).  A cover search
+    whose per-pair bound is at least that rate lists no collection for h."""
+    edges = [tuple(sorted(e)) for e in pattern]
+    support = {u for e in edges for u in e}
+    proj = project_edges(edges)
+    delta = Fraction(delta)
+    rate = min((s - 1 - delta) / Fraction(s * (s - 1), 2) for s in range(2, d + 1))
+    cuts: dict = {}  # (fresh vertices, new pairs) -> whether h is cut
+    out = []
+    for h in candidates:
+        fresh = sum(u not in support for u in h)
+        new = sum(p not in proj for p in combinations(sorted(h), 2))
+        if (fresh, new) not in cuts:
+            budget = len(support) + fresh + len(edges) * (delta - d + 1)
+            cuts[fresh, new] = budget < rate * new
+        if cuts[fresh, new]:
+            out.append(h)
+    return out

@@ -22,6 +22,7 @@ from oracles import (
     reference_canonical_form,
     reference_grow,
     reference_orbit_candidates,
+    reference_root_cuts,
     reference_twin_class_automorphism_count,
 )
 
@@ -71,9 +72,9 @@ def certificates():
     expanded: list = []
     deduplicated: list = []
 
-    def recording(pattern, d):
+    def recording(pattern, d, delta):
         expanded.append(pattern.edges)
-        return candidate_neighbors(pattern, d)
+        return candidate_neighbors(pattern, d, delta)
 
     class Recording(IsomorphismClasses):
         def add(self, pattern):
@@ -93,12 +94,12 @@ def certificates():
 
 
 def test_candidate_neighbors_single_hyperedge_collapses_to_one_class():
-    cands = candidate_neighbors(PatternHypergraph([(0, 1, 2)]), 3)
+    cands = candidate_neighbors(PatternHypergraph([(0, 1, 2)]), 3, Fraction(2, 5))
     assert cands == [(0, 1, 3)]
 
 
 def test_candidate_neighbors_diamond_includes_closing_triple():
-    cands = candidate_neighbors(PatternHypergraph([(0, 1, 2), (0, 1, 3)]), 3)
+    cands = candidate_neighbors(PatternHypergraph([(0, 1, 2), (0, 1, 3)]), 3, Fraction(2, 5))
     # the k=3 candidate closing the diamond into K4 must be present
     assert (2, 3) in {tuple(sorted(h[:2])) for h in cands if max(h) <= 3} or any(
         set(h) == {0, 2, 3} or set(h) == {1, 2, 3} for h in cands
@@ -116,7 +117,7 @@ def test_candidate_neighbors_strict_vs_loose():
     pattern = [(0, 1, 2), (0, 1, 3)]
     assert not any(
         set(h) & {2, 3} == {2, 3} and not set(h) & {0, 1}
-        for h in candidate_neighbors(PatternHypergraph(pattern), 3)
+        for h in candidate_neighbors(PatternHypergraph(pattern), 3, Fraction(2, 5))
     )
 
 
@@ -139,7 +140,7 @@ def test_grow_children_have_two_connected_clique_structure():
     pattern = [(0, 1, 2), (0, 1, 3)]
     delta = Fraction(2, 5)
     pat = PatternHypergraph(pattern)
-    for h in candidate_neighbors(pat, 3):
+    for h in candidate_neighbors(pat, 3, delta):
         kids = grow(pat, [h], 3, delta)
         assert kids == reference_grow(pattern, h, 3, delta)
         for child in kids:
@@ -154,7 +155,7 @@ def test_grow_exponent_decrease_is_at_least_the_gap():
     pattern = ((0, 1, 2), (0, 1, 3))
     pat = PatternHypergraph(pattern)
     parent = expected_count_exponent(pat, d, delta)
-    for h in candidate_neighbors(pat, d):
+    for h in candidate_neighbors(pat, d, delta):
         kids = grow(pat, [h], d, delta)
         assert kids == reference_grow(pattern, h, d, delta)
         for child in kids:
@@ -304,6 +305,55 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     assert calls == [first]
 
 
+def test_isomorphism_classes_keep_the_twin_class_sizes():
+    # the d=5 roots, two 5-edges sharing 2, 3 and 4 vertices: each twin
+    # quotient is a path of three twin classes, and only the class sizes,
+    # (3, 2, 3), (2, 3, 2) and (1, 4, 1), tell the three apart
+    roots = [PatternHypergraph((tuple(range(5)), tuple(range(5 - k, 10 - k)))) for k in (2, 3, 4)]
+    classes = IsomorphismClasses()
+    assert [classes.add(root) for root in roots] == [True, True, True]
+    assert [classes.add(root.relabeled(range(root.v)[::-1])) for root in roots] == [False] * 3
+
+
+def _twin_rich_pattern(rng, d: int) -> tuple:
+    """A d-uniform pattern over a few shared vertices, each hyperedge
+    filled up with private vertices, which are twins; dense labels."""
+    shared = 2 + rng.randrange(3)
+    edges, fresh = [], shared
+    for _ in range(2 + rng.randrange(3)):
+        k = 1 + rng.randrange(min(shared, d - 1))
+        vertices = list(range(shared))
+        rng.shuffle(vertices)
+        edges.append(tuple(vertices[:k]) + tuple(range(fresh, fresh + d - k)))
+        fresh += d - k
+    return PatternHypergraph.from_edges(edges).edges
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_isomorphism_classes_on_twin_rich_patterns_partition_as_canonical_forms_do(d):
+    # random patterns whose hyperedges each hold private twins, and a seeded
+    # relabeling of each, shuffled together: add() reports a new class
+    # exactly when the pattern's canonical form is new
+    rng = Stream(2700 + d)
+    patterns = [_twin_rich_pattern(rng, d) for _ in range(300)]
+    pool = list(patterns)
+    for pattern in patterns:
+        perm = list(range(1 + max(map(max, pattern))))
+        rng.shuffle(perm)
+        pool.append(tuple(sorted(tuple(sorted(perm[u] for u in e)) for e in pattern)))
+    rng.shuffle(pool)
+    classes, forms = IsomorphismClasses(), set()
+    twinned = 0
+    for pattern in pool:
+        form = canonical_form(pattern)
+        pat = PatternHypergraph(pattern)
+        twinned += census._twin_quotient(pat)[1] != [1] * pat.v
+        assert classes.add(pat) == (form not in forms), pattern
+        forms.add(form)
+    assert twinned > 0.9 * len(pool), twinned
+    assert 20 < len(forms) < len(patterns), len(forms)
+
+
 @pytest.mark.parametrize(
     "delta, child, message",
     [
@@ -331,13 +381,17 @@ def test_search_checks_that_each_child_lowers_the_exponent(monkeypatch, delta, c
 def test_grown_children_are_already_normalized(certificates, d):
     # fresh labels run on from the pattern's and every fresh vertex of h
     # lies in a cover member, so the grown support is dense and sorting the
-    # edges is the whole normalization, on every child the certificate grows
+    # edges is the whole normalization, on every child the certificate
+    # grows; dfs_search relies on it to wrap each child unchecked
     report, expanded, _ = certificates[d]
     children = 0
     for pattern in expanded:
         pat = PatternHypergraph(pattern)
-        grown = grow(pat, candidate_neighbors(pat, d), d, report.config.delta)
-        assert all(child == _normalize(child) for child in grown), pattern
+        grown = grow(pat, candidate_neighbors(pat, d, report.config.delta), d, report.config.delta)
+        for child in grown:
+            assert child == _normalize(child), pattern
+            wrapped, checked = PatternHypergraph.from_normalized(child), PatternHypergraph(child)
+            assert (wrapped.edges, wrapped.v) == (checked.edges, checked.v), child
         children += len(grown)
     assert children == report.nodes_visited + report.nodes_deduped - (d - 2)
 
@@ -381,7 +435,7 @@ def test_certificate_counters_and_d3_report_are_pinned(certificates):
         # the leaves: every visited node left unexpanded, and every expanded
         # node that grow gives no child
         childless = sum(
-            not grow(p, candidate_neighbors(p, d), d, report.config.delta)
+            not grow(p, candidate_neighbors(p, d, report.config.delta), d, report.config.delta)
             for p in map(PatternHypergraph, expanded)
         )
         assert report.nodes_pruned_by_exponent == (
@@ -393,18 +447,28 @@ def test_certificate_counters_and_d3_report_are_pinned(certificates):
 
 
 def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
+    # the dedup files each pattern by its twin quotient (946 of the 4,126
+    # filed patterns have twins) and walks one path of the quotient's tree,
     # a child that individualizes a twin-class cell is built as dense ranks,
-    # the dedup walks one path of each grown child's tree, and the pattern
-    # keeps that tree for its generators, so over the three certificates
-    # 6,657 colorings are refined (6,663 when the dedup's fallback rebuilt
-    # the new pattern's tree, 6,935 when the generators rebuilt it, 10,117
-    # when each child got a whole canonical form, 19,476 when every child
-    # was refined); a pattern with exponent >= 0 builds one projection and
-    # enumerates its cliques once when it lacks the private-pair certificate
-    # (240 patterns, the only ones to ask min_preimage) or is expanded
-    # (2,334 each when every such pattern asked min_preimage), and each
-    # filed pattern builds one tree, plus one per stored pattern the
-    # dedup's fallback canonicalizes
+    # and a pattern without twins is its own quotient and keeps that tree
+    # for its generators.  So over the three certificates 6,792 colorings
+    # are refined: 6,657 when each pattern's own tree was filed, since a
+    # quotient has no twin cells to individualize unrefined and each of the
+    # 21 expanded patterns with twins builds its own tree for its
+    # generators (6,663 when the dedup's fallback rebuilt the new pattern's
+    # tree, 6,935 when the generators rebuilt it, 10,117 when each child got
+    # a whole canonical form, 19,476 when every child was refined).  Each
+    # filed pattern builds one tree, its quotient's or its own, plus one per
+    # expanded pattern with twins and one per stored pattern the dedup's
+    # fallback canonicalizes: 4,149 (4,129 when the 21 reused their filed
+    # tree).  Two canonical forms are computed, the d=3 class's key and one
+    # fallback (three with a second fallback when patterns were keyed by
+    # their own root: two d=4 patterns that share it differ in their
+    # quotients' keys).  A pattern with exponent >= 0 builds one
+    # projection and enumerates its cliques once when it lacks the
+    # private-pair certificate (240 patterns, the only ones to ask
+    # min_preimage) or is expanded (2,334 each when every such pattern asked
+    # min_preimage)
     counts = dict.fromkeys(["refine", "trees", "graphs", "cliques", "preimages", "forms"], 0)
 
     def counting(name, f):
@@ -437,9 +501,9 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
         filed += report.nodes_visited + report.nodes_deduped
     assert counts["graphs"] == counts["cliques"] == 402
     assert counts["preimages"] == 240
-    assert counts["trees"] == filed + counts["forms"] == 4_129
-    assert counts["forms"] == 3
-    assert counts["refine"] == 6_657
+    assert counts["trees"] == filed + counts["forms"] + 21 == 4_149
+    assert counts["forms"] == 2
+    assert counts["refine"] == 6_792
 
 
 def test_private_pair_certificate_agrees_with_min_preimage(certificates, monkeypatch):
@@ -549,12 +613,16 @@ def test_d5_certificate_at_eleven_twentieths_is_pinned(monkeypatch, d, delta, de
 @pytest.mark.parametrize("d", [3, 5])
 def test_orbit_dedup_matches_canonical_form_dedup(certificates, d):
     # same candidates in the same order as dedup by marked canonical forms,
-    # on every pattern the certificate expanded
-    expanded = certificates[d][1]
+    # less those the growth budget cannot pay for, on every pattern the
+    # certificate expanded
+    report, expanded, _ = certificates[d]
+    delta = report.config.delta
     assert expanded
     for pattern in expanded:
-        assert candidate_neighbors(PatternHypergraph(pattern), d) == (
-            reference_candidate_neighbors(pattern, d)
+        unbounded = reference_candidate_neighbors(pattern, d)
+        cut = reference_root_cuts(pattern, unbounded, d, delta)
+        assert candidate_neighbors(PatternHypergraph(pattern), d, delta) == (
+            [h for h in unbounded if h not in cut]
         ), pattern
 
 
@@ -592,12 +660,67 @@ def test_grow_matches_reference_collection_dfs(certificates, d):
     delta = report.config.delta
     for pattern in expanded:
         pat = PatternHypergraph(pattern)
-        for h in candidate_neighbors(pat, d):
+        for h in candidate_neighbors(pat, d, delta):
             grown = grow(pat, [h], d, delta)
             assert grown == reference_grow(pattern, h, d, delta), (pattern, h)
             assert all(
                 expected_count_exponent(PatternHypergraph(c), d, delta) >= 0 for c in grown
             ), (pattern, h)
+
+
+@pytest.fixture(scope="module")
+def frontier_expanded():
+    """The patterns the d=4 delta=21/40 search expands."""
+    expanded: list = []
+
+    def recording(pattern, d, delta):
+        expanded.append(pattern.edges)
+        return candidate_neighbors(pattern, d, delta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "candidate_neighbors", recording)
+        assert dfs_search(SearchConfig(4, Fraction(21, 40))).exhausted
+    return expanded
+
+
+@pytest.mark.parametrize(
+    "run, listed",
+    [("d3", (25_278, 3_166)), ("d4", (2_483, 367)), ("d5", (207, 57)), ("d4-21/40", (637_106, 19_612))],
+)
+def test_bounded_walk_drops_only_candidates_cut_at_the_root(certificates, frontier_expanded, run, listed):
+    # on every pattern the pilots and the d=4 21/40 search expand, the walk
+    # lists the unbounded candidates less those whose budget cannot pay for
+    # their new pairs at the least cost per pair, in the same order, and the
+    # collection DFS gives no child for any of those.  The unbounded list is
+    # the orbit closure over every k-set on the pilots, and the walk at
+    # delta = 1, where no candidate is dropped, on the 637,106 candidates of
+    # d=4 21/40, whose dropped ones are checked once per pattern, k and
+    # count of new pairs in the collection DFS
+    if run == "d4-21/40":
+        d, delta, expanded = 4, Fraction(21, 40), frontier_expanded
+    else:
+        report, expanded, _ = certificates[int(run[1])]
+        d, delta = report.config.d, report.config.delta
+    totals = [0, 0]
+    for pattern in expanded:
+        pat = PatternHypergraph(pattern)
+        unbounded = candidate_neighbors(pat, d, Fraction(1))
+        if run != "d4-21/40":
+            assert unbounded == reference_orbit_candidates(pattern, d), pattern
+        cut = reference_root_cuts(pattern, unbounded, d, delta)
+        bounded = candidate_neighbors(pat, d, delta)
+        dropped = set(cut)
+        assert bounded == [h for h in unbounded if h not in dropped], pattern
+        v, old, shapes = pat.v, pat.projection.edge_set, set()
+        for h in cut:
+            k = sum(u < v for u in h)
+            shape = (k, sum(p not in old for p in itertools.combinations(h[:k], 2)))
+            if run != "d4-21/40" or shape not in shapes:
+                shapes.add(shape)
+                assert reference_grow(pattern, h, d, delta) == [], (pattern, h)
+        totals[0] += len(unbounded)
+        totals[1] += len(bounded)
+    assert tuple(totals) == listed
 
 
 def test_automorphism_count_on_expanded_patterns(certificates):
@@ -618,13 +741,15 @@ def test_automorphism_count_on_expanded_patterns(certificates):
 @pytest.mark.parametrize("d", [3, 4])
 def test_twin_canonical_walk_matches_the_references_on_the_gadgets(d):
     # the gadgets' pendant blocks are twin classes of d - 2 vertices each;
-    # the second preimage is the first with the hubs' roles swapped
+    # the second preimage is the first with the hubs' roles swapped; at
+    # delta = 1 a pair costs nothing (a 2-member), so no candidate of a
+    # pattern with a nonnegative exponent is dropped
     preimage_a, preimage_b, _ = build_ambiguous_gadget(d)
     patterns = [preimage_a.edges, build_map_failure_gadget(d).edges]
     for pattern in patterns + [preimage_b.edges] * (d == 3):
         expected = reference_candidate_neighbors(pattern, d)
         assert reference_orbit_candidates(pattern, d) == expected
-        assert candidate_neighbors(PatternHypergraph(pattern), d) == expected, pattern
+        assert candidate_neighbors(PatternHypergraph(pattern), d, Fraction(1)) == expected, pattern
 
 
 @pytest.mark.parametrize(
@@ -634,8 +759,11 @@ def test_twin_canonical_walk_matches_the_references_on_the_gadgets(d):
 )
 def test_twin_canonical_walk_matches_the_orbit_walk_on_the_d5_gadgets(pattern):
     # 30 and 35 vertices: canonical forms of every marked k-set take minutes,
-    # the orbit closure over every k-set a few seconds
-    assert candidate_neighbors(PatternHypergraph(pattern), 5) == reference_orbit_candidates(pattern, 5)
+    # the orbit closure over every k-set a few seconds; nothing is dropped
+    # at delta = 1
+    assert candidate_neighbors(PatternHypergraph(pattern), 5, Fraction(1)) == (
+        reference_orbit_candidates(pattern, 5)
+    )
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -645,7 +773,7 @@ def test_grow_over_a_candidate_list_concatenates_the_single_candidate_calls(cert
     delta = report.config.delta
     for pattern in expanded:
         pat = PatternHypergraph(pattern)
-        candidates = candidate_neighbors(pat, d)
+        candidates = candidate_neighbors(pat, d, delta)
         children = [kid for h in candidates for kid in grow(pat, [h], d, delta)]
         assert grow(pat, candidates, d, delta) == children, pattern
 
@@ -657,7 +785,7 @@ def test_grow_is_the_same_on_a_cold_and_a_warm_cache(certificates, d):
     report, expanded, _ = certificates[d]
     delta = report.config.delta
     patterns = map(PatternHypergraph, expanded)
-    calls = [(p, h) for p in patterns for h in candidate_neighbors(p, d)]
+    calls = [(p, h) for p in patterns for h in candidate_neighbors(p, d, delta)]
     cold = []
     for pattern, h in calls:
         search._growth_covers.cache_clear()
