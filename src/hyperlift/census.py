@@ -4,9 +4,10 @@ Everything here is exact: densities, optimization values and thresholds are
 Fractions, isomorphism is decided by a canonical form, and floating point
 is banned.  The pieces:
 
-- the pattern type, the search's node record: it memoizes its projection,
-  its individualize-and-refine tree and, from one search of that tree,
-  its canonical form, a strong generating set of Aut(K) and |Aut(K)|;
+- the pattern type, the search's node record: its twin classes, the
+  individualize-and-refine tree of its twin quotient and, from one search
+  of that tree, a strong generating set and |Aut(K)|, its N[u] bitmasks
+  and its canonical form, each built once;
 - one individualize-and-refine search tree over iterative color
   refinement, giving the canonical form of a colored hypergraph (its least
   leaf), a strong generating set of its automorphism group (pruning the
@@ -55,14 +56,15 @@ class PatternHypergraph:
     """An unlabeled hypergraph pattern: edges over vertices 0..v-1, no isolates.
 
     Identified with its edge set; equality of canonical forms is equality up
-    to isomorphism.  The search's node record: each of the projection (a
-    Graph over 0..v-1, on which clique_hypergraph memoizes), the
-    individualize-and-refine tree (_Tree) and the canonical form, strong
-    generating set and |Aut| of that tree's one search (_search_tree) is
-    built on first use and kept.
+    to isomorphism.  The search's node record, each fact built once: the
+    classes of twins, vertices with the same incident edges (twins, sizes),
+    the individualize-and-refine tree of the twin quotient Q(K), one vertex
+    per class colored by its size (tree), whose one search (_search_tree)
+    gives generators of Aut(Q(K)) and |Aut(K)|, the N[u] bitmasks (closed)
+    and the canonical form.  A pattern without twins is its own quotient.
     """
 
-    __slots__ = ("edges", "v", "_canon", "_aut", "_generators", "_projection", "_tree")
+    __slots__ = ("edges", "v", "twins", "sizes", "_canon", "_aut", "_generators", "_tree", "_closed")
 
     def __init__(self, edges: Iterable[Sequence[int]]):
         canon = sorted({tuple(sorted(e)) for e in edges})
@@ -87,11 +89,15 @@ class PatternHypergraph:
     def _set(self, edges: tuple, v: int) -> None:
         self.edges = edges
         self.v = v
+        self.twins = _twin_ids(_incidence(v, edges))  # u -> u's twin class id
+        self.sizes = [0] * (max(self.twins) + 1)  # class id -> its size
+        for t in self.twins:
+            self.sizes[t] += 1
         self._canon: Optional[bytes] = None
         self._aut: Optional[int] = None
         self._generators: Optional[list] = None
-        self._projection: Optional[Graph] = None
         self._tree: Optional[_Tree] = None
+        self._closed: Optional[list] = None
 
     @classmethod
     def from_edges(cls, edges: Iterable[Sequence[int]]) -> "PatternHypergraph":
@@ -105,32 +111,45 @@ class PatternHypergraph:
     @property
     def canonical_form(self) -> bytes:
         if self._canon is None:
-            self._search()
+            self._canon = canonical_form(self.edges)
         return self._canon
 
     @property
+    def tree(self) -> _Tree:
+        """The individualize-and-refine tree of Q(K), over class ids."""
+        if self._tree is None:
+            quotient, twins = self.edges, self.twins
+            if len(self.sizes) < self.v:
+                quotient = [tuple(sorted({twins[u] for u in e})) for e in quotient]
+            self._tree = _Tree(len(self.sizes), quotient, [0] * self.e, self.sizes)
+        return self._tree
+
+    @property
     def generators(self) -> list:
-        """A strong generating set of Aut(K) on the base of tree's first
-        path, each generator an image list (u maps to g[u])."""
+        """A strong generating set of Aut(Q(K)) on the base of tree's first
+        path, each generator an image list of class ids (t maps to g[t])."""
         if self._generators is None:
             self._search()
         return self._generators
 
     def _search(self) -> None:
-        # the canonical form, the generators and |Aut| come from one search
-        self._canon, self._generators, self._aut = _search_tree(self.tree)
+        _, self._generators, order = _search_tree(self.tree)
+        self._aut = order * math.prod(map(math.factorial, self.sizes))
 
     @property
-    def projection(self) -> Graph:
-        if self._projection is None:
-            self._projection = Graph(self.v, project_edges(self.edges))
-        return self._projection
-
-    @property
-    def tree(self) -> _Tree:
-        if self._tree is None:
-            self._tree = _Tree(self.v, self.edges, [0] * self.e)
-        return self._tree
+    def closed(self) -> list:
+        """u -> N[u], the union of the hyperedges through u, as a vertex
+        bitmask: u and its neighbours in Proj(K)."""
+        if self._closed is None:
+            closed = [0] * self.v
+            for e in self.edges:
+                m = 0
+                for u in e:
+                    m |= 1 << u
+                for u in e:
+                    closed[u] |= m
+            self._closed = closed
+        return self._closed
 
     def is_uniform(self, d: int) -> bool:
         return all(len(e) == d for e in self.edges)
@@ -407,10 +426,9 @@ class IsomorphismClasses:
     """A set of patterns up to isomorphism: add(pattern) files a
     PatternHypergraph and tells whether its isomorphism class is new.
 
-    A pattern K is filed by its twin quotient Q(K) (_twin_quotient): one
-    vertex per twin class, colored by the class size, and one hyperedge
-    per hyperedge of K.  Every hyperedge that meets a twin class contains
-    it, and an isomorphism maps twin classes onto twin classes of the same
+    A pattern K is filed by its twin quotient Q(K) (pattern.tree, with
+    pattern.sizes).  Every hyperedge that meets a twin class contains it,
+    and an isomorphism maps twin classes onto twin classes of the same
     size, so K and K' are isomorphic exactly when Q(K) and Q(K') are with
     the sizes kept.  K is keyed by a hash of the root refinement of Q(K)
     (its cells with their class sizes, and its edge profiles), an
@@ -420,16 +438,14 @@ class IsomorphismClasses:
     explicit isomorphism, so a pattern whose first leaf has a stored code
     is a duplicate; only when the key is met and no code matches are the
     canonical forms of K compared.  Every answer is canonical_form's, at
-    the cost of one path of the quotient's tree for most patterns.  A
-    pattern without twins is its own quotient, and its tree is left on
-    the pattern for its later search.
+    the cost of one path of the quotient's tree for most patterns.
     """
 
     def __init__(self):
         self._classes: dict = {}  # key -> [(first-leaf code, edges)]
 
     def add(self, pattern: PatternHypergraph) -> bool:
-        tree, sizes = _twin_quotient(pattern)
+        tree, sizes = pattern.tree, pattern.sizes
         root = tree.path[0]
         at = root.__getitem__
         profiles = tuple(sorted([tuple(sorted(map(at, e))) for e in tree.edges]))
@@ -444,22 +460,6 @@ class IsomorphismClasses:
                 return False
         classes.append((code, pattern.edges))
         return True
-
-
-def _twin_quotient(pattern: PatternHypergraph) -> tuple:
-    """(tree, sizes): the individualize-and-refine tree of the pattern's twin
-    quotient, its vertices colored by sizes, the size of each twin class.
-    A pattern without twins is its own quotient, and the tree is its own."""
-    edges, v = pattern.edges, pattern.v
-    twins = _twin_ids(_incidence(v, edges))
-    q = max(twins) + 1
-    if q == v:
-        return pattern.tree, [1] * v
-    sizes = [0] * q
-    for t in twins:
-        sizes[t] += 1
-    quotient = [tuple(sorted({twins[u] for u in e})) for e in edges]
-    return _Tree(q, quotient, [0] * len(edges), sizes), sizes
 
 
 def _leaf_code(edges: Sequence[tuple], leaf: list, sizes: list) -> tuple:
@@ -490,9 +490,10 @@ def graph_canonical_form(g: Graph) -> bytes:
 
 
 def automorphism_count(pattern: PatternHypergraph) -> int:
-    """|Aut(K)|: the product of the basic orbit lengths of the strong
-    generating set pattern.generators, memoized on the pattern with its
-    canonical form.
+    """|Aut(K)|, memoized on the pattern: |Aut(Q(K))|, the product of the
+    basic orbit lengths of pattern.generators, times the product of the
+    twin class size factorials.  Every automorphism of K permutes the twin
+    classes, and the permutations inside each class are the kernel.
     """
     if pattern._aut is None:
         pattern._search()

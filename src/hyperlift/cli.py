@@ -16,10 +16,11 @@ hsbm), --out (the output path, stdout by default; sweep writes sweep.csv)
 and --threads (sweep worker processes, at most one per replicate and per
 CPU; the CSV bytes do not depend on it).
 
-Malformed input (a bad file, config or parameter), a file that cannot be
-read or written and an input too large for the exact engine (a MAP component
-or a preimage graph over COMPONENT_LIMIT candidate hyperedges, or one too
-deep for its recursion) print one line to stderr and exit 1.
+Malformed input (a bad file, config or parameter, such as a search --d
+above 12), a file that cannot be read or written and an input too large
+for the exact engine (a MAP component or a preimage graph over
+COMPONENT_LIMIT candidate hyperedges, or one too deep for its recursion)
+print one line to stderr and exit 1.
 
 Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5;
 one that does not parse, or has a zero denominator, is a bad parameter.

@@ -18,8 +18,9 @@ Proj(K) is ambiguous (two minimum preimages).  K is itself a preimage, so
 when each of its hyperedges owns a private pair, a pair of Proj(K) that no
 other d-clique covers, every preimage contains K and K is the unique
 minimum: the private-pair certificate (_owns_private_pairs).  Only a
-pattern without it goes to the exact preimage engine.  A node builds its
-projection only then or when it is expanded.
+pattern without it builds its projection and goes to the exact preimage
+engine; the certificate, the candidate walk and grow read the N[u]
+bitmasks of the node record (census.PatternHypergraph).
 
 The search prunes a branch once the appearance exponent
 v + e*(delta - d + 1) drops to zero, because every growth step strictly
@@ -46,10 +47,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-# canonical_form, stable_colors and project_edges are not called here;
+# canonical_form, stable_colors and clique_hypergraph are not called here;
 # perfbench/layers.py traces them as search.canonical_form,
-# search.stable_colors and search.project_edges by name, so the names stay
-# importable
+# search.stable_colors and search.clique_hypergraph by name, so the names
+# stay importable
 from .census import (
     IsomorphismClasses,
     PatternHypergraph,
@@ -57,7 +58,7 @@ from .census import (
     graph_canonical_form,
     stable_colors,
 )
-from .core import Graph, clique_hypergraph, edge_pairs, hypergraph_to_text, Hypergraph, project_edges
+from .core import Graph, clique_hypergraph, hypergraph_to_text, Hypergraph, project_edges
 from .preimage import covers_within, cover_masks, min_preimage
 
 
@@ -68,7 +69,8 @@ class SearchConfig:
     max_depth counts growth steps from a root; the default
     ceil(2 / ((d-1)/(d+1) - delta)) is the provable sufficient depth below
     the 2-connectivity threshold and must be given explicitly at or above
-    it.
+    it.  d is at most 12: one growth step at a root lists every subset of
+    a d-set before any budget is checked, and its cost doubles with d.
     """
 
     d: int
@@ -78,8 +80,8 @@ class SearchConfig:
     time_budget: Optional[float] = None
 
     def __post_init__(self):
-        if self.d < 3:
-            raise ValueError(f"need d >= 3, got {self.d}")
+        if not 3 <= self.d <= 12:
+            raise ValueError(f"need 3 <= d <= 12, got {self.d}")
         if not isinstance(self.delta, numbers.Rational):
             raise ValueError(
                 f"delta={self.delta!r} must be exact (an int or a Fraction); "
@@ -165,19 +167,23 @@ def candidate_neighbors(pattern: PatternHypergraph, d: int, delta: Fraction) -> 
     h takes k in [2, d] vertices from the pattern and d - k fresh labels,
     and the k chosen vertices must contain a pair lying inside some clique
     hyperedge of Cli(Proj(pattern)) (h is a 2-neighbor).  Candidates
-    already present as cliques are excluded.
+    already present as cliques are excluded.  In a d-uniform pattern every
+    pair of Proj(pattern) lies in a hyperedge, itself a d-clique, so a
+    2-neighbor's k-set is one holding a pair of Proj(pattern), read off the
+    N[u] bitmasks pattern.closed.
 
     The fresh labels lie in no pattern edge, so (pattern, h) and
     (pattern, h') are isomorphic with h marked exactly when their k-sets
     lie in one orbit of Aut(pattern); both filters above are invariant
     under Aut(pattern).  The result is the lex-least k-set of each orbit,
-    k by k in lex order, orbits closed under pattern.generators.
+    k by k in lex order.
 
     Only twin-canonical k-sets are walked: twins are vertices with the same
     incident edges, and a twin-canonical set takes the least members of
     each twin class it meets.  Swapping two twins is an automorphism and an
     automorphism maps twin classes onto twin classes, so a k-set's orbit is
-    fixed by its count per class, and the generators act on those counts.
+    fixed by its count per class, and the orbits are closed under
+    pattern.generators, which act on the classes and so on those counts.
     Trading a member for a smaller unused twin makes a k-set lex-smaller,
     so the lex-least k-set of an orbit is twin-canonical: the list and its
     order are those of walking every k-set, at a cost that follows the
@@ -196,7 +202,7 @@ def candidate_neighbors(pattern: PatternHypergraph, d: int, delta: Fraction) -> 
     affords its q, and the list is the unbounded one less those
     candidates, in the same order.
     """
-    v, proj = pattern.v, pattern.projection
+    v, adj = pattern.v, pattern.closed
     num, den = delta.numerator, delta.denominator
     rate = min(Fraction(den * (s - 1) - num, s * (s - 1) // 2) for s in range(2, d + 1))
     exponent = v * den + pattern.e * (num - (d - 1) * den)
@@ -209,39 +215,27 @@ def candidate_neighbors(pattern: PatternHypergraph, d: int, delta: Fraction) -> 
     reach = room[:]  # reach[k]: the most new pairs a set extended to k or more may hold
     for k in range(d - 1, 1, -1):
         reach[k] = max(reach[k], reach[k + 1])
-    adj = [sum(1 << w for w in nbrs) for nbrs in proj.adj]
-    linked = [0] * v  # u -> the vertices sharing a clique hyperedge with u
-    for a, b in edge_pairs(clique_hypergraph(proj, d).edges):
-        linked[a] |= 1 << b
-        linked[b] |= 1 << a
-    classes: dict = {}  # twin class id -> the twin class, ascending
-    for u, t in enumerate(pattern.tree.twins):
-        classes.setdefault(t, []).append(u)
-    twins: list = [None] * v  # u -> u's twin class
+    members: list = [[] for _ in pattern.sizes]  # class id -> its vertices, ascending
     rank = [0] * v  # u -> u's index in its class
-    for group in classes.values():
-        for i, u in enumerate(group):
-            twins[u], rank[u] = group, i
-    after = [1 << twins[u][rank[u] - 1] if rank[u] else 0 for u in range(v)]
-    # g maps u's class onto g(u)'s; sending the i-th member of a class to
+    for u, t in enumerate(pattern.twins):
+        rank[u] = len(members[t])
+        members[t].append(u)
+    after = [1 << members[t][rank[u] - 1] if rank[u] else 0 for u, t in enumerate(pattern.twins)]
+    # g maps class t onto class g[t]; sending the i-th member of a class to
     # the i-th member of its image maps a twin-canonical set onto the
-    # twin-canonical set with g's image counts per class.  Twin swaps act
-    # as the identity, and only distinct actions are kept.
-    actions: list = []
-    for g in pattern.generators:
-        action = [twins[g[u]][rank[u]] for u in range(v)]
-        if action != list(range(v)) and action not in actions:
-            actions.append(action)
+    # twin-canonical set with g's image counts per class
+    actions = [
+        [members[g[t]][rank[u]] for u, t in enumerate(pattern.twins)] for g in pattern.generators
+    ]
     seen: set = set()
     out: list = []
-    # (k-set, its vertex mask, its pairs outside Proj(pattern), whether it
-    # holds a pair of a clique hyperedge)
-    level: list = [((u,), 1 << u, 0, False) for u in range(v) if not rank[u]]
+    # (k-set, its vertex mask, its pairs outside Proj(pattern))
+    level: list = [((u,), 1 << u, 0) for u in range(v) if not rank[u]]
     for k in range(2, d + 1):
         # twin-canonical k-sets in lex order: u joins only after its
         # smaller twin, and extending a lex-ordered level keeps the order
         grown: list = []
-        for s, mask, q, linking in level:
+        for s, mask, q in level:
             for u in range(s[-1] + 1, v):
                 if mask & after[u] != after[u]:
                     continue
@@ -249,11 +243,10 @@ def candidate_neighbors(pattern: PatternHypergraph, d: int, delta: Fraction) -> 
                 if outside > reach[k]:
                     continue
                 chosen = s + (u,)
-                joined = linking or bool(linked[u] & mask)
                 if k < d and outside <= reach[k + 1]:
-                    grown.append((chosen, mask | 1 << u, outside, joined))
-                if outside > room[k] or not joined or chosen in seen:
-                    continue
+                    grown.append((chosen, mask | 1 << u, outside))
+                if outside > room[k] or outside == k * (k - 1) // 2 or chosen in seen:
+                    continue  # unaffordable, no pair of Proj(pattern), or a known orbit
                 if k == d and not outside:
                     continue  # already a clique of the projection
                 orbit = [chosen]
@@ -323,12 +316,12 @@ def grow(
     members as positions in sorted h; mapping positions back to h gives the
     same collections in the same order as enumerating h's own subsets.
     """
-    edges, n, proj = pattern.edges, pattern.v, pattern.projection.edge_set
+    edges, n, closed = pattern.edges, pattern.v, pattern.closed
     num, den = delta.numerator, delta.denominator
     children: list = []
     for h in candidates:
         h = tuple(sorted(h))
-        known = tuple(map(proj.__contains__, combinations(h, 2)))
+        known = tuple([b < n and closed[a] >> b & 1 == 1 for a, b in combinations(h, 2)])
         v = n + len(h) - bisect_left(h, n)  # the vertices of pattern and h together
         budget = v * den + len(edges) * (num - (d - 1) * den)
         family, covers = _growth_covers(d, len(h), known, (num, den), budget)
@@ -353,13 +346,7 @@ def _owns_private_pairs(pattern: PatternHypergraph, d: int) -> bool:
     A d-clique of Proj(pattern) through a and b lies in N[a] & N[b], which
     always contains e, so a meet of d vertices leaves e the only d-clique
     covering that pair, and e lies in every preimage of Proj(pattern)."""
-    closed = [0] * pattern.v  # u -> N[u] as a vertex bitmask
-    for e in pattern.edges:
-        m = 0
-        for u in e:
-            m |= 1 << u
-        for u in e:
-            closed[u] |= m
+    closed = pattern.closed
     for e in pattern.edges:
         for a, b in combinations(e, 2):
             if (closed[a] & closed[b]).bit_count() == d:
@@ -406,7 +393,7 @@ def dfs_search(config: SearchConfig) -> SearchReport:
         pattern, depth, exp = stack.pop()
         report.nodes_visited += 1
         if exp >= 0 and not _owns_private_pairs(pattern, d):
-            g = pattern.projection
+            g = Graph(pattern.v, project_edges(pattern.edges))
             rep = min_preimage(g, d, cap=2)
             if rep.feasible and rep.ambiguous:
                 key = graph_canonical_form(g)

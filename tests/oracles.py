@@ -30,6 +30,8 @@ from hyperlift.census import (
     PatternHypergraph,
     _incidence,
     _normalize,
+    _search_tree,
+    _Tree,
     stable_colors,
 )
 from hyperlift.components import decompose
@@ -449,8 +451,9 @@ def reference_candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
 def reference_orbit_candidates(pattern: Sequence[tuple], d: int) -> list:
     """reference_candidate_neighbors by orbit closure over every k-set: the
     first k-set of each Aut(pattern) orbit in combinations order, each
-    orbit closed under PatternHypergraph(pattern).generators vertex by vertex.  The walk
-    that candidate_neighbors' twin-canonical walk must reproduce, and far
+    orbit closed vertex by vertex under the generators of the pattern's own
+    individualize-and-refine tree, not its twin quotient's.  The walk that
+    candidate_neighbors' twin-canonical walk must reproduce, and far
     cheaper than canonical forms on patterns with large groups.
     """
     edges = [tuple(sorted(e)) for e in pattern]
@@ -459,7 +462,7 @@ def reference_orbit_candidates(pattern: Sequence[tuple], d: int) -> list:
     cli_pairs = set()
     for c in clique_hypergraph(Graph(v, proj), d).edges:
         cli_pairs.update(combinations(c, 2))
-    generators = PatternHypergraph(edges).generators
+    generators = _search_tree(_Tree(v, edges, [0] * len(edges)))[1]
     seen: set = set()
     out: list = []
     for k in range(2, d + 1):

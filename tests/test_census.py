@@ -293,11 +293,9 @@ def test_automorphism_count_is_memoized_on_the_pattern(monkeypatch):
     import hyperlift.census as census
 
     pat = PatternHypergraph([(0, 1, 2), (0, 1, 3)])
-    form = canonical_form(pat.edges)
     assert automorphism_count(pat) == 4
     monkeypatch.setattr(census, "_search_tree", None)
     assert automorphism_count(pat) == 4
-    assert pat.canonical_form == form  # filled in by the same search
 
 
 def test_automorphism_count_against_orbit_size():
@@ -316,13 +314,22 @@ def test_automorphism_count_against_orbit_size():
 
 
 def test_automorphism_generators_generate_the_automorphism_group():
-    for pat in _small_d3_patterns():
-        generators = PatternHypergraph(pat.edges).generators
-        edge_set = set(pat.edges)
-        for g in generators:
-            assert sorted(g) == list(range(pat.v))
-            assert {tuple(sorted(g[u] for u in e)) for e in pat.edges} == edge_set
-        assert generated_group_order(generators, pat.v) == automorphism_count(pat)
+    # the generators act on the twin quotient's class ids and keep its
+    # edges and class sizes; with the size factorials they close to |Aut|,
+    # and the generators of the pattern's own tree close to the same order
+    import hyperlift.census as census
+
+    for pat in _small_d3_patterns() + _d4_pendant_pool():
+        tree, sizes = pat.tree, pat.sizes
+        quotient = {tuple(sorted(e)) for e in tree.edges}
+        for g in pat.generators:
+            assert sorted(g) == list(range(len(sizes)))
+            assert {tuple(sorted(g[t] for t in e)) for e in tree.edges} == quotient
+            assert [sizes[g[t]] for t in range(len(sizes))] == sizes
+        order = generated_group_order(pat.generators, len(sizes))
+        assert order * math.prod(map(math.factorial, sizes)) == automorphism_count(pat)
+        own = census._search_tree(census._Tree(pat.v, pat.edges, [0] * pat.e))[1]
+        assert generated_group_order(own, pat.v) == automorphism_count(pat), pat.edges
 
 
 def test_max_density_examples_and_oracle():

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -73,6 +74,15 @@ def test_search_nan_time_budget_exits_1_with_one_stderr_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert "time budget must be positive" in captured.err
+
+
+def test_search_with_d_above_the_bound_exits_1_at_once(capsys):
+    start = time.monotonic()
+    assert main(["search", "--d", "40", "--delta", "1/2"]) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "d <= 12" in captured.err
 
 
 def test_preimage_reports_gadget_ambiguity(tmp_path, capsys):

@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -179,6 +180,11 @@ def test_search_config_depth_default_and_validation():
     assert SearchConfig(3, Fraction(1, 2), max_depth=3).max_depth == 3
     with pytest.raises(ValueError):
         SearchConfig(2, Fraction(1, 5))
+    # a root's growth step lists every subset of a d-set before any budget
+    # is checked, at a cost that doubles with d
+    assert SearchConfig(12, Fraction(1, 2)).d == 12
+    with pytest.raises(ValueError, match=r"^need 3 <= d <= 12, got 13$"):
+        SearchConfig(13, Fraction(1, 2))
     # 0.4 is not 2/5 in binary: ceil(2 / (1/2 - 0.4)) would read 21
     with pytest.raises(ValueError, match="delta=0.4"):
         SearchConfig(3, 0.4)
@@ -277,16 +283,17 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     monkeypatch.setattr(census, "canonical_form", counting)
     # C6 and two triangles, a pendant vertex on every edge: the refinement
     # gives both the classes {cycle vertices}, {pendants} and one edge
-    # profile, so they share a key, and only canonical forms tell them apart
-    # the stored pattern is canonicalized, and the new one's form is its
-    # own, kept on the node record
+    # profile, so they share a key, and only canonical forms tell them apart:
+    # the new pattern's form, memoized on the node record, then the stored
+    # pattern's
     hexagon, triangles = _pendant_cycles([6]), _pendant_cycles([3, 3])
     classes = IsomorphismClasses()
     assert classes.add(PatternHypergraph(hexagon))
     assert not calls
     pattern = PatternHypergraph(triangles)
     assert classes.add(pattern)
-    assert len(classes._classes) == 1 and calls == [PatternHypergraph(hexagon).edges]
+    assert len(classes._classes) == 1
+    assert calls == [pattern.edges, PatternHypergraph(hexagon).edges]
     assert pattern._canon == canonical_form(triangles)
     # their disjoint union, the hexagon's labels first and then last: the
     # first path individualizes a vertex of the hexagon in one and of a
@@ -300,9 +307,9 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     assert classes.add(PatternHypergraph(first))
     assert not calls
     assert not classes.add(PatternHypergraph(last))
-    assert calls == [first]
+    assert calls == [last, first]
     assert not classes.add(PatternHypergraph(first))  # its own first leaf: no canonical form
-    assert calls == [first]
+    assert calls == [last, first]
 
 
 def test_isomorphism_classes_keep_the_twin_class_sizes():
@@ -347,7 +354,7 @@ def test_isomorphism_classes_on_twin_rich_patterns_partition_as_canonical_forms_
     for pattern in pool:
         form = canonical_form(pattern)
         pat = PatternHypergraph(pattern)
-        twinned += census._twin_quotient(pat)[1] != [1] * pat.v
+        twinned += len(pat.sizes) < pat.v
         assert classes.add(pat) == (form not in forms), pattern
         forms.add(form)
     assert twinned > 0.9 * len(pool), twinned
@@ -447,28 +454,23 @@ def test_certificate_counters_and_d3_report_are_pinned(certificates):
 
 
 def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
-    # the dedup files each pattern by its twin quotient (946 of the 4,126
-    # filed patterns have twins) and walks one path of the quotient's tree,
-    # a child that individualizes a twin-class cell is built as dense ranks,
-    # and a pattern without twins is its own quotient and keeps that tree
-    # for its generators.  So over the three certificates 6,792 colorings
-    # are refined: 6,657 when each pattern's own tree was filed, since a
-    # quotient has no twin cells to individualize unrefined and each of the
-    # 21 expanded patterns with twins builds its own tree for its
-    # generators (6,663 when the dedup's fallback rebuilt the new pattern's
-    # tree, 6,935 when the generators rebuilt it, 10,117 when each child got
-    # a whole canonical form, 19,476 when every child was refined).  Each
-    # filed pattern builds one tree, its quotient's or its own, plus one per
-    # expanded pattern with twins and one per stored pattern the dedup's
-    # fallback canonicalizes: 4,149 (4,129 when the 21 reused their filed
-    # tree).  Two canonical forms are computed, the d=3 class's key and one
-    # fallback (three with a second fallback when patterns were keyed by
-    # their own root: two d=4 patterns that share it differ in their
-    # quotients' keys).  A pattern with exponent >= 0 builds one
-    # projection and enumerates its cliques once when it lacks the
-    # private-pair certificate (240 patterns, the only ones to ask
-    # min_preimage) or is expanded (2,334 each when every such pattern asked
-    # min_preimage)
+    # each filed pattern builds one tree, its twin quotient's (946 of the
+    # 4,126 filed patterns have twins), and the dedup walks one path of it;
+    # an expanded pattern searches that same tree for its generators, so no
+    # pattern builds a second tree of itself (4,149 trees and 6,792 refined
+    # colorings when the 21 expanded patterns with twins each built their
+    # own tree for their generators; 6,657 refinements when each pattern's
+    # own tree was filed, 10,117 when each child got a whole canonical form,
+    # 19,476 when every child was refined).  The only other trees are those
+    # of the three canonical forms: the d=3 class's key and one dedup
+    # fallback, which computes the new pattern's form by canonical_form
+    # too (two when the fallback read it off the new pattern's own tree).
+    # Only the 240 patterns that lack the private-pair certificate and ask
+    # min_preimage build a projection Graph and list its cliques; the
+    # expanded ones read the patterns' N[u] bitmasks instead (402 when
+    # each expanded pattern built its projection and listed its cliques
+    # for the candidate walk, 2,334 when every pattern with exponent >= 0
+    # asked min_preimage)
     counts = dict.fromkeys(["refine", "trees", "graphs", "cliques", "preimages", "forms"], 0)
 
     def counting(name, f):
@@ -499,11 +501,10 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
         report = dfs_search(SearchConfig(d, delta, max_depth=depth))
         assert report.exhausted
         filed += report.nodes_visited + report.nodes_deduped
-    assert counts["graphs"] == counts["cliques"] == 402
-    assert counts["preimages"] == 240
-    assert counts["trees"] == filed + counts["forms"] + 21 == 4_149
-    assert counts["forms"] == 2
-    assert counts["refine"] == 6_792
+    assert counts["graphs"] == counts["cliques"] == counts["preimages"] == 240
+    assert counts["trees"] == filed + counts["forms"] == 4_129
+    assert counts["forms"] == 3
+    assert counts["refine"] == 6_750
 
 
 def test_private_pair_certificate_agrees_with_min_preimage(certificates, monkeypatch):
@@ -528,7 +529,7 @@ def test_private_pair_certificate_agrees_with_min_preimage(certificates, monkeyp
         for pattern in map(PatternHypergraph, sorted(patterns)):
             if search._owns_private_pairs(pattern, d):
                 # the pattern's own edges are the one minimum preimage
-                rep = preimage.min_preimage(pattern.projection, d, cap=2)
+                rep = preimage.min_preimage(Graph(pattern.v, project_edges(pattern.edges)), d, cap=2)
                 assert rep.feasible and not rep.ambiguous, pattern.edges
                 assert rep.min_size == pattern.e, pattern.edges
                 assert rep.min_covers[0] == pattern.edges
@@ -551,12 +552,13 @@ def test_private_pair_certificate_agrees_with_the_preimage_oracle(d):
             rng.shuffle(vertices)
             edges.append(vertices[:d])
         pattern = PatternHypergraph.from_edges(edges)
-        if len(clique_hypergraph(pattern.projection, d)) > 16:
+        g = Graph(pattern.v, project_edges(pattern.edges))
+        if len(clique_hypergraph(g, d)) > 16:
             continue
         certified = search._owns_private_pairs(pattern, d)
         seen[certified] += 1
         if certified:
-            minima = oracles.all_preimages_bitmask(pattern.projection, d)
+            minima = oracles.all_preimages_bitmask(g, d)
             best = min(map(len, minima))
             assert [s for s in minima if len(s) == best] == [frozenset(pattern.edges)]
     assert min(seen.values()) >= 20, seen
@@ -711,7 +713,7 @@ def test_bounded_walk_drops_only_candidates_cut_at_the_root(certificates, fronti
         bounded = candidate_neighbors(pat, d, delta)
         dropped = set(cut)
         assert bounded == [h for h in unbounded if h not in dropped], pattern
-        v, old, shapes = pat.v, pat.projection.edge_set, set()
+        v, old, shapes = pat.v, project_edges(pattern), set()
         for h in cut:
             k = sum(u < v for u in h)
             shape = (k, sum(p not in old for p in itertools.combinations(h[:k], 2)))
@@ -724,15 +726,16 @@ def test_bounded_walk_drops_only_candidates_cut_at_the_root(certificates, fronti
 
 
 def test_automorphism_count_on_expanded_patterns(certificates):
-    # the order of the group the generators close to and the twin-class
-    # backtracking reference on every pattern of the three certificates,
-    # and the vertex-level reference on the d=3 ones (it takes minutes on
-    # some d=4 ones)
+    # the order of the group the twin quotient's generators close to times
+    # the class size factorials, the twin-class backtracking reference on
+    # every pattern of the three certificates, and the vertex-level
+    # reference on the d=3 ones (it takes minutes on some d=4 ones)
     for d, (_, expanded, _) in certificates.items():
         for pattern in expanded:
             pat = PatternHypergraph(pattern)
             order = automorphism_count(pat)
-            assert generated_group_order(PatternHypergraph(pattern).generators, pat.v) == order
+            kernel = math.prod(map(math.factorial, pat.sizes))
+            assert generated_group_order(pat.generators, len(pat.sizes)) * kernel == order
             assert reference_twin_class_automorphism_count(pat) == order, pattern
             if d == 3:
                 assert reference_automorphism_count(pat) == order, pattern
