@@ -16,11 +16,11 @@ hsbm), --out (the output path, stdout by default; sweep writes sweep.csv)
 and --threads (sweep worker processes, at most one per replicate and per
 CPU; the CSV bytes do not depend on it).
 
-Malformed input (a bad file, config or parameter, such as a search --d
-above 12), a file that cannot be read or written and an input too large
-for the exact engine (a MAP component or a preimage graph over
-COMPONENT_LIMIT candidate hyperedges, or one too deep for its recursion)
-print one line to stderr and exit 1.
+Malformed input (a bad file, config or parameter, such as a census or
+search --d outside 3..12 or a --threads below 1), a file that cannot be
+read or written and an input too large for the exact engine (a MAP
+component or a preimage graph over COMPONENT_LIMIT candidate hyperedges,
+or one too deep for its recursion) print one line to stderr and exit 1.
 
 Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5;
 one that does not parse, or has a zero denominator, is a bad parameter.
@@ -143,6 +143,8 @@ def _cmd_preimage(args) -> int:
 
 def _cmd_census(args) -> int:
     d, delta = args.d, _fraction("--delta", args.delta)
+    if not 3 <= d <= 12:  # max_density's min cuts grow steeply with d
+        raise ValueError(f"need 3 <= d <= 12, got {d}")
     if not 0 <= delta <= 1:
         raise ValueError(f"delta={delta} outside [0, 1]")
     preimage1, _, _ = build_ambiguous_gadget(d)
@@ -260,9 +262,7 @@ def parse_sweep_config(text: str) -> SweepSpec:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _load(args.config, parse_sweep_config)
-    if args.threads > 1:
-        spec = replace(spec, threads=args.threads)
+    spec = replace(_load(args.config, parse_sweep_config), threads=args.threads)
     out = args.out or "sweep.csv"
     count = write_sweep_csv(spec, out, out + ".timing")
     sys.stderr.write(f"wrote {count} records to {out}\n")

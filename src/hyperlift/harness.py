@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -61,7 +62,10 @@ TIMING_COLUMNS = ["d", "n", "delta", "seed", "algorithm", "elapsed"]
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A grid of (n, delta) cells replicated over derived seeds."""
+    """A grid of (n, delta) cells replicated over derived seeds, run by at
+    least one worker.  Each delta is exact (numbers.Rational): it enters
+    the replicate seed as its numerator and denominator, which a float
+    would silently make a binary fraction's."""
 
     d: int
     n_list: tuple
@@ -76,10 +80,15 @@ class SweepSpec:
             raise ValueError("sweep grid must be nonempty")
         if not self.algorithms:
             raise ValueError("sweep needs at least one algorithm")
+        if self.threads < 1:
+            raise ValueError(f"threads={self.threads!r} must be at least 1")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
         # every cell's parameters are checked before any output is opened
+        for delta in self.delta_list:
+            if not isinstance(delta, numbers.Rational):
+                raise ValueError(f"delta={delta!r} must be exact (an int or a Fraction)")
         for n in self.n_list:
             for delta in self.delta_list:
                 DensityParams(self.d, Fraction(delta), n)

@@ -7,8 +7,8 @@ must agree with, the Pasch-trade witness and the effective density
 exponent behind acceptance criterion 9, the block-by-block rank samplers
 that the fast one must reproduce, the inverse of unrank_combination for
 its round trip, the round-by-round color refinement that the early-stopping one must
-reproduce, the full-tree canonical form that the one-tree search must
-reproduce, the canonical-form candidate dedup and the orbit closure over
+reproduce, the full-tree canonical form whose partition into isomorphism classes
+the twin quotient's canonical form must reproduce, the canonical-form candidate dedup and the orbit closure over
 every k-set that the twin-canonical orbit dedup must reproduce, the
 solve-every-component MAP that the singleton rule must reproduce, the
 greedy deletion repeated to a fixed point that the one-pass greedy must
@@ -24,7 +24,7 @@ import math
 import time
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from hyperlift.census import (
     PatternHypergraph,
@@ -319,10 +319,11 @@ def reference_refine_round(
 def reference_canonical_form(
     edges: Sequence[Sequence[int]], edge_colors: Optional[Sequence[int]] = None
 ) -> bytes:
-    """The least leaf code over the whole individualize-and-refine tree,
-    cellmates with identical incident edges pruned to one and nothing else
-    pruned: the canonical form the one-tree search must reproduce byte for
-    byte.
+    """The least leaf code over the whole individualize-and-refine tree of
+    the hypergraph itself, cellmates with identical incident edges pruned to
+    one and nothing else pruned: a canonical form by an independent route,
+    whose partition of any inputs into isomorphism classes the quotient's
+    canonical form must reproduce (assert_same_partition).
     """
     edges = [tuple(sorted(e)) for e in edges]
     if edge_colors is None:
@@ -382,6 +383,18 @@ def reference_canonical_form(
     if best is None:
         raise RuntimeError("reference_canonical_form: the refinement search reached no leaf")
     return best
+
+
+def assert_same_partition(cases: Iterable[tuple]) -> int:
+    """Over (form, reference form, input) triples, assert that form ->
+    reference form and reference form -> form are both functions, so the
+    two forms partition the inputs alike; returns the number of classes."""
+    forward: dict = {}
+    backward: dict = {}
+    for form, key, case in cases:
+        assert forward.setdefault(form, key) == key, case
+        assert backward.setdefault(key, form) == form, case
+    return len(forward)
 
 
 def reference_candidate_neighbors(pattern: Sequence[tuple], d: int) -> list:
@@ -462,7 +475,7 @@ def reference_orbit_candidates(pattern: Sequence[tuple], d: int) -> list:
     cli_pairs = set()
     for c in clique_hypergraph(Graph(v, proj), d).edges:
         cli_pairs.update(combinations(c, 2))
-    generators = _search_tree(_Tree(v, edges, [0] * len(edges)))[1]
+    generators = _search_tree(_Tree(v, edges, [0] * len(edges), _incidence(v, edges)))[1]
     seen: set = set()
     out: list = []
     for k in range(2, d + 1):
@@ -705,9 +718,9 @@ def reference_twin_class_automorphism_count(pattern) -> int:
     order the sorted edge list first meets them, and partial maps are
     pruned as soon as a fully-mapped hyperedge leaves the edge set; more
     than 5,000,000 partial maps raise PatternTooLargeError.  It relies on
-    the twin argument that _search_tree also uses, so it stands in for
-    reference_automorphism_count only where that one cannot finish, and is
-    checked against it where it can.
+    the twin argument that the twin quotient (census._quotient) also rests
+    on, so it stands in for reference_automorphism_count only where that
+    one cannot finish, and is checked against it where it can.
     """
     n = pattern.v
     edges = pattern.edges

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     appearance_exponent,
+    assert_same_partition,
     brute_force_isomorphic,
     brute_max_density,
     generated_group_order,
@@ -123,8 +124,10 @@ def test_canonical_form_respects_edge_colors():
 
 def test_canonical_form_matches_the_full_tree_reference_on_random_inputs():
     # seeded random hypergraphs with edges of 2..4 vertices, plain and with
-    # random edge colors, each also under a random relabeling
+    # random edge colors, each also under a random relabeling: the forms
+    # partition them as the full-tree reference's forms do
     rng = Stream(2014)
+    cases = []
     for case in range(400):
         n = 2 + rng.randrange(10)
         edges = []
@@ -134,11 +137,36 @@ def test_canonical_form_matches_the_full_tree_reference_on_random_inputs():
             edges.append(tuple(members[: 2 + rng.randrange(min(3, n - 1))]))
         colors = None if case % 2 == 0 else [rng.randrange(3) for _ in edges]
         key = reference_canonical_form(edges, colors)
-        assert canonical_form(edges, colors) == key, (edges, colors)
+        cases.append((canonical_form(edges, colors), key, (edges, colors)))
         perm = list(range(n))
         rng.shuffle(perm)
         relabeled = [tuple(perm[u] for u in e) for e in edges]
-        assert canonical_form(relabeled, colors) == key, (edges, colors, perm)
+        cases.append((canonical_form(relabeled, colors), key, (edges, colors, perm)))
+    assert assert_same_partition(cases) > 300
+
+
+def test_canonical_form_keeps_the_twin_class_sizes():
+    # one hyperedge of 3 or 4 vertices is one class of 3 or 4 twins; a
+    # pendant class enlarged; the same sorted sizes placed differently on a
+    # path of three classes (a pendant pair and a single middle vertex, or
+    # the other way round): each pair has one quotient, so only the sizes
+    # tell them apart
+    pairs = [
+        ([(0, 1, 2)], [(0, 1, 2, 3)]),
+        ([(0, 1, 2, 3), (2, 3, 4, 5)], [(0, 1, 2, 3, 6), (2, 3, 4, 5)]),
+        ([(0, 1, 2), (2, 3, 4, 5)], [(0, 1, 2), (1, 2, 3, 4, 5)]),
+    ]
+    for a, b in pairs:
+        assert canonical_form(a) != canonical_form(b), (a, b)
+        assert PatternHypergraph(a).canonical_form != PatternHypergraph(b).canonical_form
+
+
+def test_ambiguous_gadget_preimages_share_a_canonical_form():
+    # the two minimum preimages swap the hubs u1 and u2
+    for d in range(3, 11):
+        preimage1, preimage2, _ = build_ambiguous_gadget(d)
+        assert canonical_form(preimage1.edges) == canonical_form(preimage2.edges), d
+        assert preimage1.canonical_form == preimage2.canonical_form, d
 
 
 def _branched(colors: list, v: int) -> list:
@@ -205,6 +233,9 @@ def test_individualizing_a_twin_cell_needs_no_refinement():
     # incident edges) lies inside every edge that meets it; individualizing
     # v changes those edges' profiles in one injective way, so no class
     # splits and the refinement of the branched coloring is its dense ranks
+    # (a fact of the refinement alone: the engine no longer takes this
+    # shortcut, since it only ever searches twin quotients, which have no
+    # twins)
     equal = inside = 0
     for n, edges, edge_colors in _twin_heavy_hypergraphs(120, 1614):
         incident = _incidence(n, edges)
@@ -252,11 +283,14 @@ def _twin_heavy_pool() -> list:
 
 
 def test_twin_heavy_patterns_match_the_references_under_relabeling():
-    # |Aut| from the twin-class reference: the vertex-level one raises on
-    # four of these patterns and takes 21 s on another
+    # the forms partition the pool and its relabelings as the full-tree
+    # reference's forms do, and |Aut| is the twin-class reference's: the
+    # vertex-level one raises on four of these patterns and takes 21 s on
+    # another
     rng = Stream(2302)
     pool = _twin_heavy_pool()
     assert len(pool) > 40
+    cases = []
     for pat in pool:
         key = reference_canonical_form(pat.edges)
         order = reference_twin_class_automorphism_count(pat)
@@ -265,8 +299,9 @@ def test_twin_heavy_patterns_match_the_references_under_relabeling():
             if relabeling:
                 rng.shuffle(perm)
             image = pat.relabeled(perm)
-            assert canonical_form(image.edges) == key, (pat.edges, perm)
+            cases.append((canonical_form(image.edges), key, (pat.edges, perm)))
             assert automorphism_count(image) == order, (pat.edges, perm)
+    assert assert_same_partition(cases) > 20
 
 
 def test_automorphism_examples():
@@ -293,9 +328,11 @@ def test_automorphism_count_is_memoized_on_the_pattern(monkeypatch):
     import hyperlift.census as census
 
     pat = PatternHypergraph([(0, 1, 2), (0, 1, 3)])
+    form = canonical_form(pat.edges)
     assert automorphism_count(pat) == 4
     monkeypatch.setattr(census, "_search_tree", None)
     assert automorphism_count(pat) == 4
+    assert pat.canonical_form == form  # filled in by the same search
 
 
 def test_automorphism_count_against_orbit_size():
@@ -328,7 +365,9 @@ def test_automorphism_generators_generate_the_automorphism_group():
             assert [sizes[g[t]] for t in range(len(sizes))] == sizes
         order = generated_group_order(pat.generators, len(sizes))
         assert order * math.prod(map(math.factorial, sizes)) == automorphism_count(pat)
-        own = census._search_tree(census._Tree(pat.v, pat.edges, [0] * pat.e))[1]
+        own = census._search_tree(
+            census._Tree(pat.v, pat.edges, [0] * pat.e, _incidence(pat.v, pat.edges))
+        )[1]
         assert generated_group_order(own, pat.v) == automorphism_count(pat), pat.edges
 
 

@@ -85,6 +85,17 @@ def test_search_with_d_above_the_bound_exits_1_at_once(capsys):
     assert "d <= 12" in captured.err
 
 
+def test_census_with_d_outside_the_bound_exits_1_at_once(capsys):
+    start = time.monotonic()
+    assert main(["census", "--d", "40", "--delta", "1/2"]) == 1
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "need 3 <= d <= 12, got 40" in captured.err
+    assert main(["census", "--d", "12", "--delta", "1/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["thresholds"]["d"] == 12
+
+
 def test_preimage_reports_gadget_ambiguity(tmp_path, capsys):
     _, _, proj = build_ambiguous_gadget(3)
     el = tmp_path / "g.el"
@@ -306,6 +317,17 @@ def test_sweep_config_rejects_cells_no_sweep_can_run(tmp_path, capsys, text, fra
     assert main(["--out", str(out), "sweep", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(cfg) in err and fragments[0] in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_sweep_threads_below_one_exits_1_and_writes_nothing(tmp_path, capsys, threads):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(_SWEEP_OK)
+    out = tmp_path / "o.csv"
+    assert main(["--out", str(out), f"--threads={threads}", "sweep", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"threads={threads}" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 

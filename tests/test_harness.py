@@ -290,3 +290,24 @@ def test_sweep_spec_rejects_bad_cells_before_any_output(tmp_path, changes):
     with pytest.raises(ValueError):
         write_sweep_csv(SweepSpec(**fields), out, tmp_path / "out.timing")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"delta_list": (Fraction(1, 5), 0.2)}, "delta=0.2"),
+        ({"threads": 0}, "threads=0"),
+        ({"threads": -4}, "threads=-4"),
+    ],
+)
+def test_sweep_spec_rejects_inexact_delta_and_threads_below_one(tmp_path, changes, named):
+    # a float delta would enter the replicate seed as a binary fraction,
+    # and threads below one used to run in process unremarked
+    fields = dict(
+        d=3, n_list=(10,), delta_list=(Fraction(1, 5),), num_seeds=1, base_seed=0
+    )
+    fields.update(changes)
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match=named):
+        write_sweep_csv(SweepSpec(**fields), out, tmp_path / "out.timing")
+    assert list(tmp_path.iterdir()) == []

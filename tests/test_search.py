@@ -17,6 +17,7 @@ import pytest
 
 import oracles
 from oracles import (
+    assert_same_partition,
     generated_group_order,
     reference_automorphism_count,
     reference_candidate_neighbors,
@@ -255,7 +256,8 @@ def test_isomorphism_classes_partition_as_canonical_forms_do(certificates):
 
 
 def _first_leaf(edges) -> bytes:
-    tree = census._Tree(1 + max(map(max, edges)), edges, [0] * len(edges))
+    n = 1 + max(map(max, edges))
+    tree = census._Tree(n, edges, [0] * len(edges), census._incidence(n, edges))
     return tree.encode(tree.path[-1])
 
 
@@ -284,8 +286,9 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     # C6 and two triangles, a pendant vertex on every edge: the refinement
     # gives both the classes {cycle vertices}, {pendants} and one edge
     # profile, so they share a key, and only canonical forms tell them apart:
-    # the new pattern's form, memoized on the node record, then the stored
-    # pattern's
+    # the new pattern's form, read off the search of its own tree and
+    # memoized on the node record, and canonical_form's of the stored
+    # pattern
     hexagon, triangles = _pendant_cycles([6]), _pendant_cycles([3, 3])
     classes = IsomorphismClasses()
     assert classes.add(PatternHypergraph(hexagon))
@@ -293,7 +296,7 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     pattern = PatternHypergraph(triangles)
     assert classes.add(pattern)
     assert len(classes._classes) == 1
-    assert calls == [pattern.edges, PatternHypergraph(hexagon).edges]
+    assert calls == [PatternHypergraph(hexagon).edges]
     assert pattern._canon == canonical_form(triangles)
     # their disjoint union, the hexagon's labels first and then last: the
     # first path individualizes a vertex of the hexagon in one and of a
@@ -307,9 +310,9 @@ def test_isomorphism_classes_compare_canonical_forms_only_on_a_bare_key_match(mo
     assert classes.add(PatternHypergraph(first))
     assert not calls
     assert not classes.add(PatternHypergraph(last))
-    assert calls == [last, first]
+    assert calls == [first]
     assert not classes.add(PatternHypergraph(first))  # its own first leaf: no canonical form
-    assert calls == [last, first]
+    assert calls == [first]
 
 
 def test_isomorphism_classes_keep_the_twin_class_sizes():
@@ -462,9 +465,11 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
     # own tree for their generators; 6,657 refinements when each pattern's
     # own tree was filed, 10,117 when each child got a whole canonical form,
     # 19,476 when every child was refined).  The only other trees are those
-    # of the three canonical forms: the d=3 class's key and one dedup
-    # fallback, which computes the new pattern's form by canonical_form
-    # too (two when the fallback read it off the new pattern's own tree).
+    # of the two canonical_form calls, the d=3 class's key and the stored
+    # class's form in the one dedup fallback; the new pattern's form comes
+    # from searching the quotient tree it has already built, 3 refinements
+    # (4,129 trees, 6,750 refinements and three canonical_form calls when
+    # canonical_form built a tree of the new pattern itself, with 6)
     # Only the 240 patterns that lack the private-pair certificate and ask
     # min_preimage build a projection Graph and list its cliques; the
     # expanded ones read the patterns' N[u] bitmasks instead (402 when
@@ -502,9 +507,9 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
         assert report.exhausted
         filed += report.nodes_visited + report.nodes_deduped
     assert counts["graphs"] == counts["cliques"] == counts["preimages"] == 240
-    assert counts["trees"] == filed + counts["forms"] == 4_129
-    assert counts["forms"] == 3
-    assert counts["refine"] == 6_750
+    assert counts["trees"] == filed + counts["forms"] == 4_128
+    assert counts["forms"] == 2
+    assert counts["refine"] == 6_747
 
 
 def test_private_pair_certificate_agrees_with_min_preimage(certificates, monkeypatch):
@@ -628,14 +633,23 @@ def test_orbit_dedup_matches_canonical_form_dedup(certificates, d):
         ), pattern
 
 
+# sha256 of the sorted canonical forms of the 4,126 patterns the pilot
+# certificates deduplicate, one per line
+PILOT_FORMS_SHA256 = "621056e83f67820f893c5e6214f753f9117688529bb49724ff4e9f8a5a1a1f93"
+
+
 def test_canonical_form_matches_the_full_tree_reference(certificates, monkeypatch):
-    # byte for byte on every pattern the certificates deduplicated, and on
-    # the patterns with one marked hyperedge that the candidate-dedup oracle
-    # builds from the expanded patterns of the d=3 and d=5 certificates
+    # the forms partition the patterns the certificates deduplicated as the
+    # full-tree reference's forms do, and so the patterns with one marked
+    # hyperedge that the candidate-dedup oracle builds from the expanded
+    # patterns of the d=3 and d=5 certificates
     plain = [p for _, _, deduplicated in certificates.values() for p in deduplicated]
     assert len(plain) == 4126
-    for pattern in plain:
-        assert canonical_form(pattern) == reference_canonical_form(pattern), pattern
+    forms = [canonical_form(pattern) for pattern in plain]
+    cases = [(form, reference_canonical_form(p), p) for form, p in zip(forms, plain)]
+    assert assert_same_partition(cases) == sum(c[0].nodes_visited for c in certificates.values())
+    digest = hashlib.sha256(b"\n".join(sorted(forms))).hexdigest()
+    assert digest == PILOT_FORMS_SHA256
     marked: list = []
 
     def recording(edges, edge_colors=None):
@@ -648,8 +662,16 @@ def test_canonical_form_matches_the_full_tree_reference(certificates, monkeypatc
         for pattern in certificates[d][1]:
             reference_candidate_neighbors(pattern, d)
     assert len(marked) > 9000
-    for edges, colors, key in marked:
-        assert canonical_form(edges, colors) == key, (edges, colors)
+    assert assert_same_partition(
+        (canonical_form(edges, colors), key, (edges, colors)) for edges, colors, key in marked
+    ) > 1000
+
+
+def test_pattern_canonical_form_is_the_module_canonical_form(certificates):
+    # the node record's form, read off its one search, is canonical_form's
+    for _, _, deduplicated in certificates.values():
+        for pattern in deduplicated:
+            assert PatternHypergraph(pattern).canonical_form == canonical_form(pattern), pattern
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
