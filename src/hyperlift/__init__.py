@@ -5,9 +5,9 @@ The package has three layers:
 - core model: hypergraphs, graphs, seeded generation, projection, the
   d-clique hypergraph, similarity matrices (:mod:`hyperlift.core`,
   :mod:`hyperlift.components`);
-- reconstruction: exact minimum-preimage search per 2-connected component
-  (MAP), the maximum clique cover, and greedy deletion
-  (:mod:`hyperlift.preimage`, :mod:`hyperlift.reconstruct`);
+- reconstruction: one exact minimum-preimage engine per 2-connected
+  component behind MAP and min_preimage, the maximum clique cover, and
+  greedy deletion (:mod:`hyperlift.preimage`, :mod:`hyperlift.reconstruct`);
 - certification machinery: exact pattern combinatorics, the cover
   optimizations, the ambiguity gadgets, and the pruned isomorphism-free
   search for ambiguous graphs (:mod:`hyperlift.census`,
@@ -31,13 +31,14 @@ from .core import (
     support_graph,
 )
 from .components import ComponentPartition, decompose
-from .preimage import PreimageReport, enumerate_preimages, min_preimage
 from .reconstruct import (
     ComponentTooLargeError,
+    PreimageReport,
     ReconstructionResult,
     clique_cover,
     greedy_reconstruct,
     map_reconstruct,
+    min_preimage,
     verify_exact,
 )
 from .census import (
@@ -76,7 +77,6 @@ __all__ = [
     "clique_hypergraph",
     "decompose",
     "densify_reduction",
-    "enumerate_preimages",
     "exact_expected_count",
     "expected_count_exponent",
     "g_0",

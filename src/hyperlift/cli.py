@@ -18,9 +18,9 @@ CPU; the CSV bytes do not depend on it).
 
 Malformed input (a bad file, config or parameter, such as a census or
 search --d outside 3..12 or a --threads below 1), a file that cannot be
-read or written and an input too large for the exact engine (a MAP
-component or a preimage graph over COMPONENT_LIMIT candidate hyperedges,
-or one too deep for its recursion) print one line to stderr and exit 1.
+read or written and an input too large for the exact engine (a 2-connected
+component over COMPONENT_LIMIT candidate hyperedges, in map and preimage
+alike, or one too deep for its recursion) print one line to stderr, exit 1.
 
 Fractions on the command line are exact: "2/5" or "0.4" both mean 2/5;
 one that does not parse, or has a zero denominator, is a bad parameter.
@@ -61,7 +61,6 @@ from .core import (
     DensityParams,
     FormatError,
     HsbmParams,
-    clique_hypergraph,
     generate_random_hypergraph,
     graph_from_text,
     graph_to_text,
@@ -72,8 +71,7 @@ from .core import (
     write_text,
 )
 from .harness import SweepSpec, hsbm_pipeline, write_sweep_csv
-from .preimage import min_preimage
-from .reconstruct import ALGORITHMS, COMPONENT_LIMIT, ComponentTooLargeError
+from .reconstruct import ALGORITHMS, ComponentTooLargeError, min_preimage
 from .search import SearchConfig, dfs_search
 
 
@@ -133,9 +131,6 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_preimage(args) -> int:
     g = _load(args.input, graph_from_text)
-    count = len(clique_hypergraph(g, args.d))  # memoized on g for min_preimage
-    if count > COMPONENT_LIMIT:  # min_preimage does not decompose: the whole graph counts
-        raise ComponentTooLargeError(f"{count} candidates: too large (limit {COMPONENT_LIMIT})")
     report = min_preimage(g, args.d, cap=args.cap)
     _emit(args, json.dumps(report.to_dict(), indent=2))
     return 0

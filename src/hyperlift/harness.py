@@ -76,6 +76,11 @@ class SweepSpec:
     threads: int = 1
 
     def __post_init__(self):
+        integers = [("d", self.d), ("num_seeds", self.num_seeds), ("base_seed", self.base_seed)]
+        integers += [("threads", self.threads)] + [("n", n) for n in self.n_list]
+        for name, value in integers:
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}={value!r} must be an integer")
         if not self.n_list or not self.delta_list or self.num_seeds < 1:
             raise ValueError("sweep grid must be nonempty")
         if not self.algorithms:

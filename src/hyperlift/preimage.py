@@ -1,53 +1,31 @@
-"""Exact minimum-preimage computation and ambiguity detection for small graphs.
+"""The exact set-cover core: minimum covers of a pair universe by d-cliques.
 
 A preimage (clique cover) of a graph G is a set of d-cliques of G whose
 pairwise projections cover every edge of G exactly; a minimum preimage has
-the fewest hyperedges.  This module is the exact set-cover engine behind
-the MAP reconstruction rule, the ambiguity search and the census cover
-optimizations.  Every cover problem there goes through one search
-algorithm over bitmasks of a pair universe: cover_masks builds the masks,
-covers_within enumerates every candidate set covering the universe within
-a cost budget (all preimages up to a size, the growth step of the search),
-and least_covers raises that budget from a per-pair lower bound to the
-least one at which covers_within finds a cover: minimum preimages with
-unit costs, g_k and g_0 with the census costs.  covers_within returns the
-covers alone, so how it prunes shows in no caller's result or counter.
+the fewest hyperedges.  This module is the cover core behind the exact
+engine in reconstruct (MAP and min_preimage), the ambiguity search and the
+census cover optimizations.  Every cover problem there goes through one
+search algorithm over bitmasks of a pair universe: cover_masks builds the
+masks, covers_within enumerates every candidate set covering the universe
+within a cost budget (the growth step of the search), and least_covers
+raises that budget from a per-pair lower bound to the least one at which
+covers_within finds a cover: minimum preimages with unit costs (through
+solve_cover), g_k and g_0 with the census costs.  covers_within returns
+the covers alone, so how it prunes shows in no caller's result or counter.
 
-It is meant for component-scale inputs, not whole projected graphs: MAP and
-`hyperlift preimage` refuse more than reconstruct.COMPONENT_LIMIT candidates.
+It is meant for component-scale inputs, not whole projected graphs: the
+engine refuses a component over reconstruct.COMPONENT_LIMIT candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import Graph, Hypergraph, clique_hypergraph
-
-
-@dataclass(frozen=True)
-class PreimageReport:
-    """Result of exact minimum-preimage search.
-
-    min_covers holds at most ``cap`` minimum covers, lexicographically
-    least first; the ambiguous flag is decided by exhaustive search for a
-    second minimum and never depends on the cap.
-    """
-
-    feasible: bool
-    min_size: Optional[int]
-    min_covers: tuple
-    ambiguous: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "min_size": self.min_size,
-            "min_covers": [[list(e) for e in cover] for cover in self.min_covers],
-            "ambiguous": self.ambiguous,
-        }
+# clique_hypergraph is not called here; perfbench/layers.py traces
+# preimage.clique_hypergraph by name, so the name stays importable
+from .core import clique_hypergraph
 
 
 def cover_masks(universe: Sequence, candidates: Sequence) -> tuple:
@@ -173,24 +151,3 @@ def solve_cover(
     r, index_covers = least
     covers = tuple(tuple(candidates[i] for i in ic) for ic in index_covers[:cap])
     return r, covers, len(index_covers) >= 2
-
-
-def min_preimage(g: Graph, d: int, cap: int = 16) -> PreimageReport:
-    """Exact minimum preimages of g among its d-cliques (solve_cover).
-
-    Infeasible (some edge of g lies in no d-clique) is reported, not raised:
-    the CLI accepts arbitrary graphs.
-    """
-    r, covers, ambiguous = solve_cover(g.edges, clique_hypergraph(g, d).edges, cap)
-    return PreimageReport(r is not None, r, covers, ambiguous)
-
-
-def enumerate_preimages(g: Graph, d: int, size_limit: int) -> list:
-    """All preimages of g with at most size_limit hyperedges, sorted."""
-    candidates = clique_hypergraph(g, d).edges
-    masks, full = cover_masks(g.edges, candidates)
-    subsets = covers_within(full, masks, [1] * len(masks), size_limit)
-    hypergraphs = [
-        Hypergraph(g.n, d, [candidates[i] for i in ic]) for ic in subsets
-    ]
-    return sorted(hypergraphs, key=lambda h: h.edges)

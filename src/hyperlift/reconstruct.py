@@ -2,19 +2,19 @@
 
 - clique_cover outputs every d-clique of the input graph (the maximal
   preimage).
-- map_reconstruct computes the clique hypergraph, splits it into
-  2-connected components, solves an exact minimum preimage on each
-  component, and unions the canonical (lexicographically least) minima.
-  A one-candidate component is its own unique minimum and skips the
-  solver.  It never consults the density p.
+- map_reconstruct and min_preimage share one exact engine: it splits the
+  clique hypergraph into 2-connected components and solves each exactly,
+  a one-candidate component being its own unique minimum.  MAP unions the
+  canonical (lexicographically least) minima and never consults the
+  density p; min_preimage merges the components' least minima.
 - greedy_reconstruct starts from the clique hypergraph and deletes
   hyperedges all of whose pairs are covered at least twice, in one
   ascending lexicographic pass, which is the fixed point: coverage never
   rises, so a hyperedge kept when scanned keeps a pair covered once.
 
-All three share the clique hypergraph memoized on the input graph, and
-return a ReconstructionResult whose is_preimage flag records whether the
-output actually projects back onto the input graph.
+All share the clique hypergraph memoized on the input graph; the three
+algorithms return a ReconstructionResult whose is_preimage flag records
+whether the output projects back onto the input graph.
 """
 
 from __future__ import annotations
@@ -31,11 +31,34 @@ from .core import Graph, Hypergraph, clique_hypergraph, edge_pairs, project
 from .preimage import solve_cover
 
 
-COMPONENT_LIMIT = 40  # candidates per exact cover search: a MAP component, a preimage graph
+COMPONENT_LIMIT = 40  # candidates per component, for MAP and min_preimage alike
 
 
 class ComponentTooLargeError(RuntimeError):
     """An exact cover search would get more than its limit of candidates."""
+
+
+@dataclass(frozen=True)
+class PreimageReport:
+    """Result of exact minimum-preimage search.
+
+    min_covers holds at most ``cap`` minimum covers, lexicographically
+    least first; the ambiguous flag is decided by exhaustive search for a
+    second minimum and never depends on the cap.
+    """
+
+    feasible: bool
+    min_size: int | None
+    min_covers: tuple
+    ambiguous: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "feasible": self.feasible,
+            "min_size": self.min_size,
+            "min_covers": [[list(e) for e in cover] for cover in self.min_covers],
+            "ambiguous": self.ambiguous,
+        }
 
 
 @dataclass
@@ -72,41 +95,62 @@ def clique_cover(g: Graph, d: int) -> ReconstructionResult:
     return _finish("cc", g, clique_hypergraph(g, d), t0)
 
 
-def map_reconstruct(g: Graph, d: int) -> ReconstructionResult:
-    """Exact MAP: minimum preimage, decomposed over 2-connected components.
+def _solve_components(g: Graph, d: int, cap: int) -> tuple:
+    """The one exact engine: Cli(g) split into 2-connected components, each
+    solved by solve_cover at ``cap``.  Returns (sizes, lone, parts): the
+    component sizes, the candidates alone in their component (each its own
+    unique minimum, so not solved) and (covers, ambiguous) for every other
+    component.  Before any search it raises ComponentTooLargeError, naming
+    the first component over COMPONENT_LIMIT candidates."""
+    cli = clique_hypergraph(g, d)
+    components = decompose(cli).components
+    sizes = list(map(len, components))
+    for size in sizes:
+        if size > COMPONENT_LIMIT:
+            message = f"component with {size} candidate hyperedges: too large"
+            raise ComponentTooLargeError(f"{message} (limit {COMPONENT_LIMIT})")
+    lone, parts = [], []
+    for comp in components:
+        if len(comp) == 1:
+            lone.append(cli.edges[comp[0]])
+        else:
+            candidates = [cli.edges[i] for i in comp]
+            # a component is built from its own candidates, so always feasible
+            _, covers, ambiguous = solve_cover(set(edge_pairs(candidates)), candidates, cap)
+            parts.append((covers, ambiguous))
+    return sizes, lone, parts
 
-    On a non-unique component minimum the canonical lexicographically-least
-    cover is chosen and the component counted in ambiguous_components.  A
-    component with a single candidate takes it without calling the solver:
-    it is the unique minimum cover of its own pairs.  Components larger
-    than COMPONENT_LIMIT raise ComponentTooLargeError rather than searching
-    without bound.
+
+def map_reconstruct(g: Graph, d: int) -> ReconstructionResult:
+    """Exact MAP: the canonical minimum preimage of every component.
+
+    On a non-unique component minimum the lexicographically least cover is
+    chosen and the component counted in ambiguous_components.
     """
     t0 = time.perf_counter()
-    cli = clique_hypergraph(g, d)
-    partition = decompose(cli)
-    chosen: list = []
-    ambiguous = 0
-    sizes = []
-    for comp in partition.components:
-        if len(comp) > COMPONENT_LIMIT:
-            raise ComponentTooLargeError(
-                f"component with {len(comp)} candidate hyperedges exceeds "
-                f"abort threshold {COMPONENT_LIMIT}"
-            )
-        sizes.append(len(comp))
-        if len(comp) == 1:
-            chosen.append(cli.edges[comp[0]])
-            continue
-        candidates = [cli.edges[i] for i in comp]
-        r, covers, amb = solve_cover(set(edge_pairs(candidates)), candidates, cap=2)
-        # components are built from their own candidates, so always feasible
+    sizes, chosen, parts = _solve_components(g, d, 1)
+    for covers, _ in parts:
         chosen.extend(covers[0])
-        ambiguous += bool(amb)
+    ambiguous = sum(amb for _, amb in parts)
     output = Hypergraph(g.n, d, chosen)
-    return _finish(
-        "map", g, output, t0, component_sizes=sizes, ambiguous_components=ambiguous
-    )
+    return _finish("map", g, output, t0, component_sizes=sizes, ambiguous_components=ambiguous)
+
+
+def min_preimage(g: Graph, d: int, cap: int = 16) -> PreimageReport:
+    """The ``cap`` lexicographically least minimum preimages of g, merged
+    from the components' ``cap`` least: a minimum preimage is a union of
+    component minima, which share no pair, and adding one disjoint set to
+    two covers of a size keeps their order.  Infeasible (an edge of g in
+    no d-clique) is reported, not raised: the CLI accepts any graph."""
+    if cap < 1:
+        raise ValueError(f"cap={cap} must be >= 1")
+    _, lone, parts = _solve_components(g, d, cap)
+    covers = [tuple(lone)]
+    for part, _ in parts:
+        covers = sorted(tuple(sorted(a + b)) for a in covers for b in part)[:cap]
+    if set(edge_pairs(covers[0])) != g.edge_set:
+        return PreimageReport(False, None, (), False)
+    return PreimageReport(True, len(covers[0]), tuple(covers), any(amb for _, amb in parts))
 
 
 def greedy_reconstruct(g: Graph, d: int) -> ReconstructionResult:

@@ -59,7 +59,8 @@ from .census import (
     stable_colors,
 )
 from .core import Graph, clique_hypergraph, hypergraph_to_text, Hypergraph, project_edges
-from .preimage import covers_within, cover_masks, min_preimage
+from .preimage import covers_within, cover_masks
+from .reconstruct import min_preimage
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ reproduce, the full-tree canonical form whose partition into isomorphism classes
 the twin quotient's canonical form must reproduce, the canonical-form candidate dedup and the orbit closure over
 every k-set that the twin-canonical orbit dedup must reproduce, the
 solve-every-component MAP that the singleton rule must reproduce, the
-greedy deletion repeated to a fixed point that the one-pass greedy must
+whole-graph minimum preimage that the per-component merge must reproduce,
+the preimage enumeration up to a size that the tests read, the greedy
+deletion repeated to a fixed point that the one-pass greedy must
 reproduce, the growth step's own collection DFS that the shared cover
 enumerator must reproduce, the backtracking automorphism counts (vertex
 by vertex, and over twin classes where that one cannot finish) that the
@@ -36,8 +38,8 @@ from hyperlift.census import (
 )
 from hyperlift.components import decompose
 from hyperlift.core import Graph, Hypergraph, clique_hypergraph, project, project_edges
-from hyperlift.preimage import solve_cover
-from hyperlift.reconstruct import ComponentTooLargeError, ReconstructionResult
+from hyperlift.preimage import cover_masks, covers_within, solve_cover
+from hyperlift.reconstruct import ComponentTooLargeError, PreimageReport, ReconstructionResult
 from hyperlift.rng import BLOCK_SIZE, GEN_TAG, substream
 
 
@@ -516,8 +518,8 @@ def reference_map_reconstruct(
     for comp in partition.components:
         if len(comp) > component_limit:
             raise ComponentTooLargeError(
-                f"component with {len(comp)} candidate hyperedges exceeds "
-                f"abort threshold {component_limit}"
+                f"component with {len(comp)} candidate hyperedges: too large "
+                f"(limit {component_limit})"
             )
         candidates = [cli.edges[i] for i in comp]
         universe = set()
@@ -537,6 +539,28 @@ def reference_map_reconstruct(
         ambiguous_components=ambiguous,
         elapsed=time.perf_counter() - t0,
     )
+
+
+def reference_min_preimage(g: Graph, d: int, cap: int = 16) -> PreimageReport:
+    """min_preimage as one cover search over the whole graph: every d-clique
+    a candidate, every edge in the universe, no decomposition.
+
+    The cliques are enumerated on a fresh copy of g.
+    """
+    candidates = clique_hypergraph(Graph(g.n, g.edges), d).edges
+    r, covers, ambiguous = solve_cover(g.edges, candidates, cap)
+    return PreimageReport(r is not None, r, covers, ambiguous)
+
+
+def enumerate_preimages(g: Graph, d: int, size_limit: int) -> list:
+    """All preimages of g with at most size_limit hyperedges, sorted."""
+    candidates = clique_hypergraph(g, d).edges
+    masks, full = cover_masks(g.edges, candidates)
+    subsets = covers_within(full, masks, [1] * len(masks), size_limit)
+    hypergraphs = [
+        Hypergraph(g.n, d, [candidates[i] for i in ic]) for ic in subsets
+    ]
+    return sorted(hypergraphs, key=lambda h: h.edges)
 
 
 def reference_greedy(g: Graph, d: int) -> Hypergraph:

@@ -41,7 +41,8 @@ from hyperlift.census import (
     threshold_table,
 )
 from hyperlift.core import DensityParams, generate_random_hypergraph, Hypergraph, project
-from hyperlift.preimage import cover_masks, min_preimage
+from hyperlift.preimage import cover_masks
+from hyperlift.reconstruct import min_preimage
 from hyperlift.rng import Stream
 
 

@@ -10,11 +10,14 @@ from itertools import combinations
 
 import pytest
 
-from hyperlift import cli
+from hyperlift import reconstruct
 from hyperlift.cli import build_parser, main, parse_sweep_config
 from hyperlift.core import (
+    DensityParams,
     FormatError,
     Graph,
+    clique_hypergraph,
+    generate_random_hypergraph,
     graph_to_text,
     hypergraph_from_text,
     project,
@@ -145,9 +148,9 @@ def test_preimage_and_map_share_one_candidate_limit(tmp_path, capsys, monkeypatc
             map_reconstruct(g, 3)
 
         def unreachable(*args, **kwargs):
-            raise AssertionError("min_preimage called on a graph over the limit")
+            raise AssertionError("cover search run on a graph over the limit")
 
-        monkeypatch.setattr(cli, "min_preimage", unreachable)
+        monkeypatch.setattr(reconstruct, "solve_cover", unreachable)
     el = tmp_path / "g.el"
     el.write_text(graph_to_text(g))
     assert main(["preimage", "--d", "3", str(el)]) == (0 if solved else 1)
@@ -159,14 +162,33 @@ def test_preimage_and_map_share_one_candidate_limit(tmp_path, capsys, monkeypatc
         assert "too large" in captured.err and f"limit {COMPONENT_LIMIT}" in captured.err
 
 
-def test_preimage_too_deep_for_the_engine_exits_1_with_one_stderr_line(tmp_path, capsys):
-    # K_46 at d=2: 1,035 candidates, one recursion frame per included one
+def test_preimage_answers_k46_at_d2_one_lone_candidate_per_edge(tmp_path, capsys):
+    # K_46 at d=2: 1,035 candidates, each alone in its component, so no
+    # cover search runs and nothing recurses 1,035 frames deep
     el = tmp_path / "k46.el"
     el.write_text(graph_to_text(Graph(46, list(combinations(range(46), 2)))))
-    assert main(["preimage", "--d", "2", str(el)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and "too large" in captured.err
+    assert main(["preimage", "--d", "2", str(el)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["feasible"] is True and report["ambiguous"] is False
+    assert report["min_size"] == 1035
+    assert report["min_covers"] == [[list(e) for e in combinations(range(46), 2)]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_preimage_solves_a_projection_component_by_component(tmp_path, capsys, seed):
+    # d=3 delta=1/5 n=200: 93 to 114 candidates in all, well over the limit
+    # for one search, but no component over it; the first cover is MAP's
+    g = project(generate_random_hypergraph(DensityParams(3, Fraction(1, 5), 200), seed))
+    assert len(clique_hypergraph(g, 3)) > COMPONENT_LIMIT
+    res = map_reconstruct(g, 3)
+    el = tmp_path / "g.el"
+    el.write_text(graph_to_text(g))
+    assert main(["preimage", "--d", "3", str(el)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["feasible"] is True
+    assert report["min_covers"][0] == [list(e) for e in res.output.edges]
+    assert report["min_size"] == len(res.output)
+    assert report["ambiguous"] == (res.ambiguous_components > 0)
 
 
 @pytest.mark.parametrize("delta", ["2", "-1/5"])

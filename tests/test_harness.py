@@ -298,11 +298,18 @@ def test_sweep_spec_rejects_bad_cells_before_any_output(tmp_path, changes):
         ({"delta_list": (Fraction(1, 5), 0.2)}, "delta=0.2"),
         ({"threads": 0}, "threads=0"),
         ({"threads": -4}, "threads=-4"),
+        ({"d": 3.0}, "d=3.0"),
+        ({"n_list": (10.0,)}, "n=10.0"),
+        ({"num_seeds": 1.5}, "num_seeds=1.5"),
+        ({"base_seed": 0.5}, "base_seed=0.5"),
+        ({"threads": 2.5}, "threads=2.5"),
     ],
 )
 def test_sweep_spec_rejects_inexact_delta_and_threads_below_one(tmp_path, changes, named):
     # a float delta would enter the replicate seed as a binary fraction,
-    # and threads below one used to run in process unremarked
+    # threads below one used to run in process unremarked, and a float in
+    # an integer field used to open both outputs before a TypeError (a
+    # fractional threads ran)
     fields = dict(
         d=3, n_list=(10,), delta_list=(Fraction(1, 5),), num_seeds=1, base_seed=0
     )

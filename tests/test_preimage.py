@@ -5,7 +5,13 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import all_preimages_bitmask, glue_component_preimages, is_projection_of
+from oracles import (
+    all_preimages_bitmask,
+    enumerate_preimages,
+    glue_component_preimages,
+    is_projection_of,
+    reference_min_preimage,
+)
 
 from hyperlift.census import build_ambiguous_gadget, build_spurious_clique_gadget
 from hyperlift.components import decompose
@@ -17,12 +23,8 @@ from hyperlift.core import (
     generate_random_hypergraph,
     project,
 )
-from hyperlift.preimage import (
-    covers_within,
-    enumerate_preimages,
-    least_covers,
-    min_preimage,
-)
+from hyperlift.preimage import covers_within, least_covers
+from hyperlift.reconstruct import min_preimage
 from hyperlift.rng import Stream
 
 
@@ -242,3 +244,58 @@ def test_least_covers_edge_cases():
     assert least_covers(0b11, [0b11, 0b01, 0b10], [3, 1, 1]) == (2, [(1, 2)])
     assert least_covers(0b11, [0b11, 0b01, 0b10], [2, 1, 1]) == (2, [(0,), (1, 2)])
     assert least_covers(0b11, [0b11, 0b01, 0b10], [2, 1, 1], 1) == (2, [(0,)])
+
+
+def _relabeled_union(graphs, rng) -> Graph:
+    """The disjoint union of graphs, its vertices shuffled so that the
+    parts' cliques interleave in lexicographic order."""
+    n = sum(g.n for g in graphs)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(label[a + offset], label[b + offset]) for a, b in g.edges]
+        offset += g.n
+    return Graph(n, edges)
+
+
+def _merge_cases(count: int):
+    """(graph, d) with at most 40 candidates: random projections (several
+    components, some ambiguous), random graphs (mostly infeasible) and
+    unions of ambiguous gadgets with projections and stray edges."""
+    rng = Stream(3000)
+    gadgets = {d: build_ambiguous_gadget(d)[2] for d in (3, 4)}
+    made = 0
+    while made < count:
+        d = 3 + (rng.randrange(4) == 0)
+        kind = rng.randrange(3)
+        if kind == 0:
+            params = DensityParams(d, Fraction(1, 4), 7 + rng.randrange(6))
+            g = project(generate_random_hypergraph(params, rng.randrange(10**6), p_override=0.08))
+        elif kind == 1:
+            n = 5 + rng.randrange(4)
+            g = Graph(n, [p for p in combinations(range(n), 2) if rng.random() < 0.55])
+        else:
+            parts = [gadgets[d] for _ in range(1 + rng.randrange(3))]
+            params = DensityParams(d, Fraction(1, 4), d + 2)
+            h = generate_random_hypergraph(params, rng.randrange(10**6), p_override=0.3)
+            parts.append(project(h))
+            parts.append(Graph(2, [(0, 1)] if rng.randrange(4) == 0 else []))
+            g = _relabeled_union(parts, rng)
+        if len(clique_hypergraph(g, d)) <= 40:
+            made += 1
+            yield g, d
+
+
+def test_min_preimage_merge_equals_the_whole_graph_search():
+    seen = dict.fromkeys(["multi", "ambiguous", "over_two", "infeasible"], 0)
+    for g, d in _merge_cases(300):
+        multi = sum(len(c) > 1 for c in decompose(clique_hypergraph(g, d)).components)
+        for cap in (1, 2, 3, 16, 64):
+            rep, ref = min_preimage(g, d, cap), reference_min_preimage(g, d, cap)
+            assert rep.to_dict() == ref.to_dict() and rep == ref, (g.edges, d, cap)
+        seen["multi"] += multi >= 2
+        seen["ambiguous"] += rep.ambiguous
+        seen["over_two"] += len(rep.min_covers) > 2
+        seen["infeasible"] += not rep.feasible
+    assert min(seen.values()) >= 30, seen

@@ -28,7 +28,7 @@ from oracles import (
     reference_twin_class_automorphism_count,
 )
 
-from hyperlift import census, preimage, search
+from hyperlift import census, reconstruct, search
 from hyperlift.census import (
     IsomorphismClasses,
     PatternHypergraph,
@@ -497,7 +497,7 @@ def test_pilot_certificates_refine_only_what_can_split(monkeypatch):
     monkeypatch.setattr(census, "_refine", counting("refine", census._refine))
     monkeypatch.setattr(census, "_Tree", Tree)
     monkeypatch.setattr(Graph, "__init__", counting("graphs", Graph.__init__))
-    monkeypatch.setattr(preimage, "clique_hypergraph", enumerating)
+    monkeypatch.setattr(reconstruct, "clique_hypergraph", enumerating)
     monkeypatch.setattr(search, "clique_hypergraph", enumerating)
     monkeypatch.setattr(search, "min_preimage", counting("preimages", search.min_preimage))
     monkeypatch.setattr(census, "canonical_form", counting("forms", census.canonical_form))
@@ -534,7 +534,8 @@ def test_private_pair_certificate_agrees_with_min_preimage(certificates, monkeyp
         for pattern in map(PatternHypergraph, sorted(patterns)):
             if search._owns_private_pairs(pattern, d):
                 # the pattern's own edges are the one minimum preimage
-                rep = preimage.min_preimage(Graph(pattern.v, project_edges(pattern.edges)), d, cap=2)
+                g = Graph(pattern.v, project_edges(pattern.edges))
+                rep = reconstruct.min_preimage(g, d, cap=2)
                 assert rep.feasible and not rep.ambiguous, pattern.edges
                 assert rep.min_size == pattern.e, pattern.edges
                 assert rep.min_covers[0] == pattern.edges
