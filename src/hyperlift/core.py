@@ -19,13 +19,25 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, groupby, repeat
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain, combinations, compress, repeat
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .rng import SIGMA_TAG, bernoulli_ranks, substream
 
-Hyperedge = tuple  # strictly increasing d-tuple of vertex ids
-Edge = tuple  # (a, b) with a < b
+
+def _int_ids(edges: Collection[tuple], noun: str) -> Collection[tuple]:
+    """edges with every id taken through operator.index: all-int edges pass
+    after one type check at C speed, bools and numpy ints become ints, and
+    a ValueError names the first edge holding any other id."""
+    if set(map(type, chain.from_iterable(edges))) <= {int}:
+        return edges
+    out = []
+    for e in edges:
+        try:
+            out.append(tuple(map(operator.index, e)))
+        except TypeError:
+            raise ValueError(f"{noun} {tuple(e)} has a non-integer vertex id") from None
+    return out
 
 
 class Hypergraph:
@@ -39,15 +51,19 @@ class Hypergraph:
         if n < 0:
             raise ValueError(f"vertex count n={n} must be >= 0")
         # dict order keeps sorted input sorted, which sorted() then checks in
-        # linear time; the edges are checked a column at a time, and only
+        # linear time; the edges are checked a column at a time, each column
+        # a lazy map (zip(*canon) takes seconds on a million edges), and only
         # a failed check walks them one by one to name the first bad edge
-        canon = sorted(dict.fromkeys(map(tuple, edges)))
-        cols = list(zip(*canon))
+        canon = sorted(_int_ids(dict.fromkeys(map(tuple, edges)), "hyperedge"))
+
+        def col(i: int):
+            return map(operator.itemgetter(i), canon)
+
         if not (
             set(map(len, canon)) == {d}
-            and all(all(map(operator.lt, a, b)) for a, b in zip(cols, cols[1:]))
-            and min(cols[0]) >= 0
-            and max(cols[-1]) < n
+            and all(all(map(operator.lt, col(i), col(i + 1))) for i in range(d - 1))
+            and canon[0][0] >= 0
+            and max(col(d - 1)) < n
         ):
             for e in canon:
                 if len(e) != d:
@@ -84,30 +100,29 @@ class Hypergraph:
 
 
 class Graph:
-    """A simple undirected graph with O(1) edge membership and adjacency sets.
+    """A simple undirected graph: its sorted edge list and O(1) edge membership.
 
-    Immutable once built; ``_cliques`` memoizes :func:`clique_hypergraph`
-    by d and takes no part in equality or hashing.
+    A vertex's higher neighbours are its run of ``edges``; there are no
+    per-vertex neighbour sets.  Immutable once built; ``_cliques``
+    memoizes :func:`clique_hypergraph` by d and takes no part in equality
+    or hashing.
     """
 
-    __slots__ = ("n", "edges", "edge_set", "adj", "_cliques")
+    __slots__ = ("n", "edges", "edge_set", "_cliques")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]):
         if n < 0:
             raise ValueError(f"vertex count n={n} must be >= 0")
-        canon = sorted({(int(a), int(b)) if a < b else (int(b), int(a)) for a, b in edges})
-        adj: list[set] = [set() for _ in range(n)]
+        pairs = {(a, b) if a < b else (b, a) for a, b in _int_ids(list(edges), "edge")}
+        canon = sorted(pairs)
         for a, b in canon:
             if a == b:
                 raise ValueError(f"self-loop at {a}")
             if a < 0 or b >= n:
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            adj[a].add(b)
-            adj[b].add(a)
         self.n = n
         self.edges = tuple(canon)
-        self.edge_set = frozenset(canon)
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.edge_set = frozenset(pairs)
         self._cliques: dict = {}
 
     def __eq__(self, other) -> bool:
@@ -236,8 +251,8 @@ def _binomial_column(n: int, j: int) -> tuple:
     return tuple(math.comb(m, j) for m in range(n + 1))
 
 
-def unrank_combination(rank: int, n: int, d: int) -> tuple:
-    """The rank-th d-subset of range(n) in lexicographic order.
+def unrank_combinations(ranks: Sequence[int], n: int, d: int) -> list:
+    """The rank-th d-subset of range(n) in lexicographic order, for each rank.
 
     With prev the element chosen last and k elements still to choose after
     this one, the combinations whose next element is below v number
@@ -245,25 +260,34 @@ def unrank_combination(rank: int, n: int, d: int) -> tuple:
     stick).  So with r the rank left, the next element is v = n - m for the
     least m with C(m, k + 1) >= top - r, one bisection of the column
     [C(m, k + 1) for m in 0..n]; the last element is prev + 1 + r.  The
-    columns are cached, at most 32 of them, each n + 1 ints: less memory
-    than the n adjacency sets of a projection.
+    columns are looked up once per call, not once per rank, and cached, at
+    most 32 of them, each n + 1 ints.
     """
-    if not 0 <= rank < math.comb(n, d):
-        raise ValueError(f"rank {rank} out of range for C({n},{d})")
+    total = math.comb(n, d)
+    for rank in (min(ranks), max(ranks)) if ranks else ():
+        if not 0 <= rank < total:
+            raise ValueError(f"rank {rank} out of range for C({n},{d})")
     if d == 0:
-        return ()
-    combo = []
-    prev = -1
-    r = rank
-    for k in range(d - 1, 0, -1):
-        col = _binomial_column(n, k + 1)
-        top = col[n - prev - 1]
-        m = bisect_left(col, top - r, k + 1, n - prev)
-        r -= top - col[m]
-        prev = n - m
-        combo.append(prev)
-    combo.append(prev + 1 + r)
-    return tuple(combo)
+        return [()] * len(ranks)
+    cols = [(_binomial_column(n, k + 1), k + 1) for k in range(d - 1, 0, -1)]
+    out = []
+    for r in ranks:
+        combo = []
+        prev = -1
+        for col, lo in cols:
+            top = col[n - prev - 1]
+            m = bisect_left(col, top - r, lo, n - prev)
+            r -= top - col[m]
+            prev = n - m
+            combo.append(prev)
+        combo.append(prev + 1 + r)
+        out.append(tuple(combo))
+    return out
+
+
+def unrank_combination(rank: int, n: int, d: int) -> tuple:
+    """The rank-th d-subset of range(n) in lexicographic order."""
+    return unrank_combinations((rank,), n, d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +309,7 @@ def generate_random_hypergraph(
         raise ValueError(f"p={p} outside [0, 1]")
     total = math.comb(params.n, params.d)
     ranks = bernoulli_ranks(seed, total, p)
-    edges = [unrank_combination(r, params.n, params.d) for r in ranks]
-    return Hypergraph(params.n, params.d, edges)
+    return Hypergraph(params.n, params.d, unrank_combinations(ranks, params.n, params.d))
 
 
 def generate_hsbm(params: HsbmParams, seed: int) -> tuple:
@@ -303,17 +326,13 @@ def generate_hsbm(params: HsbmParams, seed: int) -> tuple:
     if q1 == 0.0:
         return Hypergraph(n, d, []), sigma
     thin = q2 / q1
-    edges = []
-
-    def keep(rank: int, u: float) -> bool:
-        combo = unrank_combination(rank, n, d)
-        mono = all(sigma[v] == sigma[combo[0]] for v in combo)
-        if mono or u < thin:
-            edges.append(combo)
-            return True
-        return False
-
-    bernoulli_ranks(seed, math.comb(n, d), q1, keep)
+    draws: list = []  # every candidate is kept with its draw, and thinned below
+    ranks = bernoulli_ranks(seed, math.comb(n, d), q1, lambda rank, u: not draws.append(u))
+    edges = [
+        combo
+        for combo, u in zip(unrank_combinations(ranks, n, d), draws)
+        if u < thin or all(sigma[v] == sigma[combo[0]] for v in combo)
+    ]
     return Hypergraph(n, d, edges), sigma
 
 
@@ -330,7 +349,7 @@ def edge_pairs(edges: Iterable[Sequence[int]]):
 
 def project(h: Hypergraph) -> Graph:
     """The graph with an edge for every pair co-occurring in a hyperedge."""
-    return Graph(h.n, set(edge_pairs(h.edges)))
+    return Graph(h.n, edge_pairs(h.edges))
 
 
 def project_edges(edges: Iterable[Sequence[int]]) -> set:
@@ -341,35 +360,46 @@ def project_edges(edges: Iterable[Sequence[int]]) -> set:
 def clique_hypergraph(g: Graph, d: int) -> Hypergraph:
     """All d-subsets of vertices that are cliques of g, in lexicographic order.
 
-    Each clique is listed from its least vertex u by extension inside common
-    neighborhoods (Chiba and Nishizeki 1985): u's higher neighbors are read
-    off the sorted edge list, and a prefix ending in v keeps the candidates
-    after v that are adjacent to v, one set intersection.  A branch is
-    entered only while it holds enough candidates to finish a clique, and
-    the last level is emitted in one step, so the cost is output- and
-    degree-sensitive rather than O(C(n, d)).  The result is memoized on g
+    Each clique is listed from its least vertex u, whose higher neighbors
+    are its run of the sorted edge list (edges first, as in Latapy's
+    edge-iterator triangle listing), by extension inside common
+    neighborhoods (Chiba and Nishizeki 1985): a prefix ending in v keeps the
+    candidates after v that form an edge with v in ``g.edge_set``.  A branch
+    is entered only while it holds enough candidates to finish a clique, and
+    the last two vertices come out in one step, as the candidate pairs that
+    are edges, so the cost is output- and degree-sensitive rather than
+    O(C(n, d)), and the memory beyond the output is O(|E|).  Memoized on g
     per d, so every algorithm run on the same graph shares one enumeration.
     """
     if d < 2:
         raise ValueError(f"d={d} must be >= 2")
     if d in g._cliques:
         return g._cliques[d]
-    adj = g.adj
+    is_edge = g.edge_set.__contains__
     out: list[tuple] = []
 
     def extend(prefix: tuple, cands: list, need: int) -> None:
         # cands: sorted common neighbors of prefix, all above its last vertex
-        if need == 1:
-            out.extend(map(prefix.__add__, zip(cands)))
+        if need == 2:
+            out.extend(map(prefix.__add__, filter(is_edge, combinations(cands, 2))))
             return
         for i in range(len(cands) - need + 1):
             v = cands[i]
-            common = adj[v].intersection(cands[i + 1 :])
+            rest = cands[i + 1 :]
+            common = list(compress(rest, map(is_edge, zip(repeat(v), rest))))
             if len(common) >= need - 1:
-                extend(prefix + (v,), sorted(common), need - 1)
+                extend(prefix + (v,), common, need - 1)
 
-    for u, pairs in groupby(g.edges, operator.itemgetter(0)):
-        extend((u,), list(map(operator.itemgetter(1), pairs)), d - 1)
+    if d == 2:
+        out.extend(g.edges)
+    else:
+        # g.edges is sorted, so each u's higher neighbors are one run of highs
+        highs = tuple(map(operator.itemgetter(1), g.edges))
+        start = 0
+        for u, run in Counter(map(operator.itemgetter(0), g.edges)).items():
+            if run >= d - 1:
+                extend((u,), highs[start : start + run], d - 1)
+            start += run
     g._cliques[d] = Hypergraph(g.n, d, out)
     return g._cliques[d]
 

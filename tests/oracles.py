@@ -6,7 +6,8 @@ exponent over every hyperedge subset that the max-density threshold test
 must agree with, the Pasch-trade witness and the effective density
 exponent behind acceptance criterion 9, the block-by-block rank samplers
 that the fast one must reproduce, the inverse of unrank_combination for
-its round trip, the round-by-round color refinement that the early-stopping one must
+its round trip, the subset enumeration and the neighbour-set listing of
+the d-cliques that clique_hypergraph must reproduce, the round-by-round color refinement that the early-stopping one must
 reproduce, the full-tree canonical form whose partition into isomorphism classes
 the twin quotient's canonical form must reproduce, the canonical-form candidate dedup and the orbit closure over
 every k-set that the twin-canonical orbit dedup must reproduce, the
@@ -97,6 +98,44 @@ def brute_force_isomorphic(a, b) -> bool:
         if all(tuple(sorted(perm[u] for u in e)) in target for e in a.edges):
             return True
     return False
+
+
+def reference_clique_hypergraph(g: Graph, d: int) -> tuple:
+    """Every d-subset of range(g.n) whose pairs are all edges, by full
+    enumeration: C(n, d) subsets, so for small n or d only."""
+    return tuple(
+        t for t in combinations(range(g.n), d) if all(p in g.edge_set for p in combinations(t, 2))
+    )
+
+
+def reference_clique_listing(g: Graph, d: int) -> tuple:
+    """The d-cliques of g in lexicographic order, listed from each least
+    vertex u by intersecting neighbour sets (Chiba and Nishizeki 1985).
+
+    Builds its own adjacency, one frozenset per vertex, so it reaches
+    graphs too large for :func:`reference_clique_hypergraph`.
+    """
+    adj: list = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    adj = [frozenset(s) for s in adj]
+    out: list = []
+
+    def extend(prefix: tuple, cands: list, need: int) -> None:
+        # cands: sorted common neighbours of prefix, all above its last vertex
+        if need == 1:
+            out.extend(prefix + (v,) for v in cands)
+            return
+        for i in range(len(cands) - need + 1):
+            v = cands[i]
+            common = adj[v].intersection(cands[i + 1 :])
+            if len(common) >= need - 1:
+                extend(prefix + (v,), sorted(common), need - 1)
+
+    for u in range(g.n):
+        extend((u,), sorted(w for w in adj[u] if w > u), d - 1)
+    return tuple(out)
 
 
 def all_preimages_bitmask(g: Graph, d: int, candidates=None):

@@ -4,11 +4,17 @@ import hashlib
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
-from oracles import rank_combination, reference_bernoulli_ranks, reference_thinned_ranks
+from oracles import (
+    rank_combination,
+    reference_bernoulli_ranks,
+    reference_clique_hypergraph,
+    reference_clique_listing,
+    reference_thinned_ranks,
+)
 
 from hyperlift import rng
 from hyperlift.core import (
@@ -32,6 +38,7 @@ from hyperlift.core import (
     similarity_to_text,
     support_graph,
     unrank_combination,
+    unrank_combinations,
 )
 from hyperlift.rng import BLOCK_SIZE, GEN_TAG, Stream, bernoulli_ranks, mix64
 
@@ -59,6 +66,19 @@ def test_unrank_round_trips_at_scale():
     for rank, n, d in ((-1, 10, 3), (math.comb(10, 3), 10, 3), (0, 3, 4)):
         with pytest.raises(ValueError, match="out of range"):
             unrank_combination(rank, n, d)
+
+
+def test_batch_unranker_equals_one_rank_at_a_time():
+    draw = Stream(31)
+    for d in range(1, 7):
+        for n in (d, d + 1, 17, 60):
+            total = math.comb(n, d)
+            ranks = sorted({0, total - 1} | {draw.randrange(total) for _ in range(50)})
+            assert unrank_combinations(ranks, n, d) == [unrank_combination(r, n, d) for r in ranks]
+            assert unrank_combinations([], n, d) == []
+            for bad in (-1, total):
+                with pytest.raises(ValueError, match=rf"^rank {bad} out of range for C\({n},{d}\)$"):
+                    unrank_combinations(ranks + [bad], n, d)
 
 
 def test_hypergraph_canonical_and_validation():
@@ -255,12 +275,6 @@ def test_clique_hypergraph_k4_and_edgeless():
     assert clique_hypergraph(Graph(5, []), 3).edges == ()
 
 
-def _brute_cliques(g, d):
-    return tuple(
-        t for t in combinations(range(g.n), d) if all(p in g.edge_set for p in combinations(t, 2))
-    )
-
-
 def test_clique_hypergraph_matches_brute_force():
     rnd = random.Random(18)
     params = DensityParams(3, Fraction(2, 5), 10)
@@ -272,12 +286,49 @@ def test_clique_hypergraph_matches_brute_force():
     # K_7 inside isolated vertices, and the edgeless graph
     graphs.append(Graph(10, [(a + 2, b + 2) for a, b in combinations(range(7), 2)]))
     graphs.append(Graph(6, []))
-    assert any(not g.adj[u] for g in graphs for u in range(g.n))
+    assert any(set(range(g.n)) - set(chain.from_iterable(g.edges)) for g in graphs)
     for g in graphs:
         for d in (2, 3, 4, 5):
-            assert clique_hypergraph(g, d).edges == _brute_cliques(g, d), (g.edges, d)
+            assert clique_hypergraph(g, d).edges == reference_clique_hypergraph(g, d), (g.edges, d)
     k7 = graphs[-2]
     assert [len(clique_hypergraph(k7, d)) for d in (2, 3, 4, 5)] == [21, 35, 35, 21]
+
+
+def test_clique_listing_matches_both_oracles_on_the_sweep_graphs():
+    graphs = [
+        (project(generate_random_hypergraph(DensityParams(d, delta, n), seed)), d)
+        for d, delta, n in ((3, Fraction(1, 5), 200), (4, Fraction(1, 2), 120))
+        for seed in range(20)
+    ]
+    graphs.append((project(generate_random_hypergraph(DensityParams(3, Fraction(1, 5), 5000), 7)), 3))
+    rnd = random.Random(31)
+    half = Graph(40, [e for e in combinations(range(40), 2) if rnd.random() < 0.5])
+    graphs += [(half, d) for d in range(2, 8)]
+    k12 = Graph(12, list(combinations(range(12), 2)))
+    graphs += [(k12, d) for d in range(2, 13)]
+    for g, d in graphs:
+        listed = clique_hypergraph(g, d).edges
+        assert listed == reference_clique_listing(g, d), (g, d)
+        if math.comb(g.n, d) <= 10**5:
+            assert listed == reference_clique_hypergraph(g, d), (g, d)
+
+
+def test_non_integer_vertex_ids_are_refused_naming_the_edge():
+    for bad, name in (((1.5, 2), r"\(1\.5, 2\)"), (("1", 2), r"\('1', 2\)"), ((None, 0), r"\(None, 0\)")):
+        with pytest.raises(ValueError, match=rf"^edge {name} has a non-integer vertex id$"):
+            Graph(4, [(0, 1), bad])
+    with pytest.raises(ValueError, match=r"^hyperedge \(0, 1\.5, 2\) has a non-integer"):
+        Hypergraph(4, 3, [(0, 1.5, 2)])
+    with pytest.raises(ValueError, match=r"^hyperedge \(0, '1', 2\) has a non-integer"):
+        Hypergraph(4, 3, [(0, 1, 3), (0, "1", 2)])
+    # ids that operator.index accepts are stored as ints
+    h = Hypergraph(4, 3, [(0, 1, 3), (False, True, 2)])
+    assert h.edges == ((0, 1, 2), (0, 1, 3)) and {type(v) for e in h.edges for v in e} == {int}
+    assert hypergraph_from_text(hypergraph_to_text(h)) == h
+    np = pytest.importorskip("numpy")
+    g = Graph(4, [(np.int64(3), True), (np.int32(0), 2)])
+    assert g.edges == ((0, 2), (1, 3)) and {type(v) for e in g.edges for v in e} == {int}
+    assert Hypergraph(4, 3, [np.array([0, 1, 3])]).edges == ((0, 1, 3),)
 
 
 def test_graph_names_the_first_bad_edge_in_sorted_order():
